@@ -11,7 +11,6 @@ reproducible record streams exercise the whole pipeline.
 """
 
 from .distributions import (
-    DistEval,
     Distribution,
     Exponential,
     Gamma,
@@ -30,7 +29,6 @@ from .errors import (
     DegenerateDataError,
     DivergenceError,
     DomainError,
-    FitError,
     InfiniteMeanError,
     InsufficientDataError,
     ParameterError,
@@ -38,7 +36,7 @@ from .errors import (
 )
 from .evt import GpFitResult, GpTail, fit_gp, shift_scale, threshold_grid
 from .io import read_records, write_records, write_table
-from .records import ForecastObsRecord, RecordBatch, batch_cdf
+from .records import RecordBatch, batch_cdf
 from .scoring import (
     QuantileIndicatorWeight,
     TabulatedWeight,
@@ -103,7 +101,6 @@ __all__ = [
     "__version__",
     # distributions
     "Distribution",
-    "DistEval",
     "Normal",
     "NormalMixture2",
     "Exponential",
@@ -141,7 +138,6 @@ __all__ = [
     "shift_scale",
     "threshold_grid",
     # records / io
-    "ForecastObsRecord",
     "RecordBatch",
     "batch_cdf",
     "read_records",
@@ -189,6 +185,5 @@ __all__ = [
     "ConstructionError",
     "InsufficientDataError",
     "DegenerateDataError",
-    "FitError",
     "DataFormatError",
 ]

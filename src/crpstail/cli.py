@@ -23,15 +23,9 @@ import sys
 import numpy as np
 
 from .errors import (
-    ConditioningError,
-    ConstructionError,
     CrpstailError,
     DataFormatError,
     DegenerateDataError,
-    DivergenceError,
-    DomainError,
-    FitError,
-    InfiniteMeanError,
     InsufficientDataError,
     ParameterError,
     UnsupportedFamilyError,
@@ -427,29 +421,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
-        _note(f"crpstail: data error: {exc}")
-        return EXIT_DATA
-    except (InsufficientDataError, DegenerateDataError, UnsupportedFamilyError) as exc:
-        _note(f"crpstail: data error: {exc}")
-        return EXIT_DATA
-    except OSError as exc:
+    except (
+        DataFormatError,
+        InsufficientDataError,
+        DegenerateDataError,
+        UnsupportedFamilyError,
+        OSError,
+    ) as exc:
         _note(f"crpstail: data error: {exc}")
         return EXIT_DATA
     except ParameterError as exc:
         _note(f"crpstail: usage error: {exc}")
         return EXIT_USAGE
-    except (
-        DomainError,
-        DivergenceError,
-        ConditioningError,
-        ConstructionError,
-        InfiniteMeanError,
-        FitError,
-    ) as exc:
-        _note(f"crpstail: numeric failure: {exc}")
-        return EXIT_NUMERIC
     except CrpstailError as exc:
+        # every other package error is numeric: domain, divergence, ...
         _note(f"crpstail: numeric failure: {exc}")
         return EXIT_NUMERIC
 

@@ -15,23 +15,29 @@ Gamma(shape, rate)
 GeneralizedPareto(scale, shape)                  shape >= 0 heavy tail, < 0 bounded
 UniformMixture((w, a, b), ...)                   mixture of uniform components
 Spliced(base, replacement, splice_point)         base below u, rescaled tail above
+
+The record families (the first five, and raw ensemble members) also have an
+entry in the family table at the end of this module, which holds their
+parameter rule and the vectorized kernels the batch scoring paths run on.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincinv, ndtr, ndtri
+from scipy.special import beta, gammainc, gammaincinv, ndtr, ndtri
 
 from .errors import (
     ConditioningError,
+    DivergenceError,
     DomainError,
+    InfiniteMeanError,
     ParameterError,
     UnsupportedFamilyError,
 )
@@ -45,8 +51,6 @@ __all__ = [
     "GeneralizedPareto",
     "UniformMixture",
     "Spliced",
-    "DistEval",
-    "evaluate",
     "from_family",
 ]
 
@@ -82,6 +86,10 @@ class Distribution(ABC):
 
     family: ClassVar[str]
 
+    def __post_init__(self):
+        # table families share their parameter rule with the record batches
+        check_params(self.family, self.params)
+
     # -- point-wise surface -------------------------------------------------
 
     @abstractmethod
@@ -107,9 +115,13 @@ class Distribution(ABC):
 
     @property
     def params(self) -> list[float]:
-        raise UnsupportedFamilyError(
-            f"{self.family} does not have a flat parameter vector"
-        )
+        """Flat parameter vector: the dataclass fields of a family-table class,
+        in the order of its table columns."""
+        if self.family not in _FAMILIES:
+            raise UnsupportedFamilyError(
+                f"{self.family} does not have a flat parameter vector"
+            )
+        return [getattr(self, f.name) for f in fields(self)]
 
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` values by inverse-cdf from caller-owned RNG state."""
@@ -133,17 +145,6 @@ class Distribution(ABC):
         return val / s_u
 
 
-class DistEval(NamedTuple):
-    cdf: float | np.ndarray
-    pdf: float | np.ndarray
-    survival: float | np.ndarray
-
-
-def evaluate(dist: Distribution, x) -> DistEval:
-    """Evaluate cdf, pdf and survival at ``x`` in one call."""
-    return DistEval(dist.cdf(x), dist.pdf(x), dist.survival(x))
-
-
 # ---------------------------------------------------------------------------
 # Normal and two-component normal mixture
 # ---------------------------------------------------------------------------
@@ -155,14 +156,6 @@ class Normal(Distribution):
     std: float
 
     family: ClassVar[str] = "normal"
-
-    def __post_init__(self):
-        if not (self.std > 0.0 and np.isfinite(self.std) and np.isfinite(self.mean_)):
-            raise ParameterError(f"normal requires finite mean and std > 0, got {self}")
-
-    @property
-    def params(self):
-        return [self.mean_, self.std]
 
     def cdf(self, x):
         x, scalar = _prepare(x)
@@ -199,16 +192,6 @@ class NormalMixture2(Distribution):
     std2: float
 
     family: ClassVar[str] = "normal_mixture2"
-
-    def __post_init__(self):
-        if not (0.0 <= self.w <= 1.0):
-            raise ParameterError(f"mixture weight must lie in [0, 1], got {self.w}")
-        if not (self.std1 > 0.0 and self.std2 > 0.0):
-            raise ParameterError("mixture component stds must be positive")
-
-    @property
-    def params(self):
-        return [self.w, self.mean1, self.std1, self.mean2, self.std2]
 
     def _components(self):
         return (
@@ -280,14 +263,6 @@ class Exponential(Distribution):
 
     family: ClassVar[str] = "exponential"
 
-    def __post_init__(self):
-        if not (self.rate > 0.0 and np.isfinite(self.rate)):
-            raise ParameterError(f"exponential rate must be positive, got {self.rate}")
-
-    @property
-    def params(self):
-        return [self.rate]
-
     def cdf(self, x):
         x, scalar = _prepare(x)
         return _finish(np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0))), scalar)
@@ -324,14 +299,6 @@ class Gamma(Distribution):
     rate: float
 
     family: ClassVar[str] = "gamma"
-
-    def __post_init__(self):
-        if not (self.shape > 0.0 and self.rate > 0.0):
-            raise ParameterError("gamma requires shape > 0 and rate > 0")
-
-    @property
-    def params(self):
-        return [self.shape, self.rate]
 
     def cdf(self, x):
         x, scalar = _prepare(x)
@@ -377,16 +344,6 @@ class GeneralizedPareto(Distribution):
     shape: float
 
     family: ClassVar[str] = "generalized_pareto"
-
-    def __post_init__(self):
-        if not (self.scale > 0.0 and np.isfinite(self.scale) and np.isfinite(self.shape)):
-            raise ParameterError(
-                f"generalized Pareto requires scale > 0 and finite shape, got {self}"
-            )
-
-    @property
-    def params(self):
-        return [self.scale, self.shape]
 
     def _is_exp(self):
         return abs(self.shape) < _GP_SHAPE_EPS
@@ -650,17 +607,262 @@ class Spliced(Distribution):
         return super().mean_excess(u)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Registry
+# Family table
 # ---------------------------------------------------------------------------
+#
+# Each record family is described once, here: its class, its parameter rule
+# and the kernels every batch path runs on. A kernel takes an (n, k) array of
+# parameter rows and broadcasts its other arguments against the rows; the
+# scalar entry points call the same kernels on a one-row batch.
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _phi(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _crps_normal_kernel(mu, sigma, y):
+    z = (y - mu) / sigma
+    return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _phi(z) - 1.0 / _SQRT_PI)
+
+
+def _A(m, v):
+    """E|X - 0| for X ~ N(m, v); the building block of the mixture closed form."""
+    s = np.sqrt(v)
+    z = m / s
+    return m * (2.0 * ndtr(z) - 1.0) + 2.0 * s * _phi(z)
+
+
+def _crps_mixture2_kernel(w, m1, s1, m2, s2, y):
+    w2 = 1.0 - w
+    cross = (
+        w * w * _A(0.0 * m1, 2.0 * s1 * s1)
+        + w2 * w2 * _A(0.0 * m2, 2.0 * s2 * s2)
+        + 2.0 * w * w2 * _A(m1 - m2, s1 * s1 + s2 * s2)
+    )
+    return w * _A(y - m1, s1 * s1) + w2 * _A(y - m2, s2 * s2) - 0.5 * cross
+
+
+def _crps_exponential_kernel(rate, y):
+    yc = np.maximum(y, 0.0)
+    inside = yc + (2.0 / rate) * np.exp(-rate * yc) - 1.5 / rate
+    # below the support the score grows linearly with the distance to 0
+    return inside + np.maximum(-y, 0.0)
+
+
+def _crps_gamma_kernel(shape, rate, y):
+    """Scheuerer & Moller (2015). Below 0 both cdfs vanish and the first term
+    becomes -y, the distance to the support."""
+    x = rate * np.maximum(y, 0.0)
+    return (
+        y * (2.0 * gammainc(shape, x) - 1.0)
+        - shape / rate * (2.0 * gammainc(shape + 1.0, x) - 1.0)
+        - 1.0 / (rate * beta(0.5, shape))
+    )
+
+
+def _crps_gp_kernel(scale, shape, y):
+    """CRPS for the generalized Pareto; requires shape < 1 (finite mean)."""
+    if np.any(shape >= 1.0):
+        raise InfiniteMeanError("generalized Pareto CRPS requires shape < 1")
+    # clamp y into the support, add |y - clamp| afterwards (exact extension)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.where(
+            shape < -_GP_SHAPE_EPS, -scale / np.minimum(shape, -_GP_SHAPE_EPS), np.inf
+        )
+    yc = np.clip(y, 0.0, hi)
+    exp_like = np.abs(shape) < _GP_SHAPE_EPS
+    safe_shape = np.where(exp_like, 0.5, shape)
+    base = np.maximum(1.0 + safe_shape * yc / scale, 0.0)
+    with np.errstate(divide="ignore"):
+        sbar = np.where(
+            exp_like,
+            np.exp(-yc / scale),
+            np.exp(np.where(base > 0.0, -np.log(np.maximum(base, 1e-300)) / safe_shape, -np.inf)),
+        )
+    crps = (
+        yc
+        + 2.0 * sbar * (scale + shape * yc) / (1.0 - shape)
+        - 2.0 * scale * (1.0 / (1.0 - shape) - 0.5 / (2.0 - shape))
+    )
+    return crps + np.abs(y - yc)
+
+
+def _crps_ensemble_kernel(members, y):
+    """mean|x_i - y| - 0.5 mean|x_i - x_j|, the pairwise term in O(m log m)
+    from the sorted members."""
+    xs = np.sort(members, axis=1)
+    m = xs.shape[1]
+    k = np.arange(1, m + 1)
+    return np.abs(xs - np.asarray(y)[..., None]).mean(axis=1) - xs @ (2 * k - m - 1) / (m * m)
+
+
+def _normal_tail_sq(s):
+    """int_s^inf ndtr(-z)^2 dz in closed form."""
+    sb = ndtr(-s)
+    return -s * sb * sb + 2.0 * _phi(s) * sb - ndtr(-s * math.sqrt(2.0)) / _SQRT_PI
+
+
+def _gp_tail_sq_kernel(scale, shape, q):
+    """Vectorized int_q^inf survival^2 for generalized Pareto rows, q >= 0."""
+    if np.any(shape >= 2.0):
+        raise DivergenceError("tail integral diverges for Pareto shape >= 2")
+    exp_like = np.abs(shape) < _GP_SHAPE_EPS
+    safe = np.where(exp_like, 0.5, shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sbar = np.where(
+            exp_like,
+            -q / scale,
+            -np.log1p(np.maximum(safe * q / scale, -1.0 + 1e-15)) / safe,
+        )
+    return scale * np.exp((2.0 - shape) * log_sbar) / (2.0 - shape)
+
+
+def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
+    """s -> int_s^inf Fbar0(t)^2 dt for the zero-based mixture Fbar0, by the
+    trapezoid rule on a dense grid over the range of ``s``."""
+
+    def fbar(t):
+        return w * ndtr(-t / s1) + (1.0 - w) * ndtr(-(t - delta) / s2)
+
+    grid = np.linspace(float(np.min(s)) - 1.0, float(np.max(s)) + 1.0, n)
+    f = fbar(grid)
+    sq = f * f
+    rem, _ = integrate.quad(lambda t: fbar(t) ** 2, grid[-1], np.inf)
+    # cumulative from the right edge inward
+    seg = 0.5 * (sq[1:] + sq[:-1]) * np.diff(grid)
+    tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + rem
+    return np.interp(s, grid, tail)
+
+
+def _mixture2_tail_sq(params, q):
+    """Batch int_q^inf survival^2 for mixture rows, accurate to ~1e-7: one
+    table per unique (w, std1, std2, mean-offset) signature."""
+    w, m1, s1, m2, s2 = params.T
+    s = q - m1
+    key = np.round(np.column_stack([w, s1, s2, m2 - m1]), 12)
+    tail = np.empty(len(params))
+    for row in np.unique(key, axis=0):
+        sel = np.all(key == row, axis=1)
+        tail[sel] = _mixture2_tail_table(*row, s[sel])
+    return tail
+
+
+def _gp_cdf(params, x):
+    scale, shape = params[:, 0], params[:, 1]
+    exp_like = np.abs(shape) < _GP_SHAPE_EPS
+    safe = np.where(exp_like, 0.5, shape)
+    z = np.maximum(safe * np.maximum(x, 0.0) / scale, -1.0 + 1e-15)
+    c = np.where(
+        exp_like,
+        -np.expm1(-np.maximum(x, 0.0) / scale),
+        -np.expm1(-np.log1p(z) / safe),
+    )
+    return np.where(x <= 0.0, 0.0, c)
+
+
+def _ensemble_cdf(members, x):
+    """Mid-rank PIT surrogate: (# members below + half # equal) / m."""
+    below = (members < x[:, None]).sum(axis=1)
+    equal = (members == x[:, None]).sum(axis=1)
+    return (below + 0.5 * equal) / members.shape[1]
+
+
+def _columns(kernel):
+    """Adapt ``kernel(col_0, ..., col_k-1, arg)`` to ``(params, arg)``."""
+    return lambda params, arg: kernel(*params.T, arg)
+
+
+class Family(NamedTuple):
+    """One record family. Kernels map (params, x) to one value per row."""
+
+    cls: type | None  # None: the rows are ensemble members, not parameters
+    nparams: int | None  # None: any row length
+    rule: str  # what ``valid`` demands beyond finite parameters
+    valid: Callable  # params -> bool per row
+    cdf: Callable  # (params, x) -> F(x)
+    crps: Callable  # (params, y) -> CRPS(F, y)
+    tail: Callable | None = None  # (params, q) -> int_q^inf (1 - F)^2, q scalar
+    tail_exact: bool = True  # False: ``tail`` is a table for batch use only
+    wcrps: Callable | None = None  # (params, y, q) -> weighted CRPS, w = 1{x >= q}
+
 
 _FAMILIES = {
-    "normal": (Normal, 2),
-    "normal_mixture2": (NormalMixture2, 5),
-    "exponential": (Exponential, 1),
-    "gamma": (Gamma, 2),
-    "generalized_pareto": (GeneralizedPareto, 2),
+    "normal": Family(
+        Normal, 2, "std > 0",
+        valid=lambda p: p[:, 1] > 0.0,
+        cdf=lambda p, x: ndtr((x - p[:, 0]) / p[:, 1]),
+        crps=_columns(_crps_normal_kernel),
+        tail=lambda p, q: p[:, 1] * _normal_tail_sq((q - p[:, 0]) / p[:, 1]),
+    ),
+    "normal_mixture2": Family(
+        NormalMixture2, 5, "weight in [0, 1] and component stds > 0",
+        valid=lambda p: (p[:, 0] >= 0.0) & (p[:, 0] <= 1.0) & (p[:, 2] > 0.0) & (p[:, 4] > 0.0),
+        cdf=lambda p, x: p[:, 0] * ndtr((x - p[:, 1]) / p[:, 2])
+        + (1.0 - p[:, 0]) * ndtr((x - p[:, 3]) / p[:, 4]),
+        crps=_columns(_crps_mixture2_kernel),
+        tail=_mixture2_tail_sq,
+        tail_exact=False,
+    ),
+    "exponential": Family(
+        Exponential, 1, "rate > 0",
+        valid=lambda p: p[:, 0] > 0.0,
+        cdf=lambda p, x: np.where(x <= 0.0, 0.0, -np.expm1(-p[:, 0] * np.maximum(x, 0.0))),
+        crps=_columns(_crps_exponential_kernel),
+        tail=lambda p, q: np.exp(-2.0 * p[:, 0] * max(q, 0.0)) / (2.0 * p[:, 0]) + max(-q, 0.0),
+    ),
+    "gamma": Family(
+        Gamma, 2, "shape > 0 and rate > 0",
+        valid=lambda p: (p[:, 0] > 0.0) & (p[:, 1] > 0.0),
+        cdf=lambda p, x: gammainc(p[:, 0], p[:, 1] * np.maximum(x, 0.0)),
+        crps=_columns(_crps_gamma_kernel),
+    ),
+    "generalized_pareto": Family(
+        GeneralizedPareto, 2, "scale > 0",
+        valid=lambda p: p[:, 0] > 0.0,
+        cdf=_gp_cdf,
+        crps=_columns(_crps_gp_kernel),
+        tail=lambda p, q: _gp_tail_sq_kernel(p[:, 0], p[:, 1], max(q, 0.0)) + max(-q, 0.0),
+    ),
+    "ensemble": Family(
+        None, None, "at least one member",
+        valid=lambda p: np.full(len(p), p.shape[1] > 0),
+        cdf=_ensemble_cdf,
+        crps=_crps_ensemble_kernel,
+        # chaining function v(z) = max(z, q) (Allen, Ginsbourger & Ziegel 2023)
+        wcrps=lambda p, y, q: _crps_ensemble_kernel(np.maximum(p, q), np.maximum(y, q)),
+    ),
 }
+
+
+def family_entry(family: str) -> Family:
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise UnsupportedFamilyError(f"unknown distribution family {family!r}") from None
+
+
+def check_params(family: str, params) -> None:
+    """Raise :class:`~crpstail.errors.ParameterError`, carrying the first bad
+    row, on a wrong row length, a non-finite value or a broken family rule."""
+    fam = family_entry(family)
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    if fam.nparams is not None and params.shape[1] != fam.nparams:
+        raise ParameterError(
+            f"{family} rows need {fam.nparams} parameters, got {params.shape[1]}", row=0
+        )
+    ok = fam.valid(params)
+    if not (ok.all() and np.isfinite(params).all()):
+        # the per-row reduction is slow on narrow rows: only on failure
+        i = int(np.argmin(ok & np.isfinite(params).all(axis=1)))
+        raise ParameterError(
+            f"{family} requires finite parameters and {fam.rule}, got {params[i].tolist()}",
+            row=i,
+        )
 
 
 def from_family(family: str, params: Sequence[float]) -> Distribution:
@@ -673,12 +875,12 @@ def from_family(family: str, params: Sequence[float]) -> Distribution:
             )
         comps = tuple(tuple(vals[i : i + 3]) for i in range(0, len(vals), 3))
         return UniformMixture(comps)
-    if family not in _FAMILIES:
-        raise UnsupportedFamilyError(f"unknown distribution family {family!r}")
-    cls, nparams = _FAMILIES[family]
+    fam = family_entry(family)
+    if fam.cls is None:
+        raise UnsupportedFamilyError(f"{family} rows have no parametric form")
     vals = list(map(float, params))
-    if len(vals) != nparams:
+    if len(vals) != fam.nparams:
         raise ParameterError(
-            f"{family} expects {nparams} parameters, got {len(vals)}"
+            f"{family} expects {fam.nparams} parameters, got {len(vals)}"
         )
-    return cls(*vals)
+    return fam.cls(*vals)

@@ -11,7 +11,11 @@ class CrpstailError(Exception):
 
 
 class ParameterError(CrpstailError, ValueError):
-    """A distribution or function parameter is outside its admissible range."""
+    """A parameter is outside its admissible range (``row``: the batch row at fault)."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class DomainError(CrpstailError, ValueError):
@@ -44,10 +48,6 @@ class InsufficientDataError(CrpstailError, ValueError):
 
 class DegenerateDataError(CrpstailError, ValueError):
     """Input data carry no usable variation (e.g. all values equal)."""
-
-
-class FitError(CrpstailError, RuntimeError):
-    """A numerical fit failed to produce a valid estimate."""
 
 
 class DataFormatError(CrpstailError, ValueError):

@@ -21,8 +21,9 @@ import sys
 
 import numpy as np
 
-from .errors import DataFormatError
-from .records import _PARAM_COUNTS, RecordBatch
+from .distributions import _FAMILIES
+from .errors import DataFormatError, ParameterError
+from .records import RecordBatch
 
 __all__ = ["read_records", "write_records", "write_table", "format_float"]
 
@@ -46,8 +47,9 @@ def read_records(path_or_file) -> RecordBatch:
     """Parse a JSON-lines record file into a :class:`RecordBatch`.
 
     All records must share one forecast family (and parameter length), and
-    either all or none carry ``hidden``; violations and malformed lines
-    raise :class:`DataFormatError` tagged with the 1-based line number.
+    either all or none carry ``hidden``; violations, malformed lines and
+    parameters outside the family's rule raise :class:`DataFormatError`
+    tagged with the 1-based line number.
     """
     if hasattr(path_or_file, "read"):
         lines = path_or_file
@@ -56,7 +58,7 @@ def read_records(path_or_file) -> RecordBatch:
         lines = open(path_or_file, "r", encoding="utf-8")
         close = True
     try:
-        t, y, hidden, params = [], [], [], []
+        t, y, hidden, params, line_of = [], [], [], [], []
         family = None
         n_params = None
         n_line = 0
@@ -76,7 +78,7 @@ def read_records(path_or_file) -> RecordBatch:
             if family is None:
                 family = fam
                 n_params = len(par)
-                if fam not in _PARAM_COUNTS and fam != "ensemble":
+                if fam not in _FAMILIES:
                     raise DataFormatError(f"unknown family {fam!r}", line=n_line)
             elif fam != family:
                 raise DataFormatError(
@@ -90,21 +92,26 @@ def read_records(path_or_file) -> RecordBatch:
             y.append(obj["y"])
             hidden.append(obj.get("hidden"))
             params.append(par)
+            line_of.append(n_line)
         if family is None:
             raise DataFormatError("no records found")
         has_hidden = [h is not None for h in hidden]
         if any(has_hidden) and not all(has_hidden):
-            first_bad = has_hidden.index(False) + 1
+            first_bad = line_of[has_hidden.index(False)]
             raise DataFormatError(
                 "'hidden' must be present on all records or none", line=first_bad
             )
-        return RecordBatch(
-            t=np.asarray(t, dtype=np.int64),
-            y=np.asarray(y, dtype=float),
-            family=family,
-            params=np.asarray(params, dtype=float),
-            hidden=np.asarray(hidden, dtype=float) if all(has_hidden) else None,
-        )
+        try:
+            return RecordBatch(
+                t=np.asarray(t, dtype=np.int64),
+                y=np.asarray(y, dtype=float),
+                family=family,
+                params=np.asarray(params, dtype=float),
+                hidden=np.asarray(hidden, dtype=float) if all(has_hidden) else None,
+            )
+        except ParameterError as exc:
+            line = None if exc.row is None else line_of[exc.row]
+            raise DataFormatError(str(exc), line=line) from exc
     finally:
         if close:
             lines.close()

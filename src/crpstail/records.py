@@ -2,7 +2,7 @@
 
 A :class:`RecordBatch` stores a same-family column of forecasts with paired
 observations in flat numpy arrays — the layout every Monte Carlo path in this
-package runs on. Individual :class:`ForecastObsRecord` views materialize a
+package runs on. :meth:`RecordBatch.distribution` materializes one row as a
 real :class:`~crpstail.distributions.Distribution` on demand.
 
 The family tag "ensemble" marks rows whose ``params`` are raw ensemble
@@ -11,38 +11,23 @@ members rather than distribution parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, ndtr
 
-from .distributions import Distribution, from_family
-from .errors import ParameterError, UnsupportedFamilyError
+from .distributions import Distribution, check_params, family_entry, from_family
+from .errors import ParameterError
 
-__all__ = ["ForecastObsRecord", "RecordBatch", "batch_cdf"]
-
-_PARAM_COUNTS = {
-    "normal": 2,
-    "normal_mixture2": 5,
-    "exponential": 1,
-    "gamma": 2,
-    "generalized_pareto": 2,
-}
-
-
-@dataclass(frozen=True)
-class ForecastObsRecord:
-    """One time-indexed forecast/observation pair."""
-
-    t: int
-    y: float
-    forecast: Distribution | np.ndarray  # ndarray = ensemble members
-    hidden: float | None = None
+__all__ = ["RecordBatch", "batch_cdf"]
 
 
 @dataclass(frozen=True)
 class RecordBatch:
-    """Columnar batch of same-family forecast/observation records."""
+    """Columnar batch of same-family forecast/observation records.
+
+    Parameter rows are validated against the family's rule on construction;
+    a :class:`~crpstail.errors.ParameterError` names the first bad row.
+    """
 
     t: np.ndarray
     y: np.ndarray
@@ -65,45 +50,22 @@ class RecordBatch:
             raise ParameterError("record batch columns must share a common length")
         if self.hidden is not None and self.hidden.size != n:
             raise ParameterError("hidden column length mismatch")
-        if self.family != "ensemble":
-            want = _PARAM_COUNTS.get(self.family)
-            if want is None:
-                raise UnsupportedFamilyError(
-                    f"unknown forecast family {self.family!r}"
-                )
-            if params.shape[1] != want:
-                raise ParameterError(
-                    f"{self.family} rows need {want} parameters, got {params.shape[1]}"
-                )
+        check_params(self.family, params)
 
     def __len__(self):
         return self.y.size
 
     def distribution(self, i: int) -> Distribution:
-        if self.family == "ensemble":
-            raise UnsupportedFamilyError("ensemble rows have no parametric form")
         return from_family(self.family, self.params[i])
 
-    def record(self, i: int) -> ForecastObsRecord:
-        forecast = (
-            self.params[i].copy() if self.family == "ensemble" else self.distribution(i)
-        )
-        hidden = None if self.hidden is None else float(self.hidden[i])
-        return ForecastObsRecord(
-            t=int(self.t[i]), y=float(self.y[i]), forecast=forecast, hidden=hidden
-        )
-
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
     def subset(self, mask_or_index) -> "RecordBatch":
-        idx = np.asarray(mask_or_index)
+        """Rows selected by a slice, a boolean mask or an index array."""
         return RecordBatch(
-            t=self.t[idx],
-            y=self.y[idx],
+            t=self.t[mask_or_index],
+            y=self.y[mask_or_index],
             family=self.family,
-            params=self.params[idx],
-            hidden=None if self.hidden is None else self.hidden[idx],
+            params=self.params[mask_or_index],
+            hidden=None if self.hidden is None else self.hidden[mask_or_index],
             model=self.model,
         )
 
@@ -111,64 +73,9 @@ class RecordBatch:
         """F_t(y_t) for every record (rank-based surrogate for ensembles)."""
         return batch_cdf(self.family, self.params, self.y)
 
-    @staticmethod
-    def from_records(records) -> "RecordBatch":
-        records = list(records)
-        if not records:
-            raise ParameterError("cannot build a batch from zero records")
-        first = records[0].forecast
-        if isinstance(first, np.ndarray):
-            family = "ensemble"
-            params = np.vstack([np.asarray(r.forecast, dtype=float) for r in records])
-        else:
-            family = first.family
-            for r in records:
-                if isinstance(r.forecast, np.ndarray) or r.forecast.family != family:
-                    raise ParameterError(
-                        "record batches must be homogeneous in forecast family"
-                    )
-            params = np.vstack([r.forecast.params for r in records])
-        hidden = None
-        if all(r.hidden is not None for r in records):
-            hidden = np.array([r.hidden for r in records], dtype=float)
-        return RecordBatch(
-            t=np.array([r.t for r in records], dtype=np.int64),
-            y=np.array([r.y for r in records], dtype=float),
-            family=family,
-            params=params,
-            hidden=hidden,
-        )
-
 
 def batch_cdf(family: str, params: np.ndarray, x) -> np.ndarray:
     """Per-row forecast cdf evaluated at ``x`` (scalar or one value per row)."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     x = np.broadcast_to(np.asarray(x, dtype=float), (params.shape[0],))
-    if family == "normal":
-        return ndtr((x - params[:, 0]) / params[:, 1])
-    if family == "normal_mixture2":
-        w = params[:, 0]
-        return w * ndtr((x - params[:, 1]) / params[:, 2]) + (1.0 - w) * ndtr(
-            (x - params[:, 3]) / params[:, 4]
-        )
-    if family == "exponential":
-        return np.where(x <= 0.0, 0.0, -np.expm1(-params[:, 0] * np.maximum(x, 0.0)))
-    if family == "generalized_pareto":
-        scale, shape = params[:, 0], params[:, 1]
-        exp_like = np.abs(shape) < 1e-8
-        safe = np.where(exp_like, 0.5, shape)
-        z = np.maximum(safe * np.maximum(x, 0.0) / scale, -1.0 + 1e-15)
-        c = np.where(
-            exp_like,
-            -np.expm1(-np.maximum(x, 0.0) / scale),
-            -np.expm1(-np.log1p(z) / safe),
-        )
-        return np.where(x <= 0.0, 0.0, c)
-    if family == "gamma":
-        return gammainc(params[:, 0], params[:, 1] * np.maximum(x, 0.0))
-    if family == "ensemble":
-        # mid-rank PIT surrogate: (# members below + half # equal) / m
-        below = (params < x[:, None]).sum(axis=1)
-        equal = (params == x[:, None]).sum(axis=1)
-        return (below + 0.5 * equal) / params.shape[1]
-    raise UnsupportedFamilyError(f"no batch cdf for family {family!r}")
+    return family_entry(family).cdf(params, x)

@@ -6,10 +6,11 @@ The CRPS of a forecast distribution F at an observation y is
 
 and the weighted form inserts a non-negative weight w(x) under the integral.
 Closed forms are provided for the normal, two-component normal mixture,
-exponential and generalized Pareto families; everything else goes through
-adaptive quadrature. Batch entry points score a whole column of same-family
-forecasts against paired observations in vectorized numpy, which is what the
-simulation testbeds and the verification tooling run on.
+exponential, Gamma and generalized Pareto families (their kernels live in
+the family table of :mod:`crpstail.distributions`); everything else goes
+through adaptive quadrature. Batch entry points score a whole column of
+same-family forecasts against paired observations in vectorized numpy,
+which is what the simulation testbeds and the verification tooling run on.
 
 The quantile-indicator weight w(x) = 1{x >= q} gets dedicated treatment: for
 y >= q the weighted score equals CRPS(F, y) minus the constant
@@ -26,17 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtr
 
 from .distributions import (
+    _FAMILIES,
     Distribution,
-    Exponential,
-    Gamma,
-    GeneralizedPareto,
-    Normal,
-    NormalMixture2,
     Spliced,
     UniformMixture,
+    _crps_ensemble_kernel,
+    family_entry,
 )
 from .errors import (
     DivergenceError,
@@ -61,10 +59,6 @@ __all__ = [
     "survival_sq_tail",
     "crps_ensemble",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-_GP_EPS = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # Weight functions
@@ -162,96 +156,34 @@ class TabulatedWeight(WeightFunction):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (vectorized kernels on raw parameter arrays)
+# Closed forms: the family-table kernels, on a batch or on one row
 # ---------------------------------------------------------------------------
 
 
-def _phi(z):
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def _crps_normal_kernel(mu, sigma, y):
-    z = (y - mu) / sigma
-    return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _phi(z) - 1.0 / _SQRT_PI)
-
-
-def _A(m, v):
-    """E|X - 0| for X ~ N(m, v); the building block of the mixture closed form."""
-    s = np.sqrt(v)
-    z = m / s
-    return m * (2.0 * ndtr(z) - 1.0) + 2.0 * s * _phi(z)
-
-
-def _crps_mixture2_kernel(w, m1, s1, m2, s2, y):
-    w2 = 1.0 - w
-    cross = (
-        w * w * _A(0.0 * np.asarray(m1), 2.0 * s1 * s1)
-        + w2 * w2 * _A(0.0 * np.asarray(m2), 2.0 * s2 * s2)
-        + 2.0 * w * w2 * _A(m1 - m2, s1 * s1 + s2 * s2)
-    )
-    return w * _A(y - m1, s1 * s1) + w2 * _A(y - m2, s2 * s2) - 0.5 * cross
-
-
-def _crps_exponential_kernel(rate, y):
-    yc = np.maximum(y, 0.0)
-    inside = yc + (2.0 / rate) * np.exp(-rate * yc) - 1.5 / rate
-    # below the support the score grows linearly with the distance to 0
-    return inside + np.maximum(-np.asarray(y, dtype=float), 0.0)
-
-
-def _crps_gp_kernel(scale, shape, y):
-    """CRPS for the generalized Pareto; requires shape < 1 (finite mean)."""
-    scale = np.asarray(scale, dtype=float)
-    shape = np.asarray(shape, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(shape >= 1.0):
-        raise InfiniteMeanError("generalized Pareto CRPS requires shape < 1")
-    # clamp y into the support, add |y - clamp| afterwards (exact extension)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.where(shape < -_GP_EPS, -scale / np.minimum(shape, -_GP_EPS), np.inf)
-    yc = np.clip(y, 0.0, hi)
-    exp_like = np.abs(shape) < _GP_EPS
-    safe_shape = np.where(exp_like, 0.5, shape)
-    base = np.maximum(1.0 + safe_shape * yc / scale, 0.0)
-    with np.errstate(divide="ignore"):
-        sbar = np.where(
-            exp_like,
-            np.exp(-yc / scale),
-            np.exp(np.where(base > 0.0, -np.log(np.maximum(base, 1e-300)) / safe_shape, -np.inf)),
-        )
-    crps = (
-        yc
-        + 2.0 * sbar * (scale + shape * yc) / (1.0 - shape)
-        - 2.0 * scale * (1.0 / (1.0 - shape) - 0.5 / (2.0 - shape))
-    )
-    return crps + np.abs(y - yc)
+def _one_row(dist: Distribution):
+    """(family-table entry, one-row parameter batch) of ``dist``, or (None, None)."""
+    fam = _FAMILIES.get(dist.family)
+    if fam is None:
+        return None, None
+    return fam, np.array([dist.params], dtype=float)
 
 
 def crps_closed(dist: Distribution, y):
     """Closed-form CRPS; vectorized over ``y``.
 
     Supported families: normal, two-component normal mixture, exponential,
-    generalized Pareto with shape < 1. Raises
+    Gamma, generalized Pareto with shape < 1. Raises
     :class:`~crpstail.errors.UnsupportedFamilyError` otherwise and
     :class:`~crpstail.errors.InfiniteMeanError` for a Pareto shape >= 1.
     """
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    if isinstance(dist, Normal):
-        out = _crps_normal_kernel(dist.mean_, dist.std, y_arr)
-    elif isinstance(dist, NormalMixture2):
-        out = _crps_mixture2_kernel(
-            dist.w, dist.mean1, dist.std1, dist.mean2, dist.std2, y_arr
-        )
-    elif isinstance(dist, Exponential):
-        out = _crps_exponential_kernel(dist.rate, y_arr)
-    elif isinstance(dist, GeneralizedPareto):
-        out = _crps_gp_kernel(dist.scale, dist.shape, y_arr)
-    else:
+    fam, params = _one_row(dist)
+    if fam is None:
         raise UnsupportedFamilyError(
             f"no closed-form CRPS for family {dist.family!r}"
         )
-    return float(out) if scalar else out
+    y_arr = np.asarray(y, dtype=float)
+    out = fam.crps(params, y_arr)
+    return float(out[0]) if y_arr.ndim == 0 else out
 
 
 def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,21 +192,8 @@ def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndar
     ``params`` has one row per record (see the record-batch layout); ``y``
     is the paired observation vector.
     """
-    params = np.asarray(params, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if family == "normal":
-        return _crps_normal_kernel(params[:, 0], params[:, 1], y)
-    if family == "normal_mixture2":
-        return _crps_mixture2_kernel(
-            params[:, 0], params[:, 1], params[:, 2], params[:, 3], params[:, 4], y
-        )
-    if family == "exponential":
-        return _crps_exponential_kernel(params[:, 0], y)
-    if family == "generalized_pareto":
-        return _crps_gp_kernel(params[:, 0], params[:, 1], y)
-    if family == "ensemble":
-        return crps_ensemble(params, y)
-    raise UnsupportedFamilyError(f"no closed-form CRPS for family {family!r}")
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    return family_entry(family).crps(params, np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +290,6 @@ def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _normal_tail_sq(s):
-    """int_s^inf ndtr(-z)^2 dz in closed form."""
-    sb = ndtr(-s)
-    return -s * sb * sb + 2.0 * _phi(s) * sb - ndtr(-s * math.sqrt(2.0)) / _SQRT_PI
-
-
 def survival_sq_tail(dist: Distribution, q: float) -> float:
     """int_q^inf survival(x)^2 dx.
 
@@ -384,20 +297,12 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
     quadrature otherwise. Diverges (and raises) for Pareto shape >= 2.
     """
     q = float(q)
+    fam, params = _one_row(dist)
+    if fam is not None and fam.tail is not None and fam.tail_exact:
+        return float(fam.tail(params, q)[0])
     lo, hi = dist.support()
     head = max(lo - q, 0.0)  # survival == 1 below the support
     qc = max(q, lo)
-    if isinstance(dist, GeneralizedPareto):
-        if dist.shape >= 2.0:
-            raise DivergenceError("tail integral diverges for Pareto shape >= 2")
-        sbar = float(dist.survival(qc))
-        if sbar == 0.0:
-            return head
-        return head + dist.scale * sbar ** (2.0 - dist.shape) / (2.0 - dist.shape)
-    if isinstance(dist, Exponential):
-        return head + math.exp(-2.0 * dist.rate * qc) / (2.0 * dist.rate)
-    if isinstance(dist, Normal):
-        return head + dist.std * _normal_tail_sq((qc - dist.mean_) / dist.std)
     if math.isfinite(hi):
         return head + _quad(
             lambda x: float(dist.survival(x)) ** 2, qc, hi, points=_pdf_knots(dist)
@@ -413,20 +318,6 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
     return head + _quad(integrand, 0.0, sbar)
 
 
-def _crps_diff(dist: Distribution, q: float, y: float) -> float:
-    """CRPS(F, y) - CRPS(F, q) for y >= q, finite even for 1 <= shape < 2."""
-    try:
-        return float(crps_closed(dist, y)) - float(crps_closed(dist, q))
-    except (UnsupportedFamilyError, InfiniteMeanError):
-        pass
-    return _quad(
-        lambda x: float(dist.cdf(x)) ** 2 - float(dist.survival(x)) ** 2,
-        q,
-        y,
-        points=_pdf_knots(dist),
-    )
-
-
 def wcrps_quantile(dist: Distribution, y, q: float):
     """CRPS weighted by the indicator w(x) = 1{x >= q}; vectorized over y.
 
@@ -436,18 +327,21 @@ def wcrps_quantile(dist: Distribution, y, q: float):
     """
     tail = survival_sq_tail(dist, q)
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
     try:
-        cq = crps_closed(dist, float(q))
-        out = tail + np.where(y_arr >= q, crps_closed(dist, y_arr) - cq, 0.0)
+        diff = crps_closed(dist, y_arr) - crps_closed(dist, float(q))
     except (UnsupportedFamilyError, InfiniteMeanError):
-        flat = np.atleast_1d(y_arr)
-        out = np.full(flat.shape, tail)
-        for i, yi in enumerate(flat):
-            if yi >= q:
-                out[i] += _crps_diff(dist, q, float(yi))
-        out = out.reshape(y_arr.shape)
-    return float(out) if scalar else out
+        # int_q^y F^2 - (1 - F)^2, finite even for Pareto 1 <= shape < 2
+        def quad_diff(yi):
+            return _quad(
+                lambda x: float(dist.cdf(x)) ** 2 - float(dist.survival(x)) ** 2,
+                q,
+                yi,
+                points=_pdf_knots(dist),
+            )
+
+        diff = np.vectorize(quad_diff, otypes=[float])(y_arr)
+    out = tail + np.where(y_arr >= q, diff, 0.0)
+    return float(out) if y_arr.ndim == 0 else out
 
 
 def crps_shift_constant(dist: Distribution, q: float) -> float:
@@ -469,108 +363,34 @@ def crps_shift_constant(dist: Distribution, q: float) -> float:
         return tail_extra + _quad(
             lambda x: float(dist.cdf(x)) ** 2, lo, qc, points=_pdf_knots(dist)
         )
-    p_q = float(dist.cdf(qc))
-
-    def integrand(p):
-        x = dist.quantile(min(max(p, 1e-300), 1.0 - 1e-16))
-        d = float(dist.pdf(x))
-        return 0.0 if d <= 0.0 else p * p / d
-
-    return tail_extra + _quad(integrand, 0.0, p_q)
-
-
-# ---------------------------------------------------------------------------
-# Quantile-weight batch path
-# ---------------------------------------------------------------------------
-
-
-def _gp_tail_sq_kernel(scale, shape, q):
-    """Vectorized int_q^inf survival^2 for generalized Pareto rows, q >= 0."""
-    scale = np.asarray(scale, dtype=float)
-    shape = np.asarray(shape, dtype=float)
-    if np.any(shape >= 2.0):
-        raise DivergenceError("tail integral diverges for Pareto shape >= 2")
-    exp_like = np.abs(shape) < _GP_EPS
-    safe = np.where(exp_like, 0.5, shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_sbar = np.where(
-            exp_like,
-            -q / scale,
-            -np.log1p(np.maximum(safe * q / scale, -1.0 + 1e-15)) / safe,
-        )
-    return scale * np.exp((2.0 - shape) * log_sbar) / (2.0 - shape)
-
-
-class _MixtureTailTable:
-    """Tabulated s -> int_s^inf Fbar0(t)^2 dt for a zero-based normal mixture."""
-
-    def __init__(self, w, s1, s2, delta, s_lo, s_hi, n=8193):
-        pad = 1.0
-        grid = np.linspace(s_lo - pad, s_hi + pad, n)
-        fbar = w * ndtr(-grid / s1) + (1.0 - w) * ndtr(-(grid - delta) / s2)
-        sq = fbar * fbar
-        rem, _ = integrate.quad(
-            lambda t: (w * ndtr(-t / s1) + (1.0 - w) * ndtr(-(t - delta) / s2)) ** 2,
-            grid[-1],
-            np.inf,
-        )
-        # cumulative from the right edge inward
-        seg = 0.5 * (sq[1:] + sq[:-1]) * np.diff(grid)
-        tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + rem
-        self.grid = grid
-        self.tail = tail
-
-    def __call__(self, s):
-        return np.interp(s, self.grid, self.tail)
+    return tail_extra + _quad_prob_space(dist, 0.0, float(dist.cdf(qc)), UNIT, "cdf")
 
 
 def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: float):
     """Quantile-indicator weighted CRPS for a same-family forecast column.
 
-    Exact closed forms for exponential / Pareto / normal rows; the
-    two-component normal mixture uses a dense tail table per unique
-    (w, std1, std2, mean-offset) signature, accurate to ~1e-7 (fine for the
-    Monte Carlo summaries this path exists for; use :func:`wcrps_quantile`
-    for scalar full-precision values).
+    tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)) on the family's kernels: exact
+    for exponential / Pareto / normal rows; the two-component normal mixture
+    tail is a dense table per unique (w, std1, std2, mean-offset) signature,
+    accurate to ~1e-7 (fine for the Monte Carlo summaries this path exists
+    for; use :func:`wcrps_quantile` for scalar full-precision values).
+    Ensemble rows use the chaining form CRPS(max(x, q), max(y, q)). Families
+    without a batch tail kernel (Gamma) raise
+    :class:`~crpstail.errors.UnsupportedFamilyError`; score them row by row
+    with :func:`wcrps_quantile`.
     """
-    params = np.asarray(params, dtype=float)
+    fam = family_entry(family)
+    params = np.atleast_2d(np.asarray(params, dtype=float))
     y = np.asarray(y, dtype=float)
     q = float(q)
-    above = y >= q
-    if family == "exponential":
-        lam = params[:, 0]
-        tail = np.exp(-2.0 * lam * max(q, 0.0)) / (2.0 * lam) + max(-q, 0.0)
-        diff = _crps_exponential_kernel(lam, y) - _crps_exponential_kernel(lam, q)
-        return tail + np.where(above, diff, 0.0)
-    if family == "generalized_pareto":
-        scale, shape = params[:, 0], params[:, 1]
-        tail = _gp_tail_sq_kernel(scale, shape, max(q, 0.0)) + max(-q, 0.0)
-        diff = _crps_gp_kernel(scale, shape, y) - _crps_gp_kernel(scale, shape, q)
-        return tail + np.where(above, diff, 0.0)
-    if family == "normal":
-        mu, sd = params[:, 0], params[:, 1]
-        tail = sd * _normal_tail_sq((q - mu) / sd)
-        diff = _crps_normal_kernel(mu, sd, y) - _crps_normal_kernel(mu, sd, q)
-        return tail + np.where(above, diff, 0.0)
-    if family == "normal_mixture2":
-        w, m1, s1, m2, s2 = (params[:, i] for i in range(5))
-        delta = m2 - m1
-        s = q - m1
-        key = np.round(np.column_stack([w, s1, s2, delta]), 12)
-        tail = np.empty(len(y))
-        for row in np.unique(key, axis=0):
-            sel = np.all(key == row, axis=1)
-            table = _MixtureTailTable(
-                row[0], row[1], row[2], row[3], float(np.min(s[sel])), float(np.max(s[sel]))
-            )
-            tail[sel] = table(s[sel])
-        diff = _crps_mixture2_kernel(w, m1, s1, m2, s2, y) - _crps_mixture2_kernel(
-            w, m1, s1, m2, s2, q
+    if fam.wcrps is not None:
+        return fam.wcrps(params, y, q)
+    if fam.tail is None:
+        raise UnsupportedFamilyError(
+            f"no quantile-weight batch path for family {family!r}"
         )
-        return tail + np.where(above, diff, 0.0)
-    raise UnsupportedFamilyError(
-        f"no quantile-weight batch path for family {family!r}"
-    )
+    diff = fam.crps(params, y) - fam.crps(params, q)
+    return fam.tail(params, q) + np.where(y >= q, diff, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,27 +401,16 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
 def crps_ensemble(members, y):
     """Empirical-distribution CRPS from ensemble members.
 
-    CRPS = mean|x_i - y| - 0.5 * mean|x_i - x_j|, computed O(m log m) via the
-    sorted representation of the pairwise term. ``members`` may be a single
-    vector (scalar y) or a (T, m) matrix paired with a length-T ``y``.
+    CRPS = mean|x_i - y| - 0.5 * mean|x_i - x_j|, the CRPS of the ensemble's
+    empirical cdf (not the fair, unbiased variant), computed in O(m log m).
+    ``members`` may be a single vector (scalar y) or a (T, m) matrix paired
+    with a length-T ``y``.
     """
     arr = np.asarray(members, dtype=float)
     if arr.ndim == 1:
         if arr.size == 0:
             raise ParameterError("ensemble must contain at least one member")
-        yv = float(y)
-        xs = np.sort(arr)
-        m = xs.size
-        term1 = np.abs(xs - yv).mean()
-        k = np.arange(1, m + 1)
-        term2 = np.sum((2 * k - m - 1) * xs) / (m * m)
-        return float(term1 - term2)
+        return float(_crps_ensemble_kernel(arr[None, :], np.array([float(y)]))[0])
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ParameterError("ensemble batch must be a (T, m) matrix")
-    yv = np.asarray(y, dtype=float)
-    xs = np.sort(arr, axis=1)
-    m = arr.shape[1]
-    term1 = np.abs(xs - yv[:, None]).mean(axis=1)
-    k = np.arange(1, m + 1)
-    term2 = xs @ (2 * k - m - 1) / (m * m)
-    return term1 - term2
+    return _crps_ensemble_kernel(arr, np.asarray(y, dtype=float))

@@ -40,12 +40,7 @@ from .errors import (
 )
 from .evt import GpFitResult, GpTail, fit_gp, shift_scale, threshold_grid
 from .records import RecordBatch, batch_cdf
-from .scoring import (
-    crps_closed_batch,
-    crps_quadrature,
-    wcrps_quantile,
-    wcrps_quantile_batch,
-)
+from .scoring import crps_closed_batch, wcrps_quantile, wcrps_quantile_batch
 
 __all__ = [
     "ScoreSeries",
@@ -101,22 +96,17 @@ class ScoreSeries:
 
 
 def _score_batch(batch: RecordBatch, y: np.ndarray, weight_threshold) -> np.ndarray:
+    if weight_threshold is None:
+        return crps_closed_batch(batch.family, batch.params, y)
+    q = float(weight_threshold)
     try:
-        if weight_threshold is None:
-            return crps_closed_batch(batch.family, batch.params, y)
-        return wcrps_quantile_batch(
-            batch.family, batch.params, y, float(weight_threshold)
-        )
+        return wcrps_quantile_batch(batch.family, batch.params, y, q)
     except UnsupportedFamilyError:
         pass
-    out = np.empty(len(batch))
-    for i in range(len(batch)):
-        dist = batch.distribution(i)
-        if weight_threshold is None:
-            out[i] = crps_quadrature(dist, float(y[i]))
-        else:
-            out[i] = wcrps_quantile(dist, float(y[i]), float(weight_threshold))
-    return out
+    # no batch tail kernel: the tail integral by quadrature, row by row
+    return np.array(
+        [wcrps_quantile(batch.distribution(i), float(y[i]), q) for i in range(len(batch))]
+    )
 
 
 def score_series(batch: RecordBatch, weight_threshold: float | None = None) -> ScoreSeries:
@@ -358,14 +348,11 @@ def _cvm_log_survival(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def cvm_pvalue(t_stat, m: int | None = None):
+def cvm_pvalue(t_stat):
     """Upper-tail p-value of the limiting Cramer-von Mises law.
 
-    ``m`` (the sample size behind the statistic) does not enter the limiting
-    law; it is accepted for signature stability and future finite-m
-    refinements. Vectorized over ``t_stat``; underflows to 0.0 for large
-    statistics — use :func:`cvm_log_pvalue` when ratios of tiny p-values
-    are needed.
+    Vectorized over ``t_stat``; underflows to 0.0 for large statistics —
+    use :func:`cvm_log_pvalue` when ratios of tiny p-values are needed.
     """
     t = np.asarray(t_stat, dtype=float)
     scalar = t.ndim == 0
@@ -374,7 +361,7 @@ def cvm_pvalue(t_stat, m: int | None = None):
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
-def cvm_log_pvalue(t_stat, m: int | None = None):
+def cvm_log_pvalue(t_stat):
     """log of :func:`cvm_pvalue`, finite far beyond float underflow."""
     t = np.asarray(t_stat, dtype=float)
     scalar = t.ndim == 0

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from crpstail import (
     DataFormatError,
+    ParameterError,
     RecordBatch,
+    crps_ensemble,
     read_records,
     simulate,
     score_series,
@@ -130,6 +132,72 @@ class TestRecordValidation:
     def test_empty_input(self):
         with pytest.raises(DataFormatError):
             read_records(stringio.StringIO(""))
+
+
+class TestRecordBatch:
+    @pytest.fixture()
+    def batch(self):
+        return simulate("ge", "ideal", 30, seed=2)
+
+    @pytest.mark.parametrize(
+        "index",
+        [slice(0, 10), np.arange(30) % 3 == 0, np.array([4, 0, 29, 7])],
+        ids=["slice", "mask", "indices"],
+    )
+    def test_subset(self, batch, index):
+        sub = batch.subset(index)
+        assert_array_equal(sub.t, batch.t[index])
+        assert_array_equal(sub.y, batch.y[index])
+        assert_array_equal(sub.params, batch.params[index])
+        assert_array_equal(sub.hidden, batch.hidden[index])
+        assert sub.model == batch.model and sub.family == batch.family
+
+    @pytest.mark.parametrize(
+        "family, row",
+        [
+            ("exponential", [-1.0]),
+            ("normal", [0.0, -1.0]),
+            ("normal", [0.0, 0.0]),
+            ("normal", [np.nan, 1.0]),
+            ("normal_mixture2", [1.5, 0.0, 1.0, 2.0, 1.0]),
+            ("normal_mixture2", [0.5, 0.0, 1.0, 2.0, 0.0]),
+            ("gamma", [0.0, 1.0]),
+            ("gamma", [2.0, -1.0]),
+            ("generalized_pareto", [0.0, 0.2]),
+            ("generalized_pareto", [1.0, np.inf]),
+            ("ensemble", [0.1, np.nan, 0.3]),
+        ],
+    )
+    def test_invalid_parameters_are_rejected(self, family, row):
+        good = {
+            "exponential": [1.0],
+            "normal": [0.0, 1.0],
+            "normal_mixture2": [0.5, 0.0, 1.0, 2.0, 1.0],
+            "gamma": [2.0, 1.0],
+            "generalized_pareto": [1.0, 0.2],
+            "ensemble": [0.1, 0.2, 0.3],
+        }[family]
+        with pytest.raises(ParameterError) as exc:
+            score_series(
+                RecordBatch(t=[0, 1, 2], y=[1.0, 1.0, 1.0], family=family,
+                            params=[good, good, row])
+            )
+        assert exc.value.row == 2
+
+    def test_bad_gamma_row_reports_line(self, tmp_path):
+        good = _line(0, fam="gamma", params="[2.0, 1.0]")
+        bad = _line(2, fam="gamma", params="[-2.0, 1.0]")
+        path = tmp_path / "gamma.jsonl"
+        # the blank line counts: the bad record sits on line 4
+        path.write_text(good + "\n" + good + "\n\n" + bad + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_records(str(path))
+        assert exc.value.line == 4
+        path.write_text(good + "\n" + good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_records(str(path))
+        assert exc.value.line == 3
+        assert _run(["score", "--records", str(path)]) == 2
 
 
 class TestWriteTable:
@@ -263,6 +331,24 @@ class TestCliScore:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert _run(["score", "--records", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_weighted_ensemble(self, tmp_path):
+        rng = np.random.default_rng(8)
+        batch = RecordBatch(
+            t=np.arange(40), y=rng.normal(size=40), family="ensemble",
+            params=rng.normal(size=(40, 5)),
+        )
+        path, out = tmp_path / "ens.jsonl", tmp_path / "ens.csv"
+        write_records(batch, str(path))
+        code = _run(["score", "--records", str(path), "--weight-quantile", "0.5",
+                     "--out", str(out)])
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert header == ["t", "y", "crps", "wcrps"]
+        q = float(np.quantile(batch.y, 0.5))
+        # chaining: the ensemble CRPS of the members and y clamped below at q
+        want = crps_ensemble(np.maximum(batch.params, q), np.maximum(batch.y, q))
+        assert_allclose([float(r[3]) for r in rows], want, rtol=1e-15)
 
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

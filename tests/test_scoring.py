@@ -6,6 +6,7 @@ from scipy import integrate
 from crpstail import (
     DivergenceError,
     Exponential,
+    Gamma,
     GeneralizedPareto,
     InfiniteMeanError,
     Normal,
@@ -33,6 +34,17 @@ CLOSED_CASES = [
     (GeneralizedPareto(1.0, 0.25), 5.0),
     (GeneralizedPareto(2.0, 0.0), 1.0),
     (GeneralizedPareto(1.5, -0.3), 2.0),
+    (Gamma(4.0, 4.0), 0.5),
+    (Gamma(10.0, 0.3), 3.0),
+]
+
+# observations far beyond the forecast's bulk; crps_quadrature still clamps
+# there, so these are checked against the definition only
+FAR_TAIL_CASES = [
+    (Gamma(4.0, 4.0), 20.0),
+    (Gamma(4.0, 4.0), 10.0 * float(Gamma(4.0, 4.0).quantile(1.0 - 1e-12))),
+    (Gamma(4.0, 4.0), -1.0),
+    (Gamma(2.0, 0.5), 1e4),
 ]
 
 
@@ -82,6 +94,18 @@ class TestClosedForms:
     @pytest.mark.parametrize("dist, y", CLOSED_CASES, ids=lambda v: str(v))
     def test_matches_quadrature_entry_point(self, dist, y):
         assert_allclose(crps_closed(dist, y), crps_quadrature(dist, y), rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.parametrize("dist, y", FAR_TAIL_CASES, ids=lambda v: str(v))
+    def test_far_tail_matches_definition(self, dist, y):
+        assert_allclose(crps_closed(dist, y), brute_crps(dist, y), rtol=1e-12)
+
+    def test_gamma_batch_matches_scalar(self):
+        rng = np.random.default_rng(6)
+        params = np.column_stack([rng.uniform(0.5, 10.0, 40), rng.uniform(0.2, 4.0, 40)])
+        y = rng.uniform(-1.0, 30.0, 40)
+        batch = crps_closed_batch("gamma", params, y)
+        ref = np.array([crps_closed(Gamma(a, b), yi) for (a, b), yi in zip(params, y)])
+        assert_allclose(batch, ref, rtol=1e-13)
 
     def test_gp_heavy_shape_infinite_mean(self):
         with pytest.raises(InfiniteMeanError):
@@ -310,6 +334,36 @@ class TestEnsembleScore:
             crps_closed_batch("ensemble", members, y),
             crps_ensemble(members, y),
             rtol=1e-14,
+        )
+
+    @staticmethod
+    def step_wcrps(members, y, q):
+        """int_q^inf (F_m(x) - 1{x >= y})^2 dx, exact on the step function."""
+        x = np.sort(np.asarray(members, dtype=float))
+        knots = np.unique(np.concatenate([[q, y], x]))
+        knots = knots[knots >= q]
+        total = 0.0
+        for a, b in zip(knots[:-1], knots[1:]):
+            mid = 0.5 * (a + b)
+            f = np.searchsorted(x, mid, side="right") / x.size
+            total += (f - float(mid >= y)) ** 2 * (b - a)
+        return total
+
+    def test_weighted_matches_step_definition(self, rng):
+        members = rng.normal(size=(30, 7))
+        y = rng.normal(size=30) * 1.5
+        for q in (-3.0, -0.2, 0.4, 5.0):
+            got = wcrps_quantile_batch("ensemble", members, y, q)
+            want = [self.step_wcrps(members[i], y[i], q) for i in range(30)]
+            assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_weighted_below_all_members_is_plain(self, rng):
+        members = rng.normal(size=(5, 9))
+        y = rng.normal(size=5)
+        assert_allclose(
+            wcrps_quantile_batch("ensemble", members, y, -50.0),
+            crps_ensemble(members, y),
+            rtol=1e-13,
         )
 
     def test_more_members_reduce_score_against_truth(self, rng):
