@@ -143,10 +143,7 @@ def cmd_score(args) -> int:
         header.append("crps_shuffled")
         columns.append(s2.values)
         meta["shuffle_seed"] = args.shuffle_seed
-    rows = [
-        [int(columns[0][i])] + [float(c[i]) for c in columns[1:]]
-        for i in range(len(batch))
-    ]
+    rows = list(zip(*[c.tolist() for c in columns]))
     write_table(header, rows, args.out, fmt=args.format, meta=meta)
     _note(f"score: {len(batch)} records, mean crps {s1.values.mean():.6g}")
     return EXIT_OK
@@ -267,8 +264,8 @@ def cmd_verify_qqpp(args) -> int:
     s1 = score_series(batch, weight_threshold=threshold)
     s2 = shuffled_score_series(batch, args.shuffle_seed, weight_threshold=threshold)
     res = qq_pp(s1, s2)
-    rows = [["qq", float(a), float(b)] for a, b in res.qq]
-    rows += [["pp", float(a), float(b)] for a, b in res.pp]
+    rows = [("qq", a, b) for a, b in res.qq.tolist()]
+    rows += [("pp", a, b) for a, b in res.pp.tolist()]
     n, m = len(s1), len(s2)
     meta = {
         "ks_distance": res.ks_distance,

@@ -29,8 +29,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
+
+# scipy.integrate and scipy.optimize are imported where they are used, so a
+# command that never integrates or optimizes does not pay to load them.
 from scipy.special import beta, gammainc, gammaincinv, ndtr, ndtri
 
 from .errors import (
@@ -135,6 +136,8 @@ class Distribution(ABC):
         Families with a closed form (generalized Pareto, exponential)
         override this.
         """
+        from scipy import integrate
+
         s_u = float(self.survival(u))
         if s_u <= 0.0:
             raise ConditioningError(f"survival({u}) = 0; conditional mean undefined")
@@ -218,6 +221,8 @@ class NormalMixture2(Distribution):
         return _finish(out, scalar)
 
     def quantile(self, p):
+        from scipy.optimize import brentq
+
         p, scalar = _check_prob(p)
         flat = np.atleast_1d(p)
         out = np.empty_like(flat)
@@ -725,6 +730,7 @@ def _gp_tail_sq_kernel(scale, shape, q):
 def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
     """s -> int_s^inf Fbar0(t)^2 dt for the zero-based mixture Fbar0, by the
     trapezoid rule on a dense grid over the range of ``s``."""
+    from scipy import integrate
 
     def fbar(t):
         return w * ndtr(-t / s1) + (1.0 - w) * ndtr(-(t - delta) / s2)
@@ -756,11 +762,13 @@ def _gp_cdf(params, x):
     scale, shape = params[:, 0], params[:, 1]
     exp_like = np.abs(shape) < _GP_SHAPE_EPS
     safe = np.where(exp_like, 0.5, shape)
-    z = np.maximum(safe * np.maximum(x, 0.0) / scale, -1.0 + 1e-15)
+    z = safe * np.maximum(x, 0.0) / scale
+    # z <= -1 only at or past the finite upper endpoint of a negative shape
+    inside = z > -1.0
     c = np.where(
         exp_like,
         -np.expm1(-np.maximum(x, 0.0) / scale),
-        -np.expm1(-np.log1p(z) / safe),
+        np.where(inside, -np.expm1(-np.log1p(np.where(inside, z, 0.0)) / safe), 1.0),
     )
     return np.where(x <= 0.0, 0.0, c)
 

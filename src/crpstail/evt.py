@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import GeneralizedPareto
 from .errors import (
@@ -132,6 +131,8 @@ def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult
         )
     if method != "mle":
         raise ParameterError(f"unknown fit method {method!r} (expected pwm or mle)")
+
+    from scipy.optimize import minimize
 
     start = np.array([math.log(sigma_pwm), np.clip(gamma_pwm, -0.45, 5.0)])
     res = minimize(

@@ -18,6 +18,7 @@ import csv
 import io as _io
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from .records import RecordBatch
 __all__ = ["read_records", "write_records", "write_table", "format_float"]
 
 
+# the types json.loads gives a JSON number; bool (true/false) is not one
+_NUMBER = frozenset({int, float})
+
+
 def _forecast_params(obj, line: int) -> tuple[str, list]:
     fc = obj.get("forecast")
     if not isinstance(fc, dict):
@@ -36,9 +41,7 @@ def _forecast_params(obj, line: int) -> tuple[str, list]:
     params = fc.get("params")
     if not isinstance(family, str):
         raise DataFormatError("forecast needs a string 'family'", line=line)
-    if not isinstance(params, list) or not all(
-        isinstance(p, (int, float)) for p in params
-    ):
+    if not isinstance(params, list) or not _NUMBER.issuperset(map(type, params)):
         raise DataFormatError("forecast needs a numeric 'params' list", line=line)
     return family, params
 
@@ -47,9 +50,12 @@ def read_records(path_or_file) -> RecordBatch:
     """Parse a JSON-lines record file into a :class:`RecordBatch`.
 
     All records must share one forecast family (and parameter length), and
-    either all or none carry ``hidden``; violations, malformed lines and
-    parameters outside the family's rule raise :class:`DataFormatError`
-    tagged with the 1-based line number.
+    either all or none carry ``hidden``. ``t`` must be a JSON integer; ``y``,
+    ``hidden`` and the parameters must be JSON numbers (not strings or
+    booleans), and ``y`` and ``hidden`` must be finite (``NaN`` and
+    ``Infinity`` are rejected). Violations, malformed lines and parameters
+    outside the family's rule raise :class:`DataFormatError` tagged with the
+    1-based line number.
     """
     if hasattr(path_or_file, "read"):
         lines = path_or_file
@@ -88,9 +94,16 @@ def read_records(path_or_file) -> RecordBatch:
                 raise DataFormatError(
                     f"parameter length {len(par)} != {n_params}", line=n_line
                 )
-            t.append(obj["t"])
-            y.append(obj["y"])
-            hidden.append(obj.get("hidden"))
+            t_i, y_i, h_i = obj["t"], obj["y"], obj.get("hidden")
+            if type(t_i) is not int:
+                raise DataFormatError("'t' must be a JSON integer", line=n_line)
+            if type(y_i) not in _NUMBER:
+                raise DataFormatError("'y' must be a JSON number", line=n_line)
+            if h_i is not None and type(h_i) not in _NUMBER:
+                raise DataFormatError("'hidden' must be a JSON number", line=n_line)
+            t.append(t_i)
+            y.append(y_i)
+            hidden.append(h_i)
             params.append(par)
             line_of.append(n_line)
         if family is None:
@@ -101,13 +114,19 @@ def read_records(path_or_file) -> RecordBatch:
             raise DataFormatError(
                 "'hidden' must be present on all records or none", line=first_bad
             )
+        y = np.asarray(y, dtype=float)
+        hidden = np.asarray(hidden, dtype=float) if all(has_hidden) else None
+        for name, column in (("y", y), ("hidden", hidden)):
+            if column is not None and not np.isfinite(column).all():
+                first_bad = line_of[int(np.argmin(np.isfinite(column)))]
+                raise DataFormatError(f"'{name}' must be finite", line=first_bad)
         try:
             return RecordBatch(
                 t=np.asarray(t, dtype=np.int64),
-                y=np.asarray(y, dtype=float),
+                y=y,
                 family=family,
                 params=np.asarray(params, dtype=float),
-                hidden=np.asarray(hidden, dtype=float) if all(has_hidden) else None,
+                hidden=hidden,
             )
         except ParameterError as exc:
             line = None if exc.row is None else line_of[exc.row]
@@ -117,8 +136,42 @@ def read_records(path_or_file) -> RecordBatch:
             lines.close()
 
 
+# rows per write: bounds the text held in memory at once
+_CHUNK_ROWS = 8192
+
+# how json spells the floats that have no JSON number form
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(column: np.ndarray) -> list:
+    """A float column as Python floats, whose ``%s`` form is the shortest repr
+    that ``json.dumps`` also writes; non-finite values become json's spelling."""
+    values = column.tolist()
+    bad = ~np.isfinite(column)
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            values[i] = _JSON_NONFINITE[repr(values[i])]
+    return values
+
+
 def write_records(batch: RecordBatch, path_or_file) -> None:
-    """Emit a batch in the JSON-lines record format (round-trips exactly)."""
+    """Emit a batch in the JSON-lines record format (round-trips exactly).
+
+    Each line is ``json.dumps(record, separators=(", ", ": "))`` of the
+    record; the lines are filled from one template per batch, column by
+    column, a bounded chunk of rows at a time.
+    """
+    float_columns = [batch.y] + ([] if batch.hidden is None else [batch.hidden])
+    float_columns += list(batch.params.T)
+    keys = ["y"] + ([] if batch.hidden is None else ["hidden"])
+    family = json.dumps(batch.family)
+    template = (
+        '{"t": %s, '
+        + "".join(f'"{key}": %s, ' for key in keys)
+        + '"forecast": {"family": ' + family + ', "params": ['
+        + ", ".join(["%s"] * batch.params.shape[1])
+        + "]}}\n"
+    )
     if hasattr(path_or_file, "write"):
         fh = path_or_file
         close = False
@@ -126,15 +179,11 @@ def write_records(batch: RecordBatch, path_or_file) -> None:
         fh = open(path_or_file, "w", encoding="utf-8")
         close = True
     try:
-        for i in range(len(batch)):
-            obj = {"t": int(batch.t[i]), "y": float(batch.y[i])}
-            if batch.hidden is not None:
-                obj["hidden"] = float(batch.hidden[i])
-            obj["forecast"] = {
-                "family": batch.family,
-                "params": [float(p) for p in np.atleast_1d(batch.params[i])],
-            }
-            fh.write(json.dumps(obj, separators=(", ", ": ")) + "\n")
+        for start in range(0, len(batch), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            columns = [batch.t[rows].tolist()]
+            columns += [_json_numbers(c[rows]) for c in float_columns]
+            fh.write("".join(map(template.__mod__, zip(*columns))))
     finally:
         if close:
             fh.close()
@@ -156,16 +205,29 @@ def _jsonable(v):
     return v
 
 
+def _csv_rows(rows):
+    """``rows`` with every float cell in :func:`format_float` form under ``csv``.
+
+    ``csv`` writes a float cell by its repr: that is format_float's form for
+    a Python float, but ``np.float64(0.5)`` for a numpy float. Only a table
+    holding such float subclasses is rebuilt, cell by cell.
+    """
+    cell_types = set(map(type, chain.from_iterable(rows)))
+    if all(t is float or not issubclass(t, float) for t in cell_types):
+        return rows
+    return [[format_float(v) if isinstance(v, float) else v for v in row] for row in rows]
+
+
 def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | None = None):
     """Write a report table with a stable header, as CSV or JSON.
 
+    ``rows`` is a sequence of row sequences.
     CSV: one header row then data rows; floats in shortest round-trip form.
     JSON: ``{"meta": {...}, "columns": [...], "rows": [[...], ...]}``.
     ``path_or_file=None`` writes to stdout.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    rows = [list(r) for r in rows]
     if path_or_file is None:
         fh, close = sys.stdout, False
     elif hasattr(path_or_file, "write"):
@@ -176,10 +238,7 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [format_float(v) if isinstance(v, float) else v for v in row]
-                )
+            writer.writerows(_csv_rows(rows))
         else:
             payload = {
                 "meta": meta or {},

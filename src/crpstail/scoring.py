@@ -26,7 +26,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     _FAMILIES,
@@ -213,6 +212,8 @@ def _pdf_knots(dist: Distribution) -> list[float]:
 
 
 def _quad(f, a, b, points=None, tol=1e-12):
+    from scipy import integrate
+
     if a >= b:
         return 0.0
     kw = {"epsabs": tol, "epsrel": tol, "limit": 400}

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq, minimize_scalar
 
 from .distributions import Distribution, Spliced
 from .errors import (
@@ -110,6 +108,8 @@ def _cup_area_closed(gamma, sigma):
 
 def _cup_area_quadrature(gamma, sigma):
     # cancellation-free for every gamma >= 0 including exactly 0
+    from scipy import integrate
+
     a0 = 3.0 / (1.0 + gamma)
     flat = sigma / (1.0 - gamma)
     val, _ = integrate.quad(
@@ -159,6 +159,8 @@ def ambiguous_counterpart(a: float, gamma: float, sigma: float = 1.0) -> float:
     a0 = 3.0 / (1.0 + gamma)
     if not (0.0 <= a <= a0):
         raise DomainError(f"a = {a} lies outside the ambiguity cup [0, {a0:.6g}]")
+
+    from scipy.optimize import brentq, minimize_scalar
 
     def phi(x):
         return expected_crps_pareto(x, gamma, sigma)
@@ -251,6 +253,8 @@ def _conditional_weight_excess(
             return 0.0
         return dist.mean_excess(q) * s_q / s_u
 
+    from scipy import integrate
+
     hi = dist.support()[1]
     if math.isinf(hi):
         val, _ = integrate.quad(
@@ -290,6 +294,8 @@ def wcrps_gap_exact(
     squared cdf distance above the splice point; always >= 0, so a dominated
     tail replacement can only cost expected score, never gain.
     """
+    from scipy import integrate
+
     u = spliced.splice_point
 
     def dbar(t):

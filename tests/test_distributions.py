@@ -13,6 +13,7 @@ from crpstail import (
     Spliced,
     UniformMixture,
     UnsupportedFamilyError,
+    batch_cdf,
     from_family,
 )
 
@@ -128,6 +129,21 @@ class TestGeneralizedPareto:
         assert_allclose(hi, 1.5 / 0.3, rtol=1e-14)
         assert d.cdf(hi + 1.0) == 1.0
         assert d.survival(hi + 1.0) == 0.0
+
+    @pytest.mark.parametrize("shape", [-10.0, -2.0, -1.0, -0.5, 0.0, 0.3])
+    def test_batch_cdf_matches_scalar(self, shape):
+        d = GeneralizedPareto(1.5, shape)
+        hi = d.support()[1]
+        x = [-1.0, 0.0, 0.01, 0.1, 0.5, 1.4, 10.0]
+        if np.isfinite(hi):
+            # inside, just inside, at and beyond the finite upper endpoint
+            x += [0.5 * hi, hi * (1.0 - 1e-12), hi, hi * (1.0 + 1e-12), 2.0 * hi, 1e6]
+        x = np.array(x)
+        got = batch_cdf("generalized_pareto", np.tile([1.5, shape], (x.size, 1)), x)
+        want = np.array([float(d.cdf(xi)) for xi in x])
+        assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        if np.isfinite(hi):
+            assert np.all(got[x >= hi] == 1.0)
 
     def test_mean_excess_linear(self):
         d = GeneralizedPareto(1.0, 0.25)

@@ -110,14 +110,15 @@ class TestMleFit:
         assert abs(mle.sigma - pwm.sigma) < 0.05
 
     def test_fallback_flag_when_optimizer_fails(self, monkeypatch):
-        import crpstail.evt as evt
+        # fit_gp imports the optimizer on first use, from scipy.optimize
+        import scipy.optimize
 
         class _Failed:
             success = False
             x = np.array([np.nan, np.nan])
             fun = np.inf
 
-        monkeypatch.setattr(evt, "minimize", lambda *a, **k: _Failed())
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: _Failed())
         x = np.arange(1.0, 31.0)
         res = fit_gp(x, method="mle")
         assert res.method == "mle"

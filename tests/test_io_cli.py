@@ -1,12 +1,18 @@
 import csv
 import io as stringio
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+
+import crpstail.io as crpstail_io
 
 from crpstail import (
     DataFormatError,
@@ -133,6 +139,40 @@ class TestRecordValidation:
         with pytest.raises(DataFormatError):
             read_records(stringio.StringIO(""))
 
+    @pytest.mark.parametrize(
+        "good, bad",
+        [
+            ('"y": 1.5', '"y": NaN'),
+            ('"y": 1.5', '"y": Infinity'),
+            ('"y": 1.5', '"y": -Infinity'),
+            ('"y": 1.5', '"y": 1e999'),
+            ('"hidden": 0.5', '"hidden": NaN'),
+            ('"hidden": 0.5', '"hidden": Infinity'),
+            ('"y": 1.5', '"y": "3"'),
+            ('"y": 1.5', '"y": true'),
+            ('"hidden": 0.5', '"hidden": "0.5"'),
+            ('"t": 1,', '"t": 1.5,'),
+            ('"t": 1,', '"t": true,'),
+            ('"t": 1,', '"t": "1",'),
+            ("[1.0, 2.0]", "[true, 2.0]"),
+            ("[1.0, 2.0]", "[1.0, false]"),
+        ],
+        ids=[
+            "y-nan", "y-inf", "y-minus-inf", "y-overflow", "hidden-nan",
+            "hidden-inf", "y-string", "y-bool", "hidden-string", "t-fraction",
+            "t-bool", "t-string", "params-bool", "params-bool-second",
+        ],
+    )
+    def test_strict_types_and_finite_values(self, good, bad):
+        def record(t):
+            return _line(t, fam="ensemble", params="[1.0, 2.0]", extra=', "hidden": 0.5')
+
+        second = record(1)
+        assert good in second
+        with pytest.raises(DataFormatError) as exc:
+            read_records(stringio.StringIO(record(0) + "\n" + second.replace(good, bad) + "\n"))
+        assert exc.value.line == 2
+
 
 class TestRecordBatch:
     @pytest.fixture()
@@ -242,6 +282,128 @@ class TestWriteTable:
         assert format_float(float("nan")) == "nan"
         assert format_float(0.1) == "0.1"
         assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
+
+
+def _records_rowwise(batch):
+    """Reference record emitter: one json.dumps call per record."""
+    out = []
+    for i in range(len(batch)):
+        obj = {"t": int(batch.t[i]), "y": float(batch.y[i])}
+        if batch.hidden is not None:
+            obj["hidden"] = float(batch.hidden[i])
+        obj["forecast"] = {
+            "family": batch.family,
+            "params": [float(p) for p in batch.params[i]],
+        }
+        out.append(json.dumps(obj, separators=(", ", ": ")) + "\n")
+    return "".join(out)
+
+
+def _csv_rowwise(header, rows):
+    """Reference CSV emitter: format_float on every float cell."""
+    buf = stringio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+# one valid parameter row per record family
+FAMILY_ROWS = {
+    "exponential": [1.7],
+    "normal": [-0.3, 2.5],
+    "normal_mixture2": [0.3, -1.0, 0.5, 2.0, 1.5],
+    "gamma": [4.0, 0.25],
+    "generalized_pareto": [1.5, -0.3],
+    "ensemble": [0.1, -2.5e-8, 3.0, 1e16, -0.0],
+}
+EDGE_Y = [1e-300, 5e-324, 1e16, -0.0, float("nan"), float("inf"), -float("inf"), 0.1, 3]
+
+
+class TestEmitterReference:
+    """The column-wise emitters give byte for byte what the row-wise ones gave."""
+
+    @pytest.mark.parametrize("with_hidden", [True, False], ids=["hidden", "no-hidden"])
+    @pytest.mark.parametrize("family", sorted(FAMILY_ROWS))
+    def test_write_records_matches_rowwise(self, family, with_hidden, monkeypatch):
+        # small chunks, so that rows cross several chunk boundaries
+        monkeypatch.setattr(crpstail_io, "_CHUNK_ROWS", 4)
+        n = len(EDGE_Y)
+        row = np.array(FAMILY_ROWS[family])
+        params = row * np.linspace(1.0, 1.0 + 1e-9, n)[:, None]
+        batch = RecordBatch(
+            t=np.arange(n) * 7 - 3,
+            y=EDGE_Y,
+            family=family,
+            params=params,
+            hidden=np.array(EDGE_Y[::-1]) if with_hidden else None,
+        )
+        buf = stringio.StringIO()
+        write_records(batch, buf)
+        assert buf.getvalue() == _records_rowwise(batch)
+
+    def test_write_records_large_batch(self):
+        batch = simulate("nn", "unfocused", 3 * crpstail_io._CHUNK_ROWS + 5, seed=4)
+        buf = stringio.StringIO()
+        write_records(batch, buf)
+        assert buf.getvalue() == _records_rowwise(batch)
+
+    def test_csv_numpy_scalars_match_rowwise(self):
+        rows = [
+            [np.int64(3), np.float64(0.5), 0.5, "qq", np.float64(np.nan)],
+            [np.int64(-1), np.float64(1e-300), float("inf"), "a,b", np.float64(-0.0)],
+            [7, 1.0 / 3.0, np.float32(0.25), "", None],
+            (np.int32(2), np.float64(1e16), True, 'q"t', np.float64(-np.inf)),
+        ]
+        header = ["n", "x", "y", "kind", "z"]
+        out = table_to_string(header, rows, fmt="csv")
+        assert out == _csv_rowwise(header, rows)
+        assert out.splitlines()[1] == "3,0.5,0.5,qq,nan"
+
+    def test_csv_python_scalars_match_rowwise(self):
+        rng = np.random.default_rng(3)
+        columns = [np.arange(50), rng.exponential(size=50), rng.normal(size=50) * 1e-12]
+        rows = list(zip(*[c.tolist() for c in columns]))
+        header = ["t", "a", "b"]
+        assert table_to_string(header, rows, fmt="csv") == _csv_rowwise(header, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=12),
+        family=st.sampled_from(["ensemble", "normal", "exponential"]),
+        with_hidden=st.booleans(),
+    )
+    def test_records_round_trip_exactly(self, data, n, family, with_hidden):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=5e-324, allow_infinity=False)
+
+        def column(elements, k=n):
+            return np.array(data.draw(st.lists(elements, min_size=k, max_size=k)), dtype=float)
+
+        if family == "ensemble":
+            params = column(finite, n * 3).reshape(n, 3)
+        elif family == "normal":
+            params = np.column_stack([column(finite), column(positive)])
+        else:
+            params = column(positive)[:, None]
+        t = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+        batch = RecordBatch(
+            t=t, y=column(finite), family=family, params=params,
+            hidden=column(finite) if with_hidden else None,
+        )
+        buf = stringio.StringIO()
+        write_records(batch, buf)
+        buf.seek(0)
+        back = read_records(buf)
+        assert back.family == family
+        for got, want in [(back.t, batch.t), (back.y, batch.y), (back.params, batch.params)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if with_hidden:
+            assert back.hidden.tobytes() == batch.hidden.tobytes()
+        else:
+            assert back.hidden is None
 
 
 def _run(argv):
@@ -354,6 +516,12 @@ class TestCliScore:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")
         assert _run(["score", "--records", str(bad)]) == 2
+
+    def test_non_finite_observation_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text(_line(0) + "\n" + _line(1).replace('"y": 1.5', '"y": NaN') + "\n")
+        assert _run(["score", "--records", str(bad)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestCliVerifyIndexCurve:
@@ -526,6 +694,18 @@ class TestCliFitGp:
 
 
 class TestInstalledEntryPoint:
+    def test_cli_import_leaves_solvers_unloaded(self):
+        # scipy.integrate and scipy.optimize load on first use, not at import
+        code = (
+            "import sys, crpstail.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        )
+        src = str(Path(crpstail_io.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, check=True)
+        assert r.stdout.strip() == "[]"
+
     def test_console_script_roundtrip(self, tmp_path):
         out = tmp_path / "cup.csv"
         cmd = [sys.executable, "-m", "crpstail", "verify", "cup", "--gamma",
