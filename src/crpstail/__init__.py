@@ -56,6 +56,7 @@ from .simulation import (
     MODELS,
     RankingCurve,
     simulate,
+    simulate_forecasters,
     wcrps_ranking_curve,
 )
 from .tail_analysis import (
@@ -147,6 +148,7 @@ __all__ = [
     "MODELS",
     "FORECASTERS",
     "simulate",
+    "simulate_forecasters",
     "RankingCurve",
     "wcrps_ranking_curve",
     # verification

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .evt import fit_gp, threshold_grid
 from .io import read_records, write_records, write_table
-from .simulation import FORECASTERS, MODELS, simulate
+from .simulation import FORECASTERS, MODELS, simulate, simulate_forecasters
 from .tail_analysis import ambiguity_region, expected_crps_pareto
 from .verification import (
     dm_matrix,
@@ -158,10 +158,10 @@ def _verify_batches(args):
             )
         return read_records(args.records), read_records(args.records_clim)
     _require(args, ["model", "forecaster", "t", "seed"])
-    return (
-        _simulate_args(args, args.forecaster),
-        _simulate_args(args, "climatological"),
+    batches = simulate_forecasters(
+        args.model, (args.forecaster, "climatological"), args.t, seed=args.seed
     )
+    return batches[args.forecaster], batches["climatological"]
 
 
 def cmd_verify_index_curve(args) -> int:
@@ -222,7 +222,7 @@ def cmd_verify_index_curve(args) -> int:
 
 def cmd_verify_dm(args) -> int:
     _require(args, ["model", "t", "seed"])
-    batches = {name: _simulate_args(args, name) for name in FORECASTERS}
+    batches = simulate_forecasters(args.model, FORECASTERS, args.t, seed=args.seed)
     obs = batches["ideal"].y
     rows = []
     for order in args.quantiles:

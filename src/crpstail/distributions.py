@@ -752,10 +752,27 @@ def _mixture2_tail_sq(params, q):
     s = q - m1
     key = np.round(np.column_stack([w, s1, s2, m2 - m1]), 12)
     tail = np.empty(len(params))
-    for row in np.unique(key, axis=0):
-        sel = np.all(key == row, axis=1)
-        tail[sel] = _mixture2_tail_table(*row, s[sel])
+    for rows in _group_rows(key):
+        tail[rows] = _mixture2_tail_table(*key[rows[0]], s[rows])
     return tail
+
+
+def _group_rows(key):
+    """The ascending row indices of each set of equal rows of a 2-d ``key``,
+    the sets ordered like the rows of ``np.unique(key, axis=0)``; built from
+    per-column codes, without sorting whole rows.
+    """
+    codes = np.zeros(len(key), dtype=np.int64)
+    n_groups = min(len(key), 1)
+    for col in key.T:
+        values, inverse = np.unique(col, return_inverse=True)
+        # mixed radix, re-densified so the code stays below len(key)
+        seen, codes = np.unique(codes * values.size + inverse, return_inverse=True)
+        n_groups = seen.size
+    # one integer code per row; a stable sort keeps each group's rows ascending
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(n_groups + 1))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _gp_cdf(params, x):

@@ -46,6 +46,23 @@ def _forecast_params(obj, line: int) -> tuple[str, list]:
     return family, params
 
 
+def _column(values: list, dtype, name: str, line_of: list) -> np.ndarray:
+    """``values`` (one entry per record) as an array of ``dtype``; a number
+    too large for ``dtype`` raises :class:`DataFormatError` with its line."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        # the per-record search is slow: only on failure
+        for value, line in zip(values, line_of):
+            try:
+                np.asarray(value, dtype=dtype)
+            except OverflowError:
+                raise DataFormatError(
+                    f"'{name}' is out of range for {np.dtype(dtype)}", line=line
+                ) from None
+        raise
+
+
 def read_records(path_or_file) -> RecordBatch:
     """Parse a JSON-lines record file into a :class:`RecordBatch`.
 
@@ -53,9 +70,9 @@ def read_records(path_or_file) -> RecordBatch:
     either all or none carry ``hidden``. ``t`` must be a JSON integer; ``y``,
     ``hidden`` and the parameters must be JSON numbers (not strings or
     booleans), and ``y`` and ``hidden`` must be finite (``NaN`` and
-    ``Infinity`` are rejected). Violations, malformed lines and parameters
-    outside the family's rule raise :class:`DataFormatError` tagged with the
-    1-based line number.
+    ``Infinity`` are rejected). ``t`` must fit an int64 and the other numbers
+    a float. Violations, malformed lines and parameters outside the family's
+    rule raise :class:`DataFormatError` tagged with the 1-based line number.
     """
     if hasattr(path_or_file, "read"):
         lines = path_or_file
@@ -76,6 +93,10 @@ def read_records(path_or_file) -> RecordBatch:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"invalid JSON ({exc.msg})", line=n_line) from exc
+            except ValueError as exc:  # the only other parse failure
+                raise DataFormatError(
+                    "integer literal longer than Python's digit limit", line=n_line
+                ) from exc
             if not isinstance(obj, dict):
                 raise DataFormatError("record line must be a JSON object", line=n_line)
             if "t" not in obj or "y" not in obj:
@@ -114,20 +135,16 @@ def read_records(path_or_file) -> RecordBatch:
             raise DataFormatError(
                 "'hidden' must be present on all records or none", line=first_bad
             )
-        y = np.asarray(y, dtype=float)
-        hidden = np.asarray(hidden, dtype=float) if all(has_hidden) else None
+        t = _column(t, np.int64, "t", line_of)
+        y = _column(y, float, "y", line_of)
+        hidden = _column(hidden, float, "hidden", line_of) if all(has_hidden) else None
+        params = _column(params, float, "params", line_of)
         for name, column in (("y", y), ("hidden", hidden)):
             if column is not None and not np.isfinite(column).all():
                 first_bad = line_of[int(np.argmin(np.isfinite(column)))]
                 raise DataFormatError(f"'{name}' must be finite", line=first_bad)
         try:
-            return RecordBatch(
-                t=np.asarray(t, dtype=np.int64),
-                y=y,
-                family=family,
-                params=np.asarray(params, dtype=float),
-                hidden=hidden,
-            )
+            return RecordBatch(t=t, y=y, family=family, params=params, hidden=hidden)
         except ParameterError as exc:
             line = None if exc.row is None else line_of[exc.row]
             raise DataFormatError(str(exc), line=line) from exc

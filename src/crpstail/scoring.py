@@ -390,8 +390,13 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
         raise UnsupportedFamilyError(
             f"no quantile-weight batch path for family {family!r}"
         )
-    diff = fam.crps(params, y) - fam.crps(params, q)
-    return fam.tail(params, q) + np.where(y >= q, diff, 0.0)
+    # CRPS(y) - CRPS(q) enters only where y >= q: score just those rows, in
+    # place on the fresh array the tail kernel returns
+    y = np.broadcast_to(y, (len(params),))
+    above = y >= q
+    out = fam.tail(params, q)
+    out[above] += fam.crps(params[above], y[above]) - fam.crps(params[above], q)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "MODELS",
     "FORECASTERS",
     "simulate",
+    "simulate_forecasters",
     "RankingCurve",
     "wcrps_ranking_curve",
 ]
@@ -74,60 +75,78 @@ def simulate(
     forecaster, so batches simulated with different forecasters but the same
     seed are score-comparable record by record.
     """
+    return simulate_forecasters(model, (forecaster,), t, seed, t0)[forecaster]
+
+
+def simulate_forecasters(
+    model: str, forecasters, t: int, seed: int = 0, t0: int = 0
+) -> dict[str, RecordBatch]:
+    """One batch per forecaster name on one simulated observation stream.
+
+    Each batch equals ``simulate(model, name, t, seed, t0)`` bit for bit, but
+    the hidden state and the observations are drawn once and shared: the
+    batches hold the same ``t``, ``y`` and ``hidden`` arrays.
+    """
+    forecasters = tuple(forecasters)
     if model not in MODELS:
         raise ParameterError(f"unknown model {model!r} (expected one of {MODELS})")
-    if forecaster not in FORECASTERS:
-        raise ParameterError(
-            f"unknown forecaster {forecaster!r} (expected one of {FORECASTERS})"
-        )
+    for forecaster in forecasters:
+        if forecaster not in FORECASTERS:
+            raise ParameterError(
+                f"unknown forecaster {forecaster!r} (expected one of {FORECASTERS})"
+            )
     if t <= 0:
         raise DomainError("record count must be positive")
     u = _uniforms(t, seed, t0)
     ts = np.arange(t0, t0 + t, dtype=np.int64)
-    if model == "nn":
-        return _simulate_nn(forecaster, ts, u)
-    return _simulate_ge(forecaster, ts, u)
+    stream, forecast = _STREAMS[model]
+    delta, y = stream(u)
+    batches = {}
+    for name in forecasters:
+        family, params = forecast(name, delta, u)
+        batches[name] = RecordBatch(
+            t=ts, y=y, family=family, params=params, hidden=delta, model=model
+        )
+    return batches
 
 
-def _simulate_nn(forecaster, ts, u):
+def _nn_stream(u):
     delta = ndtri(u[:, 0])
-    y = delta + ndtri(u[:, 1])
-    n = ts.size
+    return delta, delta + ndtri(u[:, 1])
+
+
+def _nn_forecast(forecaster, delta, u):
+    n = delta.size
     if forecaster == "ideal":
-        family, params = "normal", np.column_stack([delta, np.ones(n)])
-    elif forecaster == "climatological":
-        family = "normal"
-        params = np.column_stack([np.zeros(n), np.full(n, math.sqrt(2.0))])
-    elif forecaster == "unfocused":
+        return "normal", np.column_stack([delta, np.ones(n)])
+    if forecaster == "climatological":
+        return "normal", np.column_stack([np.zeros(n), np.full(n, math.sqrt(2.0))])
+    if forecaster == "unfocused":
         tau = np.where(u[:, 2] < 0.5, -2.0, 2.0)
-        family = "normal_mixture2"
-        params = np.column_stack(
+        return "normal_mixture2", np.column_stack(
             [np.full(n, 0.5), delta, np.ones(n), delta + tau, np.ones(n)]
         )
-    else:  # extremist
-        family, params = "normal", np.column_stack([delta + 2.5, np.ones(n)])
-    return RecordBatch(
-        t=ts, y=y, family=family, params=params, hidden=delta, model="nn"
-    )
+    return "normal", np.column_stack([delta + 2.5, np.ones(n)])  # extremist
 
 
-def _simulate_ge(forecaster, ts, u):
+def _ge_stream(u):
     delta = gammaincinv(4.0, u[:, 0]) / 4.0
-    y = -np.log1p(-u[:, 1]) / delta
-    n = ts.size
+    return delta, -np.log1p(-u[:, 1]) / delta
+
+
+def _ge_forecast(forecaster, delta, u):
     if forecaster == "ideal":
-        family, params = "exponential", delta[:, None].copy()
-    elif forecaster == "climatological":
-        family = "generalized_pareto"
-        params = np.tile([1.0, 0.25], (n, 1))
-    elif forecaster == "unfocused":
+        return "exponential", delta[:, None].copy()
+    if forecaster == "climatological":
+        return "generalized_pareto", np.tile([1.0, 0.25], (delta.size, 1))
+    if forecaster == "unfocused":
         tau = (2.0 / 3.0) * (0.5 + 0.5 * u[:, 2]) + (1.0 / 3.0) * (1.0 + u[:, 3])
-        family, params = "exponential", (delta / tau)[:, None]
-    else:  # extremist
-        family, params = "exponential", (delta / 1.5)[:, None]
-    return RecordBatch(
-        t=ts, y=y, family=family, params=params, hidden=delta, model="ge"
-    )
+        return "exponential", (delta / tau)[:, None]
+    return "exponential", (delta / 1.5)[:, None]  # extremist
+
+
+# model -> (uniforms -> (hidden, y), (forecaster, hidden, uniforms) -> (family, params))
+_STREAMS = {"nn": (_nn_stream, _nn_forecast), "ge": (_ge_stream, _ge_forecast)}
 
 
 @dataclass(frozen=True)
@@ -157,10 +176,10 @@ def wcrps_ranking_curve(
     seed: int = 0,
     forecasters=FORECASTERS,
 ) -> RankingCurve:
-    """Simulate once per forecaster (shared observation stream) and average
+    """Simulate one observation stream with a batch per forecaster and average
     the quantile-indicator weighted CRPS at each threshold order."""
     orders = np.asarray(quantile_orders, dtype=float)
-    batches = {name: simulate(model, name, t, seed) for name in forecasters}
+    batches = simulate_forecasters(model, forecasters, t, seed)
     y = batches[next(iter(batches))].y
     thresholds = threshold_grid(y, orders)
     means = {name: np.empty(orders.size) for name in batches}

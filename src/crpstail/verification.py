@@ -475,6 +475,11 @@ def extremes_index(
     failing the PIT screen arrives with ``auto_calibrated=False`` and
     should not be read as extremes skill.
     """
+    return _extremes_index(batch_f, batch_clim, u, fit, pit_alpha)
+
+
+def _extremes_index(batch_f, batch_clim, u, fit, pit_alpha=0.05, pit=None):
+    """:func:`extremes_index`, reusing the forecast's PIT when ``pit`` is given."""
     if len(batch_f) != len(batch_clim) or not np.array_equal(batch_f.y, batch_clim.y):
         raise ParameterError("forecast and climatology batches must share observations")
     sel = batch_f.y > u
@@ -491,7 +496,8 @@ def extremes_index(
     log_pf = float(cvm_log_pvalue(t_f))
     log_pc = float(cvm_log_pvalue(t_c))
     ratio = math.exp(min(log_pf - log_pc, 500.0))
-    pit = pit_calibration(batch_f)
+    if pit is None:
+        pit = pit_calibration(batch_f)
     return IndexResult(
         threshold=float(u),
         n_tail=m,
@@ -540,10 +546,11 @@ def index_curve(
     excesses = y[y > u0] - u0
     fit = fit_gp(excesses, method=method, threshold=u0)
     thresholds = threshold_grid(y, orders)
+    pit = pit_calibration(batch_f)  # one PIT serves every threshold
     rows = []
     for order, u in zip(orders, thresholds):
         try:
-            row = extremes_index(batch_f, batch_clim, float(u), fit)
+            row = _extremes_index(batch_f, batch_clim, float(u), fit, pit=pit)
             rows.append(replace(row, order=float(order)))
         except (InsufficientDataError, DomainError, DegenerateDataError) as exc:
             rows.append(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crpstail import FORECASTERS, simulate
+from crpstail import FORECASTERS, simulate_forecasters
 
 
 @pytest.fixture
@@ -12,9 +12,9 @@ def rng():
 @pytest.fixture(scope="session")
 def ge_small():
     """GE batches for all four forecasters, shared observation stream."""
-    return {name: simulate("ge", name, 20_000, seed=3) for name in FORECASTERS}
+    return simulate_forecasters("ge", FORECASTERS, 20_000, seed=3)
 
 
 @pytest.fixture(scope="session")
 def nn_small():
-    return {name: simulate("nn", name, 20_000, seed=3) for name in FORECASTERS}
+    return simulate_forecasters("nn", FORECASTERS, 20_000, seed=3)

@@ -34,7 +34,7 @@ from crpstail import (
     qq_pp,
     score_series,
     shuffled_score_series,
-    simulate,
+    simulate_forecasters,
     splice_tail,
     spliced_gap_mc,
     tail_shape_of_scores,
@@ -54,7 +54,7 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def ge_1m():
-    return {name: simulate("ge", name, 10**6, seed=0) for name in FORECASTERS}
+    return simulate_forecasters("ge", FORECASTERS, 10**6, seed=0)
 
 
 class TestAcceptance:
@@ -206,7 +206,7 @@ class TestAcceptance:
 
     def test_criterion_08_dm_pattern(self):
         t_count = 10**5
-        batches = {n: simulate("ge", n, t_count, seed=0) for n in FORECASTERS}
+        batches = simulate_forecasters("ge", FORECASTERS, t_count, seed=0)
         u = float(np.quantile(batches["ideal"].y, 0.875))
         scores = {
             n: score_series(b, weight_threshold=u).values
@@ -219,8 +219,10 @@ class TestAcceptance:
 
         non_significant = 0
         for seed in range(20):
-            clim = simulate("ge", "climatological", t_count, seed=seed)
-            extr = simulate("ge", "extremist", t_count, seed=seed)
+            pair = simulate_forecasters(
+                "ge", ("climatological", "extremist"), t_count, seed=seed
+            )
+            clim, extr = pair["climatological"], pair["extremist"]
             u975 = float(np.quantile(clim.y, 0.975))
             s_c = score_series(clim, weight_threshold=u975).values
             s_e = score_series(extr, weight_threshold=u975).values
@@ -238,11 +240,11 @@ class TestAcceptance:
 
     def test_criterion_09_pairing_information(self):
         t_count = 10**5
-        clim = simulate("ge", "climatological", t_count, seed=0)
+        pair = simulate_forecasters("ge", ("climatological", "ideal"), t_count, seed=0)
+        clim, ideal = pair["climatological"], pair["ideal"]
         ks_clim = qq_pp(
             score_series(clim), shuffled_score_series(clim, shuffle_seed=1)
         ).ks_distance
-        ideal = simulate("ge", "ideal", t_count, seed=0)
         ks_ideal = qq_pp(
             score_series(ideal), shuffled_score_series(ideal, shuffle_seed=1)
         ).ks_distance

@@ -174,6 +174,52 @@ class TestRecordValidation:
         assert exc.value.line == 2
 
 
+_BIG = str(10**400)  # a JSON integer too large for a float
+
+# (good, bad) substitutions in the second record of a normal-family file
+_OUT_OF_RANGE = {
+    "t-above-int64": ('"t": 1,', f'"t": {2**63},'),
+    "t-below-int64": ('"t": 1,', f'"t": {-(2**63) - 1},'),
+    "y": ('"y": 1.5', f'"y": {_BIG}'),
+    "hidden": ('"hidden": 0.5', f'"hidden": {_BIG}'),
+    "params-first": ("[0.0, 2.0]", f"[{_BIG}, 2.0]"),
+    "params-second": ("[0.0, 2.0]", f"[0.0, {_BIG}]"),
+    "digit-limit": ('"y": 1.5', '"y": ' + "1" * 5000),
+}
+
+
+def _out_of_range_file(case):
+    good, bad = _OUT_OF_RANGE[case]
+
+    def record(t):
+        return _line(t, fam="normal", params="[0.0, 2.0]", extra=', "hidden": 0.5')
+
+    second = record(1)
+    assert good in second
+    return record(0) + "\n" + second.replace(good, bad) + "\n"
+
+
+class TestNumbersOutOfRange:
+    @pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+    def test_read_records(self, case):
+        with pytest.raises(DataFormatError) as exc:
+            read_records(stringio.StringIO(_out_of_range_file(case)))
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+    def test_cli_exit_2(self, case, tmp_path, capsys):
+        path = tmp_path / "big.jsonl"
+        path.write_text(_out_of_range_file(case))
+        assert _run(["score", "--records", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_extremes_that_fit_are_kept(self):
+        text = _line(-(2**63), fam="normal", params=f"[{10**300}, 2.0]") + "\n"
+        batch = read_records(stringio.StringIO(text))
+        assert batch.t.tolist() == [-(2**63)]
+        assert batch.params.tolist() == [[1e300, 2.0]]
+
+
 class TestRecordBatch:
     @pytest.fixture()
     def batch(self):

@@ -23,6 +23,7 @@ from crpstail import (
     wcrps_quantile,
     wcrps_quantile_batch,
 )
+from crpstail.distributions import family_entry
 
 CLOSED_CASES = [
     (Normal(0.0, 1.0), 0.7),
@@ -302,6 +303,34 @@ class TestQuantileWeightedScore:
             [wcrps_quantile(from_family("normal_mixture2", p), yi, q) for p, yi in zip(params, y)]
         )
         assert_allclose(batch, ref, rtol=0, atol=2e-6)
+
+
+def _wcrps_all_rows(family, params, y, q):
+    """tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)) with both scores on every row:
+    the reference for the batch path, which scores only the rows y >= q."""
+    fam = family_entry(family)
+    diff = fam.crps(params, y) - fam.crps(params, q)
+    return fam.tail(params, q) + np.where(y >= q, diff, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 40_000])
+@pytest.mark.parametrize("family", ["normal", "normal_mixture2", "exponential", "generalized_pareto"])
+def test_batch_equals_all_rows_form_bit_for_bit(family, n):
+    rng = np.random.default_rng(n)
+    y = rng.normal(0.5, 2.0, n)
+    m = rng.normal(size=n)
+    params = {
+        "normal": np.column_stack([m, rng.uniform(0.1, 3.0, n)]),
+        "normal_mixture2": np.column_stack(
+            [rng.choice([0.3, 0.5], n), m, rng.choice([0.5, 1.0], n),
+             m + rng.choice([-2.0, 2.0], n), np.ones(n)]
+        ),
+        "exponential": rng.uniform(0.1, 3.0, (n, 1)),
+        "generalized_pareto": np.column_stack([rng.uniform(0.1, 3.0, n), rng.uniform(-0.5, 0.9, n)]),
+    }[family]
+    for q in (-2.0, 0.0, 0.7, 3.0, 50.0):
+        got = wcrps_quantile_batch(family, params, y, q)
+        assert got.tobytes() == _wcrps_all_rows(family, params, y, q).tobytes()
 
 
 class TestEnsembleScore:

@@ -9,6 +9,7 @@ from crpstail import (
     ParameterError,
     pit_calibration,
     simulate,
+    simulate_forecasters,
     wcrps_ranking_curve,
 )
 
@@ -63,6 +64,43 @@ class TestStreamContract:
             simulate("nn", "ideal", 0)
         with pytest.raises(DomainError):
             simulate("nn", "ideal", -5)
+
+
+class TestSimulateForecasters:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("t0", [0, 37])
+    def test_each_batch_equals_simulate(self, model, t0):
+        batches = simulate_forecasters(model, FORECASTERS, 400, seed=8, t0=t0)
+        assert list(batches) == list(FORECASTERS)
+        for name, batch in batches.items():
+            alone = simulate(model, name, 400, seed=8, t0=t0)
+            assert batch.family == alone.family
+            assert batch.model == alone.model == model
+            for column in ("t", "y", "params", "hidden"):
+                got, want = getattr(batch, column), getattr(alone, column)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, column)
+
+    def test_stream_arrays_are_shared(self):
+        batches = simulate_forecasters("ge", ("ideal", "extremist"), 50, seed=1)
+        ideal, extremist = batches["ideal"], batches["extremist"]
+        assert ideal.y is extremist.y and ideal.hidden is extremist.hidden
+        assert not np.shares_memory(ideal.params, ideal.hidden)
+
+    @pytest.mark.parametrize(
+        "names",
+        [("sharp", "ideal", "unfocused"), ("ideal", "sharp", "unfocused"),
+         ("ideal", "unfocused", "sharp")],
+    )
+    def test_unknown_forecaster_anywhere(self, names):
+        with pytest.raises(ParameterError, match="sharp"):
+            simulate_forecasters("nn", names, 10)
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            simulate_forecasters("ar1", FORECASTERS, 10)
+        with pytest.raises(DomainError):
+            simulate_forecasters("ge", FORECASTERS, 0)
 
 
 class TestModelNn:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -551,6 +552,25 @@ class TestIndexCurve:
         ext, clim = ge_small["extremist"], ge_small["climatological"]
         curve = index_curve(ext, clim, [0.9])
         assert not curve.rows[0].auto_calibrated
+
+    def test_one_pit_per_curve(self, ge_small, monkeypatch):
+        import crpstail.verification as verification
+
+        calls = []
+
+        def counted(batch):
+            calls.append(batch)
+            return pit_calibration(batch)
+
+        monkeypatch.setattr(verification, "pit_calibration", counted)
+        unf, clim = ge_small["unfocused"], ge_small["climatological"]
+        orders = [0.75, 0.8, 0.85, 0.9, 0.95, 0.99]
+        curve = index_curve(unf, clim, orders)
+        assert len(calls) == 1 and calls[0] is unf
+        # each row equals the stand-alone index at its threshold
+        for row in curve.rows:
+            alone = extremes_index(unf, clim, row.threshold, curve.fit)
+            assert replace(alone, order=row.order) == row
 
     def test_validation(self, ge_small):
         ideal, clim = ge_small["ideal"], ge_small["climatological"]

@@ -1,0 +1,106 @@
+"""Print the sha256 of every output (and stderr) of a fixed set of CLI runs.
+
+The set covers ``simulate`` for both models and all four forecasters,
+``score`` (weighted, shuffled, JSON) on each simulated file, ``verify
+index-curve`` in simulator and file mode, ``verify dm``, ``verify qqpp``,
+``verify cup`` and ``fit-gp``. Each command runs as ``python -m crpstail``
+in a fresh temporary directory, against the package sources in ``--src``.
+
+Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
+
+Two checkouts produce byte-identical outputs exactly when their digest
+listings are equal, so ``diff`` of two listings (one per commit, with the
+same ``--t``) is the byte-identity check for a change that must not alter
+any output.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODELS = ("ge", "nn")
+FORECASTERS = ("ideal", "climatological", "unfocused", "extremist")
+SEED = "7"
+
+
+def commands(t: int) -> list[tuple[str, list[str]]]:
+    """(output file, argv) pairs, in run order; later ones read earlier outputs."""
+    t = str(t)
+    runs = []
+    for model in MODELS:
+        for name in FORECASTERS:
+            out = f"{model}_{name}.jsonl"
+            runs.append((out, ["simulate", "--model", model, "--forecaster", name,
+                               "--t", t, "--seed", SEED, "--out", out]))
+    for model in MODELS:
+        for name in FORECASTERS:
+            out = f"score_{model}_{name}.json"
+            runs.append((out, ["score", "--records", f"{model}_{name}.jsonl",
+                               "--weight-quantile", "0.9", "--shuffle-seed", "1",
+                               "--format", "json", "--out", out]))
+    runs.append(("score_nn_unfocused.csv", ["score", "--records", "nn_unfocused.jsonl",
+                                            "--weight-quantile", "0.9", "--shuffle-seed", "1",
+                                            "--out", "score_nn_unfocused.csv"]))
+    for model in MODELS:
+        for name in ("ideal", "unfocused"):
+            for fmt in ("csv", "json"):
+                out = f"index_sim_{model}_{name}.{fmt}"
+                runs.append((out, ["verify", "index-curve", "--model", model,
+                                   "--forecaster", name, "--t", t, "--seed", SEED,
+                                   "--format", fmt, "--out", out]))
+        out = f"index_file_{model}.csv"
+        runs.append((out, ["verify", "index-curve", "--records", f"{model}_extremist.jsonl",
+                           "--records-clim", f"{model}_climatological.jsonl",
+                           "--method", "mle", "--out", out]))
+    for model in MODELS:
+        for fmt in ("csv", "json"):
+            out = f"dm_{model}.{fmt}"
+            runs.append((out, ["verify", "dm", "--model", model, "--t", t, "--seed", SEED,
+                               "--quantiles", "0.5,0.875,0.975", "--format", fmt,
+                               "--out", out]))
+    for model, name in (("ge", "ideal"), ("nn", "unfocused")):
+        out = f"qqpp_{model}_{name}.csv"
+        runs.append((out, ["verify", "qqpp", "--records", f"{model}_{name}.jsonl",
+                           "--shuffle-seed", "1", "--weight-quantile", "0.9", "--out", out]))
+    runs.append(("qqpp_sim.json", ["verify", "qqpp", "--model", "ge", "--forecaster",
+                                   "extremist", "--t", t, "--seed", SEED, "--shuffle-seed",
+                                   "2", "--format", "json", "--out", "qqpp_sim.json"]))
+    runs.append(("cup.csv", ["verify", "cup", "--gamma", "0,0.25,0.5", "--out", "cup.csv"]))
+    for method in ("mle", "pwm"):
+        out = f"fit_{method}.json"
+        runs.append((out, ["fit-gp", "--records", "ge_ideal.jsonl", "--method", method,
+                           "--format", "json", "--out", out]))
+    return runs
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-" * 64
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parents[1]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=here / "src",
+                        help="directory holding the crpstail package (default: this checkout's)")
+    parser.add_argument("--t", type=int, default=20_000, help="records per simulated stream")
+    args = parser.parse_args(argv)
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for out, cli_argv in commands(args.t):
+            stderr = work / f"{out}.stderr"
+            with open(stderr, "wb") as err:
+                code = subprocess.run([sys.executable, "-m", "crpstail", *cli_argv], cwd=work,
+                                      env=env, stdin=subprocess.DEVNULL,
+                                      stdout=subprocess.DEVNULL, stderr=err).returncode
+            print(f"{sha256(work / out)}  {out}", flush=True)
+            print(f"{sha256(stderr)}  {out}.stderr  exit {code}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
