@@ -264,8 +264,8 @@ def cmd_verify_qqpp(args) -> int:
     s1 = score_series(batch, weight_threshold=threshold)
     s2 = shuffled_score_series(batch, args.shuffle_seed, weight_threshold=threshold)
     res = qq_pp(s1, s2)
-    rows = [("qq", a, b) for a, b in res.qq.tolist()]
-    rows += [("pp", a, b) for a, b in res.pp.tolist()]
+    kinds = ["qq"] * len(res.qq) + ["pp"] * len(res.pp)
+    rows = list(zip(kinds, *np.concatenate([res.qq, res.pp]).T.tolist()))
     n, m = len(s1), len(s2)
     meta = {
         "ks_distance": res.ks_distance,

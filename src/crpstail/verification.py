@@ -478,8 +478,19 @@ def extremes_index(
     return _extremes_index(batch_f, batch_clim, u, fit, pit_alpha)
 
 
-def _extremes_index(batch_f, batch_clim, u, fit, pit_alpha=0.05, pit=None):
-    """:func:`extremes_index`, reusing the forecast's PIT when ``pit`` is given."""
+def _tail_scores(batch_f, batch_clim, sel):
+    """CRPS of the forecast and the climatology on the rows ``sel`` picks."""
+    return (
+        _score_batch(batch_f.subset(sel), batch_f.y[sel], None),
+        _score_batch(batch_clim.subset(sel), batch_clim.y[sel], None),
+    )
+
+
+def _extremes_index(
+    batch_f, batch_clim, u, fit, pit_alpha=0.05, pit=None, tail_scores=_tail_scores
+):
+    """:func:`extremes_index`, reusing the forecast's PIT when ``pit`` is given
+    and scoring the exceedances with ``tail_scores(batch_f, batch_clim, sel)``."""
     if len(batch_f) != len(batch_clim) or not np.array_equal(batch_f.y, batch_clim.y):
         raise ParameterError("forecast and climatology batches must share observations")
     sel = batch_f.y > u
@@ -489,8 +500,7 @@ def _extremes_index(batch_f, batch_clim, u, fit, pit_alpha=0.05, pit=None):
             f"only {m} observations exceed the threshold {u}"
         )
     tail_u = shift_scale(fit, float(u))
-    scores_f = _score_batch(batch_f.subset(sel), batch_f.y[sel], None)
-    scores_c = _score_batch(batch_clim.subset(sel), batch_clim.y[sel], None)
+    scores_f, scores_c = tail_scores(batch_f, batch_clim, sel)
     t_f = cvm_statistic(scores_f, tail_u)
     t_c = cvm_statistic(scores_c, tail_u)
     log_pf = float(cvm_log_pvalue(t_f))
@@ -547,10 +557,24 @@ def index_curve(
     fit = fit_gp(excesses, method=method, threshold=u0)
     thresholds = threshold_grid(y, orders)
     pit = pit_calibration(batch_f)  # one PIT serves every threshold
+    # a record's CRPS does not depend on the threshold, and the exceedances
+    # of a higher threshold are among those of a lower one: the first
+    # threshold that gets scored scores the rows of all later ones
+    scored = []
+
+    def nested_scores(batch_f, batch_clim, sel):
+        if not scored:
+            scored.append((sel, *_tail_scores(batch_f, batch_clim, sel)))
+        base, scores_f, scores_c = scored[0]
+        keep = sel[base]
+        return scores_f[keep], scores_c[keep]
+
     rows = []
     for order, u in zip(orders, thresholds):
         try:
-            row = _extremes_index(batch_f, batch_clim, float(u), fit, pit=pit)
+            row = _extremes_index(
+                batch_f, batch_clim, float(u), fit, pit=pit, tail_scores=nested_scores
+            )
             rows.append(replace(row, order=float(order)))
         except (InsufficientDataError, DomainError, DegenerateDataError) as exc:
             rows.append(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -355,6 +356,19 @@ def _csv_rowwise(header, rows):
     return buf.getvalue()
 
 
+def _json_reference(header, rows, meta):
+    """Reference JSON report: the pure-Python encoder over the whole payload."""
+    buf = stringio.StringIO()
+    payload = {
+        "meta": meta or {},
+        "columns": list(header),
+        "rows": [[crpstail_io._jsonable(v) for v in row] for row in rows],
+    }
+    json.dump(payload, buf, indent=1, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue()
+
+
 # one valid parameter row per record family
 FAMILY_ROWS = {
     "exponential": [1.7],
@@ -414,6 +428,75 @@ class TestEmitterReference:
         header = ["t", "a", "b"]
         assert table_to_string(header, rows, fmt="csv") == _csv_rowwise(header, rows)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_csv_quoted_and_empty_strings_match_rowwise(self, width):
+        cells = ["a,b", 'q"t', "", "line\nbreak", "cr\rx", " pad ", "é", "plain"]
+        rows = [[c] * width for c in cells] + [["x"] * width]
+        header = [f"c{j}" for j in range(width)]
+        assert table_to_string(header, rows, fmt="csv") == _csv_rowwise(header, rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), n=st.integers(0, 30))
+    def test_csv_property_matches_rowwise(self, data, width, n):
+        cell = st.one_of(
+            st.floats(), st.integers(-(2**70), 2**70), st.text(max_size=4),
+            st.sampled_from(["qq", "pp", "", ","]),
+        )
+        rows = [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
+                for _ in range(n)]
+        header = [f"c{j}" for j in range(width)]
+        with mock.patch.object(crpstail_io, "_CHUNK_ROWS", 7):
+            assert table_to_string(header, rows, fmt="csv") == _csv_rowwise(header, rows)
+
+    def test_json_matches_json_dump(self):
+        rows = [
+            [np.int64(3), np.float64(0.5), 0.5, "qq", float("nan")],
+            [np.int64(-1), np.float64(np.nan), float("inf"), 'a "q" \\ \n é', -float("inf")],
+            [7, np.float64(-np.inf), np.float32(0.25), "", None],
+            (2**70, 1e16, True, " ", np.float64(-0.0)),
+        ]
+        header = ["n", "x", "y", "kind", "z"]
+        meta = {"b": {"nested": [1, 2.5, {"c": None}], "a": "x"}, "a": float("nan")}
+        for m in (meta, None, {}):
+            out = table_to_string(header, rows, fmt="json", meta=m)
+            assert out == _json_reference(header, rows, m)
+        assert table_to_string(header, [], fmt="json") == _json_reference(header, [], None)
+
+    def test_json_large_table_matches_json_dump(self):
+        rng = np.random.default_rng(1)
+        n = 2 * crpstail_io._CHUNK_ROWS + 3
+        columns = [np.arange(n), rng.exponential(size=n), rng.normal(size=n) * 1e-12]
+        rows = list(zip(*[c.tolist() for c in columns]))
+        rows += [("qq", 1.5, float("nan")), ("pp", 2, 0.5)]
+        header = ["t", "a", "b"]
+        meta = {"n": n}
+        assert table_to_string(header, rows, fmt="json", meta=meta) == _json_reference(
+            header, rows, meta
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), n=st.integers(0, 30))
+    def test_json_property_matches_json_dump(self, data, width, n):
+        cell = st.one_of(
+            st.floats(), st.integers(-(2**70), 2**70), st.text(max_size=4),
+            st.booleans(), st.none(), st.floats(width=32).map(np.float32),
+            st.floats().map(np.float64), st.integers(-5, 5).map(np.int64),
+        )
+        rows = [data.draw(st.lists(cell, min_size=width, max_size=width)) for _ in range(n)]
+        header = [f"c{j}" for j in range(width)]
+        with mock.patch.object(crpstail_io, "_CHUNK_ROWS", 7):
+            out = table_to_string(header, rows, fmt="json", meta={"k": [1, {"x": 2}]})
+        assert out == _json_reference(header, rows, {"k": [1, {"x": 2}]})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_must_match_header(self, fmt):
+        with pytest.raises(ValueError):
+            table_to_string(["a", "b"], [[1, 2], [3]], fmt=fmt)
+        with pytest.raises(ValueError):
+            table_to_string(["a"], [[1, 2]], fmt=fmt)
+        with pytest.raises(ValueError):
+            table_to_string([], [], fmt=fmt)
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -450,6 +533,206 @@ class TestEmitterReference:
             assert back.hidden.tobytes() == batch.hidden.tobytes()
         else:
             assert back.hidden is None
+
+
+def _read_outcome(text_or_file):
+    """What read_records gives: the batch's bytes, or the error and its line."""
+    try:
+        batch = read_records(text_or_file)
+    except DataFormatError as exc:
+        return ("error", str(exc), exc.line)
+    hidden = None if batch.hidden is None else batch.hidden.tobytes()
+    return (batch.family, batch.t.tobytes(), batch.y.tobytes(), hidden,
+            batch.params.shape, batch.params.tobytes())
+
+
+def _paths_taken(text, chunk_rows=None):
+    """(column-path outcome, per-line reference outcome, column chunks taken).
+
+    The reference is the same reader with the column path switched off, so
+    every chunk goes through one json.loads per line.
+    """
+    taken = []
+    match_lines = crpstail_io._match_lines
+
+    def spy(*args):
+        chunk = match_lines(*args)
+        taken.append(chunk is not None)
+        return chunk
+
+    size = crpstail_io._CHUNK_ROWS if chunk_rows is None else chunk_rows
+    with mock.patch.object(crpstail_io, "_CHUNK_ROWS", size):
+        with mock.patch.object(crpstail_io, "_match_lines", spy):
+            got = _read_outcome(stringio.StringIO(text))
+        with mock.patch.object(crpstail_io, "_match_lines", lambda *args: None):
+            want = _read_outcome(stringio.StringIO(text))
+    return got, want, sum(taken)
+
+
+def _canonical_line(t, y, params, family="ensemble", hidden=None):
+    """A record line in write_records' layout, from number literals."""
+    extra = "" if hidden is None else f', "hidden": {hidden}'
+    return (f'{{"t": {t}, "y": {y}{extra}, "forecast": {{"family": "{family}", '
+            f'"params": [{", ".join(params)}]}}}}\n')
+
+
+def _simulated_lines(n, with_hidden=True):
+    batch = simulate("ge", "ideal", n, seed=3)
+    if not with_hidden:
+        batch = RecordBatch(t=batch.t, y=batch.y, family=batch.family, params=batch.params)
+    buf = stringio.StringIO()
+    write_records(batch, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+# JSON number literals the column path must read as json.loads does
+NUMBER_LITERALS = [
+    "0", "-0", "0.0", "-0.0", "3", "-17", "1e5", "1E5", "-2.5e-3", "4.0E+2",
+    "0.30000000000000004", "12345678901234567", "123456789012345678901234567890",
+    "1e-320", "-1e-320", "5e-324", "1.7976931348623157e308", "9007199254740993",
+]
+# literals that json.loads reads but read_records rejects
+REJECTED_LITERALS = {
+    "401-digits": "1" * 401,
+    "past-digit-limit": "1" * 4301,
+    "nan": "NaN",
+    "inf": "Infinity",
+    "minus-inf": "-Infinity",
+    "overflow": "1e999",
+}
+
+
+class TestReaderPaths:
+    """The column path reads exactly what one json.loads per line reads."""
+
+    @pytest.mark.parametrize("with_hidden", [True, False], ids=["hidden", "no-hidden"])
+    @pytest.mark.parametrize("family", sorted(FAMILY_ROWS))
+    def test_every_family(self, family, with_hidden):
+        rng = np.random.default_rng(5)
+        n = 40
+        row = np.array(FAMILY_ROWS[family])
+        batch = RecordBatch(
+            t=np.arange(n) - 7, y=rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, n),
+            family=family, params=row * (1.0 + rng.uniform(0, 1e-3, size=(n, row.size))),
+            hidden=rng.normal(size=n) if with_hidden else None,
+        )
+        buf = stringio.StringIO()
+        write_records(batch, buf)
+        got, want, taken = _paths_taken(buf.getvalue(), chunk_rows=7)
+        assert got == want
+        assert taken == 6  # every chunk went the column path
+        assert got[2] == batch.y.tobytes() and got[5] == batch.params.tobytes()
+
+    @pytest.mark.parametrize("field", ["y", "hidden", "param"])
+    @pytest.mark.parametrize("literal", NUMBER_LITERALS)
+    def test_number_literals(self, literal, field):
+        lines = [
+            _canonical_line(i, "0.5", ["1.5", "-2.25"], hidden="0.125") for i in range(6)
+        ]
+        y, hidden, params = (literal if field == f else v for f, v in
+                             (("y", "0.5"), ("hidden", "0.125"), ("param", "1.5")))
+        lines[4] = _canonical_line(4, y, [params, "-2.25"], hidden=hidden)
+        got, want, _ = _paths_taken("".join(lines), chunk_rows=3)
+        assert got == want
+        assert got[0] == "ensemble"
+
+    def test_negative_zero_literals(self):
+        lines = [_canonical_line(i, y, ["1.0"], hidden="0.5") for i, y in
+                 enumerate(["-0", "-0.0", "0", "-0e0"])]
+        got, want, _ = _paths_taken("".join(lines))
+        assert got == want
+        # json reads the integer -0 as 0, whose float is +0.0
+        assert np.signbit(np.frombuffer(got[2])).tolist() == [False, True, False, True]
+
+    @pytest.mark.parametrize("t", ["-0", str(2**63 - 1), str(-(2**63)), str(2**63), "1" * 4301])
+    def test_t_literals(self, t):
+        lines = [_canonical_line(i, "0.5", ["1.0"]) for i in range(4)]
+        lines[2] = _canonical_line(t, "0.5", ["1.0"])
+        got, want, _ = _paths_taken("".join(lines), chunk_rows=2)
+        assert got == want
+
+    @pytest.mark.parametrize("field", ["y", "hidden", "param"])
+    @pytest.mark.parametrize("literal", list(REJECTED_LITERALS.values()),
+                             ids=list(REJECTED_LITERALS))
+    def test_rejected_literals(self, literal, field):
+        lines = [_canonical_line(i, "0.5", ["1.5"], hidden="0.125") for i in range(5)]
+        y, hidden, param = (literal if field == f else v for f, v in
+                            (("y", "0.5"), ("hidden", "0.125"), ("param", "1.5")))
+        lines[3] = _canonical_line(3, y, [param], hidden=hidden)
+        got, want, _ = _paths_taken("".join(lines), chunk_rows=2)
+        assert got == want
+        assert got[0] == "error" and got[2] == 4
+
+    @pytest.mark.parametrize(
+        "case",
+        ["reordered-keys", "extra-spaces", "blank-line", "family-switch", "hidden-gap"],
+    )
+    def test_layout_changes_in_a_later_chunk(self, case):
+        lines = _simulated_lines(crpstail_io._CHUNK_ROWS + 400)
+        k = crpstail_io._CHUNK_ROWS + 123  # 0-based: line k + 1 > 8192
+        record = json.loads(lines[k])
+        if case == "reordered-keys":
+            lines[k] = json.dumps(record, sort_keys=True) + "\n"
+        elif case == "extra-spaces":
+            lines[k] = lines[k].replace(": ", " :  ").replace("{", "{ ")
+        elif case == "blank-line":
+            lines.insert(k, "\n")
+        elif case == "family-switch":
+            lines[k] = _canonical_line(record["t"], "0.5", ["0.0", "1.0"], "normal", "0.5")
+        else:
+            del record["hidden"]
+            lines[k] = json.dumps(record) + "\n"
+        got, want, taken = _paths_taken("".join(lines))
+        assert got == want
+        assert taken == 1  # the first chunk
+        if case == "family-switch":
+            message = f"line {k + 1}: mixed families: 'normal' after 'exponential'"
+            assert got[:2] == ("error", message)
+        elif case == "hidden-gap":
+            message = f"line {k + 1}: 'hidden' must be present on all records or none"
+            assert got[:2] == ("error", message)
+        else:
+            assert got[0] == "exponential"
+
+    def test_no_final_newline(self):
+        text = "".join(_simulated_lines(50)).rstrip("\n")
+        got, want, taken = _paths_taken(text, chunk_rows=16)
+        assert got == want and taken == 4
+
+    def test_file_like_inputs(self, tmp_path):
+        text = "".join(_simulated_lines(30, with_hidden=False))
+        want = _read_outcome(stringio.StringIO(text))
+        path = tmp_path / "records.jsonl"
+        path.write_text(text)
+        assert _read_outcome(str(path)) == want
+        with open(path, encoding="utf-8") as fh:
+            assert _read_outcome(fh) == want
+        # binary streams go line by line
+        assert _read_outcome(stringio.BytesIO(text.encode())) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from(["ensemble", "normal", "exponential"]),
+        with_hidden=st.booleans(),
+        chunk_rows=st.integers(1, 5),
+    )
+    def test_column_path_matches_per_line(self, data, family, with_hidden, chunk_rows):
+        literal = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(-(10**20), 10**20).map(str),
+            st.sampled_from(NUMBER_LITERALS + list(REJECTED_LITERALS.values())[:2]),
+        )
+        n_params = {"ensemble": 3, "normal": 2, "exponential": 1}[family]
+        n = data.draw(st.integers(1, 12))
+        lines = []
+        for i in range(n):
+            params = data.draw(st.lists(literal, min_size=n_params, max_size=n_params))
+            hidden = data.draw(literal) if with_hidden else None
+            t = data.draw(st.sampled_from([str(i), "-0", str(2**63)]))
+            lines.append(_canonical_line(t, data.draw(literal), params, family, hidden))
+        got, want, _ = _paths_taken("".join(lines), chunk_rows=chunk_rows)
+        assert got == want
 
 
 def _run(argv):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from crpstail import (
@@ -95,6 +97,27 @@ class TestSimulateForecasters:
     def test_unknown_forecaster_anywhere(self, names):
         with pytest.raises(ParameterError, match="sharp"):
             simulate_forecasters("nn", names, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        seed=st.integers(0, 2**32),
+        t0=st.integers(0, 300),
+        n=st.integers(1, 200),
+        data=st.data(),
+    )
+    def test_windows_of_one_seed_agree_bit_for_bit(self, model, seed, t0, n, data):
+        """A second window starting inside the first shares its records."""
+        shift = data.draw(st.integers(0, n - 1))
+        n_b = data.draw(st.integers(1, 200))
+        a = simulate_forecasters(model, FORECASTERS, n, seed=seed, t0=t0)
+        b = simulate_forecasters(model, FORECASTERS, n_b, seed=seed, t0=t0 + shift)
+        overlap = min(n - shift, n_b)
+        for name in FORECASTERS:
+            for column in ("t", "y", "params", "hidden"):
+                got = getattr(a[name], column)[shift : shift + overlap]
+                want = getattr(b[name], column)[:overlap]
+                assert got.tobytes() == want.tobytes(), (name, column)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -572,6 +572,25 @@ class TestIndexCurve:
             alone = extremes_index(unf, clim, row.threshold, curve.fit)
             assert replace(alone, order=row.order) == row
 
+    def test_each_batch_scored_once_per_curve(self, ge_small, monkeypatch):
+        calls = []
+        subset = RecordBatch.subset
+
+        def counted(batch, index):
+            calls.append(int(np.count_nonzero(index)))
+            return subset(batch, index)
+
+        monkeypatch.setattr(RecordBatch, "subset", counted)
+        ext, clim = ge_small["extremist"], ge_small["climatological"]
+        orders = [0.75, 0.8, 0.85, 0.9, 0.95, 0.99]
+        curve = index_curve(ext, clim, orders)
+        # the exceedances of the lowest threshold, once per batch
+        assert calls == [curve.rows[0].n_tail] * 2
+        monkeypatch.setattr(RecordBatch, "subset", subset)
+        for row in curve.rows:
+            alone = extremes_index(ext, clim, row.threshold, curve.fit)
+            assert replace(alone, order=row.order) == row
+
     def test_validation(self, ge_small):
         ideal, clim = ge_small["ideal"], ge_small["climatological"]
         with pytest.raises(ParameterError):

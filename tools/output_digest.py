@@ -3,8 +3,11 @@
 The set covers ``simulate`` for both models and all four forecasters,
 ``score`` (weighted, shuffled, JSON) on each simulated file, ``verify
 index-curve`` in simulator and file mode, ``verify dm``, ``verify qqpp``,
-``verify cup`` and ``fit-gp``. Each command runs as ``python -m crpstail``
-in a fresh temporary directory, against the package sources in ``--src``.
+``verify cup`` and ``fit-gp``, and ``score`` and ``fit-gp`` on a record
+file that this tool rewrites from a simulated one in another JSON layout
+(see :func:`write_noncanonical`). Each command runs as ``python -m
+crpstail`` in a fresh temporary directory, against the package sources in
+``--src``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -16,6 +19,7 @@ any output.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -25,10 +29,35 @@ from pathlib import Path
 MODELS = ("ge", "nn")
 FORECASTERS = ("ideal", "climatological", "unfocused", "extremist")
 SEED = "7"
+NONCANONICAL = "noncanonical.jsonl"
+
+
+def write_noncanonical(work: Path) -> None:
+    """Rewrite ``ge_ideal.jsonl`` as NONCANONICAL: the first half of the
+    records as ``simulate`` wrote them, the second half with sorted keys and
+    compact spacing, the first of those with the integer literal ``-0`` as
+    ``y``, the second with the integer ``2``, and a blank line after the third.
+    The reader takes its column path on the first half and its per-line path
+    on the rest; the two must read what one json.loads per line reads.
+    """
+    lines = (work / "ge_ideal.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    half = len(lines) // 2
+    out = lines[:half]
+    for i, line in enumerate(lines[half:]):
+        record = json.loads(line)
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if i < 2:
+            y = json.dumps(record["y"])
+            text = text.replace(f'"y":{y}', '"y":' + ("-0" if i == 0 else "2"))
+        out.append(text + ("\n\n" if i == 2 else "\n"))
+    (work / NONCANONICAL).write_text("".join(out), encoding="utf-8")
 
 
 def commands(t: int) -> list[tuple[str, list[str]]]:
-    """(output file, argv) pairs, in run order; later ones read earlier outputs."""
+    """(output file, argv) pairs, in run order; later ones read earlier outputs.
+
+    An argv that is a function writes the output file itself.
+    """
     t = str(t)
     runs = []
     for model in MODELS:
@@ -74,6 +103,14 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
         out = f"fit_{method}.json"
         runs.append((out, ["fit-gp", "--records", "ge_ideal.jsonl", "--method", method,
                            "--format", "json", "--out", out]))
+    runs.append((NONCANONICAL, write_noncanonical))
+    for fmt in ("csv", "json"):
+        out = f"score_noncanonical.{fmt}"
+        runs.append((out, ["score", "--records", NONCANONICAL, "--weight-quantile", "0.9",
+                           "--shuffle-seed", "1", "--format", fmt, "--out", out]))
+    runs.append(("fit_noncanonical.json", ["fit-gp", "--records", NONCANONICAL, "--method",
+                                          "mle", "--format", "json", "--out",
+                                          "fit_noncanonical.json"]))
     return runs
 
 
@@ -92,6 +129,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for out, cli_argv in commands(args.t):
+            if callable(cli_argv):
+                cli_argv(work)
+                print(f"{sha256(work / out)}  {out}", flush=True)
+                continue
             stderr = work / f"{out}.stderr"
             with open(stderr, "wb") as err:
                 code = subprocess.run([sys.executable, "-m", "crpstail", *cli_argv], cwd=work,
