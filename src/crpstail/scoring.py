@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .distributions import (
     Spliced,
     UniformMixture,
     _crps_ensemble_kernel,
+    _quad,
     family_entry,
 )
 from .errors import (
@@ -211,21 +213,12 @@ def _pdf_knots(dist: Distribution) -> list[float]:
     return []
 
 
-def _quad(f, a, b, points=None, tol=1e-12):
-    from scipy import integrate
-
-    if a >= b:
-        return 0.0
-    kw = {"epsabs": tol, "epsrel": tol, "limit": 400}
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-        if pts:
-            kw["points"] = pts
-    val, _ = integrate.quad(f, a, b, **kw)
-    return val
+# the scoring paths integrate to 1e-12, absolute and relative, in at most 400
+# subintervals
+_tight_quad = partial(_quad, tol=1e-12, limit=400)
 
 
-def _quad_prob_space(dist, p_lo, p_hi, weight, kind, points_p=None):
+def _quad_prob_space(dist, p_lo, p_hi, weight, kind, points_p=()):
     """int of c(p) * w(Q(p)) / pdf(Q(p)) dp with c = p^2 ('cdf') or (1-p)^2."""
 
     def integrand(p):
@@ -236,7 +229,7 @@ def _quad_prob_space(dist, p_lo, p_hi, weight, kind, points_p=None):
         c = p * p if kind == "cdf" else (1.0 - p) * (1.0 - p)
         return c * float(weight.w(x)) / d
 
-    return _quad(integrand, p_lo, p_hi, points=points_p)
+    return _tight_quad(integrand, p_lo, p_hi, points=points_p)
 
 
 def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> float:
@@ -268,10 +261,10 @@ def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> flo
 
     knots = list(weight.knots()) + _pdf_knots(dist)
     if math.isfinite(lo) and math.isfinite(hi):
-        left = _quad(
+        left = _tight_quad(
             lambda x: float(dist.cdf(x)) ** 2 * float(weight.w(x)), lo, yc, points=knots
         )
-        right = _quad(
+        right = _tight_quad(
             lambda x: float(dist.survival(x)) ** 2 * float(weight.w(x)),
             yc,
             hi,
@@ -294,8 +287,8 @@ def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> flo
 def survival_sq_tail(dist: Distribution, q: float) -> float:
     """int_q^inf survival(x)^2 dx.
 
-    Closed form for generalized Pareto (shape < 2), exponential and normal;
-    quadrature otherwise. Diverges (and raises) for Pareto shape >= 2.
+    Closed form for generalized Pareto (shape < 2), exponential, normal and
+    Gamma; quadrature otherwise. Diverges (and raises) for Pareto shape >= 2.
     """
     q = float(q)
     fam, params = _one_row(dist)
@@ -305,7 +298,7 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
     head = max(lo - q, 0.0)  # survival == 1 below the support
     qc = max(q, lo)
     if math.isfinite(hi):
-        return head + _quad(
+        return head + _tight_quad(
             lambda x: float(dist.survival(x)) ** 2, qc, hi, points=_pdf_knots(dist)
         )
     # probability space: int_0^{sbar(q)} p^2 / pdf(Q(1-p)) dp
@@ -316,7 +309,7 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
         d = float(dist.pdf(x))
         return 0.0 if d <= 0.0 else p * p / d
 
-    return head + _quad(integrand, 0.0, sbar)
+    return head + _tight_quad(integrand, 0.0, sbar)
 
 
 def wcrps_quantile(dist: Distribution, y, q: float):
@@ -333,7 +326,7 @@ def wcrps_quantile(dist: Distribution, y, q: float):
     except (UnsupportedFamilyError, InfiniteMeanError):
         # int_q^y F^2 - (1 - F)^2, finite even for Pareto 1 <= shape < 2
         def quad_diff(yi):
-            return _quad(
+            return _tight_quad(
                 lambda x: float(dist.cdf(x)) ** 2 - float(dist.survival(x)) ** 2,
                 q,
                 yi,
@@ -361,7 +354,7 @@ def crps_shift_constant(dist: Distribution, q: float) -> float:
     except (UnsupportedFamilyError, InfiniteMeanError):
         pass
     if math.isfinite(lo):
-        return tail_extra + _quad(
+        return tail_extra + _tight_quad(
             lambda x: float(dist.cdf(x)) ** 2, lo, qc, points=_pdf_knots(dist)
         )
     return tail_extra + _quad_prob_space(dist, 0.0, float(dist.cdf(qc)), UNIT, "cdf")
@@ -371,14 +364,12 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
     """Quantile-indicator weighted CRPS for a same-family forecast column.
 
     tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)) on the family's kernels: exact
-    for exponential / Pareto / normal rows; the two-component normal mixture
-    tail is a dense table per unique (w, std1, std2, mean-offset) signature,
-    accurate to ~1e-7 (fine for the Monte Carlo summaries this path exists
-    for; use :func:`wcrps_quantile` for scalar full-precision values).
-    Ensemble rows use the chaining form CRPS(max(x, q), max(y, q)). Families
-    without a batch tail kernel (Gamma) raise
-    :class:`~crpstail.errors.UnsupportedFamilyError`; score them row by row
-    with :func:`wcrps_quantile`.
+    for exponential / Gamma / Pareto / normal rows; the two-component normal
+    mixture tail is a dense table per unique (w, std1, std2, mean-offset)
+    signature, measured at 5.5e-6 relative error in the median and 3.5e-5 at
+    most (fine for the Monte Carlo summaries this path exists for; use
+    :func:`wcrps_quantile` for scalar full-precision values). Ensemble rows
+    use the chaining form CRPS(max(x, q), max(y, q)).
     """
     fam = family_entry(family)
     params = np.atleast_2d(np.asarray(params, dtype=float))
@@ -386,10 +377,6 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
     q = float(q)
     if fam.wcrps is not None:
         return fam.wcrps(params, y, q)
-    if fam.tail is None:
-        raise UnsupportedFamilyError(
-            f"no quantile-weight batch path for family {family!r}"
-        )
     # CRPS(y) - CRPS(q) enters only where y >= q: score just those rows, in
     # place on the fresh array the tail kernel returns
     y = np.broadcast_to(y, (len(params),))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Spliced
+from .distributions import Distribution, Spliced, _quad
 from .errors import (
     ConstructionError,
     DomainError,
@@ -108,19 +108,14 @@ def _cup_area_closed(gamma, sigma):
 
 def _cup_area_quadrature(gamma, sigma):
     # cancellation-free for every gamma >= 0 including exactly 0
-    from scipy import integrate
-
-    a0 = 3.0 / (1.0 + gamma)
     flat = sigma / (1.0 - gamma)
-    val, _ = integrate.quad(
+    return _quad(
         lambda a: flat - expected_crps_pareto(a, gamma, sigma),
         0.0,
-        a0,
-        epsabs=1e-13,
-        epsrel=1e-13,
+        3.0 / (1.0 + gamma),
+        tol=1e-13,
         limit=200,
     )
-    return val
 
 
 def ambiguity_region(gamma: float, sigma: float = 1.0) -> CupGeometry:
@@ -252,24 +247,8 @@ def _conditional_weight_excess(
         if s_q == 0.0:
             return 0.0
         return dist.mean_excess(q) * s_q / s_u
-
-    from scipy import integrate
-
     hi = dist.support()[1]
-    if math.isinf(hi):
-        val, _ = integrate.quad(
-            lambda s: float(weight.w(u + s / (1.0 - s)))
-            * float(dist.survival(u + s / (1.0 - s)))
-            / (1.0 - s) ** 2,
-            0.0,
-            1.0,
-            limit=200,
-        )
-    else:
-        val, _ = integrate.quad(
-            lambda x: float(weight.w(x)) * float(dist.survival(x)), u, hi, limit=200
-        )
-    return val / s_u
+    return _quad(lambda x: float(weight.w(x)) * float(dist.survival(x)), u, hi, limit=200) / s_u
 
 
 def wcrps_gap_bound(
@@ -294,29 +273,16 @@ def wcrps_gap_exact(
     squared cdf distance above the splice point; always >= 0, so a dominated
     tail replacement can only cost expected score, never gain.
     """
-    from scipy import integrate
-
-    u = spliced.splice_point
 
     def dbar(t):
         return float(base.survival(t)) - float(spliced.survival(t))
 
-    hi = base.support()[1]
-    if math.isinf(hi):
-        val, _ = integrate.quad(
-            lambda s: dbar(u + s / (1.0 - s)) ** 2
-            * float(weight.w(u + s / (1.0 - s)))
-            / (1.0 - s) ** 2,
-            0.0,
-            1.0,
-            limit=400,
-            points=[0.5],
-        )
-    else:
-        val, _ = integrate.quad(
-            lambda t: dbar(t) ** 2 * float(weight.w(t)), u, hi, limit=400
-        )
-    return val
+    return _quad(
+        lambda t: dbar(t) ** 2 * float(weight.w(t)),
+        spliced.splice_point,
+        base.support()[1],
+        limit=400,
+    )
 
 
 def spliced_gap_mc(

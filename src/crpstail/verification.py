@@ -40,7 +40,7 @@ from .errors import (
 )
 from .evt import GpFitResult, GpTail, fit_gp, shift_scale, threshold_grid
 from .records import RecordBatch, batch_cdf
-from .scoring import crps_closed_batch, wcrps_quantile, wcrps_quantile_batch
+from .scoring import crps_closed_batch, wcrps_quantile_batch
 
 __all__ = [
     "ScoreSeries",
@@ -98,15 +98,7 @@ class ScoreSeries:
 def _score_batch(batch: RecordBatch, y: np.ndarray, weight_threshold) -> np.ndarray:
     if weight_threshold is None:
         return crps_closed_batch(batch.family, batch.params, y)
-    q = float(weight_threshold)
-    try:
-        return wcrps_quantile_batch(batch.family, batch.params, y, q)
-    except UnsupportedFamilyError:
-        pass
-    # no batch tail kernel: the tail integral by quadrature, row by row
-    return np.array(
-        [wcrps_quantile(batch.distribution(i), float(y[i]), q) for i in range(len(batch))]
-    )
+    return wcrps_quantile_batch(batch.family, batch.params, y, float(weight_threshold))
 
 
 def score_series(batch: RecordBatch, weight_threshold: float | None = None) -> ScoreSeries:

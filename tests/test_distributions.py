@@ -1,8 +1,13 @@
+import inspect
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
+import crpstail
 from crpstail import (
     Exponential,
     Gamma,
@@ -17,7 +22,7 @@ from crpstail import (
     from_family,
     simulate,
 )
-from crpstail.distributions import _group_rows, _mixture2_tail_sq, _mixture2_tail_table
+from crpstail.distributions import _group_rows, _mixture2_tail_sq, _mixture2_tail_table, _quad
 
 ALL_DISTS = [
     Normal(0.3, 1.2),
@@ -231,6 +236,30 @@ class TestSpliced:
             points=[0.5],
         )
         assert_allclose(val, 1.0, rtol=1e-7)
+
+
+class TestQuadratureHelper:
+    def test_empty_and_reversed_ranges_are_zero(self):
+        assert _quad(math.exp, 1.0, 1.0) == 0.0
+        assert _quad(math.exp, 2.0, 1.0) == 0.0
+
+    def test_infinite_range_with_break_points(self):
+        # a kink at 1 and a jump at 3; -1 and 0 lie outside the range
+        def f(x):
+            return abs(x - 1.0) * math.exp(-x) + (x >= 3.0) * math.exp(-x)
+
+        want = 2.0 / math.e + math.exp(-3.0)
+        got = _quad(f, 0.0, math.inf, points=[3.0, -1.0, 0.0, 1.0], tol=1e-13, limit=200)
+        assert_allclose(got, want, rtol=1e-12)
+
+    def test_one_function_calls_quad(self):
+        """Every integral goes through ``_quad``, so break points and infinite
+        ranges are handled in one place."""
+        texts = [p.read_text(encoding="utf-8") for p in Path(crpstail.__file__).parent.glob("*.py")]
+        assert sum(t.count("integrate.quad(") for t in texts) == 1
+        assert sum(t.count("from scipy import integrate") for t in texts) == 1
+        assert not any("scipy.integrate import" in t or "import scipy.integrate" in t for t in texts)
+        assert "integrate.quad(" in inspect.getsource(_quad)
 
 
 class TestFamilyRegistry:

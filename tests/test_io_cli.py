@@ -1022,6 +1022,15 @@ class TestCliFitGp:
                      "0.9"]) == 2
 
 
+def _python_stdout(code: str) -> str:
+    """What a fresh interpreter prints running ``code`` against this package."""
+    src = str(Path(crpstail_io.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, check=True)
+    return r.stdout.strip()
+
+
 class TestInstalledEntryPoint:
     def test_cli_import_leaves_solvers_unloaded(self):
         # scipy.integrate and scipy.optimize load on first use, not at import
@@ -1029,11 +1038,21 @@ class TestInstalledEntryPoint:
             "import sys, crpstail.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
         )
-        src = str(Path(crpstail_io.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=env, check=True)
-        assert r.stdout.strip() == "[]"
+        assert _python_stdout(code) == "[]"
+
+    def test_weighted_gamma_score_leaves_integrate_unloaded(self, tmp_path):
+        # Gamma rows are scored by their batch kernels, one far in the tail
+        rec = tmp_path / "gamma.jsonl"
+        batch = RecordBatch(t=np.arange(4), y=np.array([0.3, 1.0, 2.5, 60.0]), family="gamma",
+                            params=np.array([[2.0, 1.0], [5.0, 4.0], [0.5, 2.0], [4.0, 4.0]]))
+        write_records(batch, str(rec))
+        argv = ["score", "--records", str(rec), "--weight-quantile", "0.9",
+                "--out", str(tmp_path / "score.csv")]
+        code = (
+            "import sys; from crpstail.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy.integrate' in sys.modules)"
+        )
+        assert _python_stdout(code) == "0 False"
 
     def test_console_script_roundtrip(self, tmp_path):
         out = tmp_path / "cup.csv"

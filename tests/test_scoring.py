@@ -1,3 +1,6 @@
+import functools
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +113,20 @@ class TestClosedForms:
         ref = np.array([crps_closed(Gamma(a, b), yi) for (a, b), yi in zip(params, y)])
         assert_allclose(batch, ref, rtol=1e-13)
 
+    def test_gp_shape_just_above_exponential_switch(self):
+        # log(1 + shape*y/scale) would lose about eps/shape of the survival here
+        scale, shape, y = 5.0, 1.19e-7, 1e-3
+        with mp.workdps(50):
+            sc, sh, yy = mp.mpf(scale), mp.mpf(shape), mp.mpf(y)
+
+            def sbar(x):
+                return (1 + sh * x / sc) ** (-1 / sh)
+
+            want = mp.quad(lambda x: (1 - sbar(x)) ** 2, [0, yy]) + mp.quad(
+                lambda x: sbar(x) ** 2, [yy, yy + sc, mp.inf]
+            )
+        assert_allclose(crps_closed(GeneralizedPareto(scale, shape), y), float(want), rtol=1e-12)
+
     def test_gp_heavy_shape_infinite_mean(self):
         with pytest.raises(InfiniteMeanError):
             crps_closed(GeneralizedPareto(1.0, 1.0), 2.0)
@@ -176,6 +193,8 @@ class TestTailSurvivalIntegral:
             GeneralizedPareto(2.0, 0.6),
             Normal(0.0, 1.0),
             NormalMixture2(0.5, 0.0, 1.0, 2.0, 1.0),
+            Gamma(4.0, 4.0),
+            Gamma(0.5, 2.0),
         ],
         ids=lambda d: type(d).__name__,
     )
@@ -204,6 +223,39 @@ class TestTailSurvivalIntegral:
             crps_quadrature(GeneralizedPareto(1.0, 1.2), 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _gamma_tail_oracle(shape, c):
+    """int_c^inf S(t)^2 dt for Gamma(shape, 1), by 50-digit quadrature."""
+    with mp.workdps(50):
+        if shape == 0.5:
+            # the same survival; mpmath's gammainc is slow at half-integer shapes
+            def sbar(t):
+                return mp.erfc(mp.sqrt(t))
+        else:
+            def sbar(t):
+                return mp.gammainc(mp.mpf(shape), t, mp.inf, regularized=True)
+
+        c = mp.mpf(c)
+        s_c = sbar(c)
+        # scaled by S(c)^2, so that quad's absolute error target is a relative one
+        return s_c * s_c * mp.quad(lambda t: (sbar(t) / s_c) ** 2, [c, c + 1, c + 8, mp.inf])
+
+
+@pytest.mark.parametrize("shape", [0.5, 2.0, 5.0, 10.0, 50.0])
+@pytest.mark.parametrize("means", [-3.0, -0.5, 0.01, 0.5, 1.0, 3.0, 10.0])
+def test_gamma_tail_matches_mpmath(shape, means):
+    """The Gamma tail at q = ``means`` forecast means: within 1e-10 relative of
+    the oracle while the value is >= 1e-30, and never negative."""
+    c = max(means, 0.0) * shape
+    for rate in (1.0 / 32.0, 1.0, 4.0):
+        q = means * shape / rate  # powers of two: rate * q is c exactly
+        want = float(_gamma_tail_oracle(shape, c) / rate) + max(-q, 0.0)
+        got = survival_sq_tail(Gamma(shape, rate), q)
+        assert got >= 0.0
+        if want >= 1e-30:
+            assert_allclose(got, want, rtol=1e-10)
+
+
 class TestQuantileWeightedScore:
     """Scores under the weight W_q(x) = (x - q) * 1{x >= q}."""
 
@@ -214,6 +266,8 @@ class TestQuantileWeightedScore:
             NormalMixture2(0.4, -0.5, 0.8, 1.5, 1.2),
             Exponential(0.7),
             GeneralizedPareto(1.0, 0.25),
+            Gamma(4.0, 4.0),
+            Gamma(0.5, 2.0),
         ],
         ids=lambda d: type(d).__name__,
     )
@@ -233,7 +287,13 @@ class TestQuantileWeightedScore:
 
     @pytest.mark.parametrize(
         "dist",
-        [Normal(0.3, 1.1), Exponential(1.3), GeneralizedPareto(1.0, 0.3)],
+        [
+            Normal(0.3, 1.1),
+            Exponential(1.3),
+            GeneralizedPareto(1.0, 0.3),
+            Gamma(4.0, 4.0),
+            Gamma(0.5, 2.0),
+        ],
         ids=lambda d: type(d).__name__,
     )
     def test_shift_identity_above_threshold(self, dist):
@@ -247,6 +307,15 @@ class TestQuantileWeightedScore:
                 rtol=1e-9,
                 atol=1e-11,
             )
+
+    @pytest.mark.parametrize("q, want", [(1.0, 119.625), (0.5, 120.125)])
+    def test_gamma_below_the_bulk(self, q, want):
+        # Gamma(5, 1/32) has mean 160, so the tail from q is CRPS(F, 0) - q plus
+        # 2 int_0^q F - int_0^q F^2 < 1e-10; CRPS(F, 0) = 160 - 945/24 = 120.625
+        d = Gamma(5.0, 0.03125)
+        got = wcrps_quantile(d, 0.0, q)
+        assert_allclose(got, want, rtol=1e-12)
+        assert got <= crps_closed(d, 0.0) == 120.625
 
     def test_shift_constant_is_cdf_square_integral(self):
         d = Normal(0.0, 1.0)
@@ -279,6 +348,7 @@ class TestQuantileWeightedScore:
             ("exponential", rng.uniform(0.5, 2.0, (n, 1))),
             ("generalized_pareto", np.column_stack([rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 0.5, n)])),
             ("normal", np.column_stack([rng.normal(2.0, 1.0, n), rng.uniform(0.8, 2.0, n)])),
+            ("gamma", np.column_stack([rng.uniform(0.5, 10.0, n), rng.uniform(0.2, 4.0, n)])),
         ]:
             batch = wcrps_quantile_batch(family, params, y, 2.0)
             from crpstail import from_family
@@ -316,7 +386,9 @@ def _wcrps_all_rows(family, params, y, q):
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 1000, 40_000])
-@pytest.mark.parametrize("family", ["normal", "normal_mixture2", "exponential", "generalized_pareto"])
+@pytest.mark.parametrize(
+    "family", ["normal", "normal_mixture2", "exponential", "gamma", "generalized_pareto"]
+)
 def test_batch_equals_all_rows_form_bit_for_bit(family, n):
     rng = np.random.default_rng(n)
     y = rng.normal(0.5, 2.0, n)
@@ -328,6 +400,7 @@ def test_batch_equals_all_rows_form_bit_for_bit(family, n):
              m + rng.choice([-2.0, 2.0], n), np.ones(n)]
         ),
         "exponential": rng.uniform(0.1, 3.0, (n, 1)),
+        "gamma": np.column_stack([rng.uniform(0.2, 20.0, n), rng.uniform(0.1, 3.0, n)]),
         "generalized_pareto": np.column_stack([rng.uniform(0.1, 3.0, n), rng.uniform(-0.5, 0.9, n)]),
     }[family]
     for q in (-2.0, 0.0, 0.7, 3.0, 50.0):
@@ -440,8 +513,8 @@ _MIXTURE_TAIL_DEFECT = (
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), y=st.floats(-1e4, 1e4), q=st.floats(-1e4, 1e4))
 def test_batch_kernel_invariants(family, data, y, q):
-    """On every family's batch kernels: CRPS >= 0, and where a weighted batch
-    kernel exists, wCRPS <= CRPS and wCRPS continuous at y = q."""
+    """On every family's batch kernels: CRPS >= 0, wCRPS <= CRPS and wCRPS
+    continuous at y = q."""
     assert sorted(_FAMILY_PARAMS) == sorted(_FAMILIES)
     fam = _FAMILIES[family]
     step = 1e-7 * max(1.0, abs(q))
@@ -449,8 +522,6 @@ def test_batch_kernel_invariants(family, data, y, q):
     params = np.array([data.draw(_FAMILY_PARAMS[family])] * 4)
     crps = crps_closed_batch(family, params, ys)
     assert (crps >= 0.0).all(), crps
-    if fam.tail is None and fam.wcrps is None:
-        return  # Gamma: no weighted batch kernel
     wcrps = wcrps_quantile_batch(family, params, ys, q)
     # the mixture's tail is a table, accurate to ~1e-7
     tol = (1e-9 if fam.tail_exact else 1e-6) * (1.0 + np.abs(crps))

@@ -61,8 +61,7 @@ class TestScoreSeries:
         assert len(series) == 50
 
     def test_quadrature_fallback_for_gamma_family(self):
-        # the gamma family has no closed kernel, so scoring falls back to
-        # per-record quadrature; the result must match it exactly
+        # the gamma batch kernel must match per-record quadrature
         rng = np.random.default_rng(1)
         shapes = rng.uniform(1.5, 4.0, size=8)
         rates = rng.uniform(0.5, 2.0, size=8)
