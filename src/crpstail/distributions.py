@@ -30,10 +30,9 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-# scipy.integrate and scipy.optimize are imported where they are used, so a
-# command that never integrates or optimizes does not pay to load them.
-from scipy.special import beta, gammainc, gammaincc, gammaincinv, ndtr, ndtri
-
+# scipy.integrate, scipy.optimize and scipy.special are imported where they
+# are used, so a command that never integrates, optimizes or calls a special
+# function does not pay to load them.
 from .errors import (
     ConditioningError,
     DivergenceError,
@@ -177,10 +176,14 @@ class Normal(Distribution):
     family: ClassVar[str] = "normal"
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x, scalar = _prepare(x)
         return _finish(ndtr((x - self.mean_) / self.std), scalar)
 
     def survival(self, x):
+        from scipy.special import ndtr
+
         x, scalar = _prepare(x)
         return _finish(ndtr(-(x - self.mean_) / self.std), scalar)
 
@@ -190,6 +193,8 @@ class Normal(Distribution):
         return _finish(np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi)), scalar)
 
     def quantile(self, p):
+        from scipy.special import ndtri
+
         p, scalar = _check_prob(p)
         return _finish(self.mean_ + self.std * ndtri(p), scalar)
 
@@ -219,11 +224,15 @@ class NormalMixture2(Distribution):
         )
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x, scalar = _prepare(x)
         out = sum(w * ndtr((x - m) / s) for w, m, s in self._components())
         return _finish(out, scalar)
 
     def survival(self, x):
+        from scipy.special import ndtr
+
         x, scalar = _prepare(x)
         out = sum(w * ndtr(-(x - m) / s) for w, m, s in self._components())
         return _finish(out, scalar)
@@ -238,6 +247,7 @@ class NormalMixture2(Distribution):
 
     def quantile(self, p):
         from scipy.optimize import brentq
+        from scipy.special import ndtri
 
         p, scalar = _check_prob(p)
         flat = np.atleast_1d(p)
@@ -256,6 +266,8 @@ class NormalMixture2(Distribution):
         return _finish(out, scalar)
 
     def sample(self, n, rng):
+        from scipy.special import ndtri
+
         gen = _as_generator(rng)
         pick = gen.random(n)
         u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
@@ -322,6 +334,8 @@ class Gamma(Distribution):
     family: ClassVar[str] = "gamma"
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         x, scalar = _prepare(x)
         return _finish(gammainc(self.shape, self.rate * np.maximum(x, 0.0)), scalar)
 
@@ -337,6 +351,8 @@ class Gamma(Distribution):
         return _finish(np.where(x < 0.0, 0.0, np.exp(logpdf)), scalar)
 
     def quantile(self, p):
+        from scipy.special import gammaincinv
+
         p, scalar = _check_prob(p)
         return _finish(gammaincinv(self.shape, p) / self.rate, scalar)
 
@@ -647,12 +663,16 @@ def _phi(z):
 
 
 def _crps_normal_kernel(mu, sigma, y):
+    from scipy.special import ndtr
+
     z = (y - mu) / sigma
     return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _phi(z) - 1.0 / _SQRT_PI)
 
 
 def _A(m, v):
     """E|X - 0| for X ~ N(m, v); the building block of the mixture closed form."""
+    from scipy.special import ndtr
+
     s = np.sqrt(v)
     z = m / s
     return m * (2.0 * ndtr(z) - 1.0) + 2.0 * s * _phi(z)
@@ -678,6 +698,8 @@ def _crps_exponential_kernel(rate, y):
 def _crps_gamma_kernel(shape, rate, y):
     """Scheuerer & Moller (2015). Below 0 both cdfs vanish and the first term
     becomes -y, the distance to the support."""
+    from scipy.special import beta, gammainc
+
     x = rate * np.maximum(y, 0.0)
     return (
         y * (2.0 * gammainc(shape, x) - 1.0)
@@ -721,6 +743,8 @@ def _crps_ensemble_kernel(members, y):
 
 def _normal_tail_sq(s):
     """int_s^inf ndtr(-z)^2 dz in closed form."""
+    from scipy.special import ndtr
+
     sb = ndtr(-s)
     return -s * sb * sb + 2.0 * _phi(s) * sb - ndtr(-s * math.sqrt(2.0)) / _SQRT_PI
 
@@ -745,6 +769,8 @@ def _gamma_tail_sq_kernel(shape, rate, q):
     censored at q (Scheuerer & Hamill 2015), written in upper incomplete gamma
     functions, which keep their relative precision far in the tail; the cdf
     form cancels there."""
+    from scipy.special import beta, gammaincc
+
     c = rate * max(q, 0.0)
     s_k = gammaincc(shape, c)
     return (
@@ -757,6 +783,7 @@ def _gamma_tail_sq_kernel(shape, rate, q):
 def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
     """s -> int_s^inf Fbar0(t)^2 dt for the zero-based mixture Fbar0, by the
     trapezoid rule on a dense grid over the range of ``s``."""
+    from scipy.special import ndtr
 
     def fbar(t):
         return w * ndtr(-t / s1) + (1.0 - w) * ndtr(-(t - delta) / s2)
@@ -764,7 +791,13 @@ def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
     grid = np.linspace(float(np.min(s)) - 1.0, float(np.max(s)) + 1.0, n)
     f = fbar(grid)
     sq = f * f
-    rem = _quad(lambda t: fbar(t) ** 2, grid[-1], np.inf)
+    # break at each mean and 8 stds either side of it, up to the upper mean:
+    # far below the bulk the remainder crosses both components, whose steps
+    # would hide between the nodes of a long flat stretch. A grid that reaches
+    # both means leaves the remainder to the infinite-range rule alone.
+    top = max(0.0, delta)
+    knots = [m + k * sd for m, sd in ((0.0, s1), (delta, s2)) for k in (-8.0, 0.0, 8.0)]
+    rem = _quad(lambda t: fbar(t) ** 2, grid[-1], np.inf, points=[k for k in knots if k <= top])
     # cumulative from the right edge inward
     seg = 0.5 * (sq[1:] + sq[:-1]) * np.diff(grid)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + rem
@@ -801,6 +834,25 @@ def _group_rows(key):
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(n_groups + 1))
     return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _normal_cdf(params, x):
+    from scipy.special import ndtr
+
+    return ndtr((x - params[:, 0]) / params[:, 1])
+
+
+def _mixture2_cdf(params, x):
+    from scipy.special import ndtr
+
+    w, m1, s1, m2, s2 = params.T
+    return w * ndtr((x - m1) / s1) + (1.0 - w) * ndtr((x - m2) / s2)
+
+
+def _gamma_cdf(params, x):
+    from scipy.special import gammainc
+
+    return gammainc(params[:, 0], params[:, 1] * np.maximum(x, 0.0))
 
 
 def _gp_cdf(params, x):
@@ -848,15 +900,14 @@ _FAMILIES = {
     "normal": Family(
         Normal, 2, "std > 0",
         valid=lambda p: p[:, 1] > 0.0,
-        cdf=lambda p, x: ndtr((x - p[:, 0]) / p[:, 1]),
+        cdf=_normal_cdf,
         crps=_columns(_crps_normal_kernel),
         tail=lambda p, q: p[:, 1] * _normal_tail_sq((q - p[:, 0]) / p[:, 1]),
     ),
     "normal_mixture2": Family(
         NormalMixture2, 5, "weight in [0, 1] and component stds > 0",
         valid=lambda p: (p[:, 0] >= 0.0) & (p[:, 0] <= 1.0) & (p[:, 2] > 0.0) & (p[:, 4] > 0.0),
-        cdf=lambda p, x: p[:, 0] * ndtr((x - p[:, 1]) / p[:, 2])
-        + (1.0 - p[:, 0]) * ndtr((x - p[:, 3]) / p[:, 4]),
+        cdf=_mixture2_cdf,
         crps=_columns(_crps_mixture2_kernel),
         tail=_mixture2_tail_sq,
         tail_exact=False,
@@ -871,7 +922,7 @@ _FAMILIES = {
     "gamma": Family(
         Gamma, 2, "shape > 0 and rate > 0",
         valid=lambda p: (p[:, 0] > 0.0) & (p[:, 1] > 0.0),
-        cdf=lambda p, x: gammainc(p[:, 0], p[:, 1] * np.maximum(x, 0.0)),
+        cdf=_gamma_cdf,
         crps=_columns(_crps_gamma_kernel),
         tail=lambda p, q: _gamma_tail_sq_kernel(p[:, 0], p[:, 1], q),
     ),

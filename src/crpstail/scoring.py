@@ -301,7 +301,15 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
         return head + _tight_quad(
             lambda x: float(dist.survival(x)) ** 2, qc, hi, points=_pdf_knots(dist)
         )
-    # probability space: int_0^{sbar(q)} p^2 / pdf(Q(1-p)) dp
+    # below the median in x space: p -> Q(1 - p) would squeeze a lower tail
+    # far below the bulk into a sliver of p next to 1
+    med = float(dist.quantile(0.5))
+    if qc < med:
+        head += _tight_quad(
+            lambda x: float(dist.survival(x)) ** 2, qc, med, points=_pdf_knots(dist)
+        )
+        qc = med
+    # probability space above: int_0^{sbar(q)} p^2 / pdf(Q(1-p)) dp
     sbar = float(dist.survival(qc))
 
     def integrand(p):

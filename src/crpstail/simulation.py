@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaincinv, ndtri
 
 from .errors import DomainError, ParameterError
 from .evt import threshold_grid
@@ -111,6 +110,8 @@ def simulate_forecasters(
 
 
 def _nn_stream(u):
+    from scipy.special import ndtri
+
     delta = ndtri(u[:, 0])
     return delta, delta + ndtri(u[:, 1])
 
@@ -130,6 +131,8 @@ def _nn_forecast(forecaster, delta, u):
 
 
 def _ge_stream(u):
+    from scipy.special import gammaincinv
+
     delta = gammaincinv(4.0, u[:, 0]) / 4.0
     return delta, -np.log1p(-u[:, 1]) / delta
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from scipy.special import gammaln, kv, log_ndtr, ndtr, ndtri
 
 from .errors import (
     DegenerateDataError,
@@ -207,6 +207,8 @@ def diebold_mariano(scores_a, scores_b, lag: int = 0) -> DmResult:
     the default assumes independent records, which is what the simulation
     testbeds produce.
     """
+    from scipy.special import ndtr
+
     a, b = _values(scores_a), _values(scores_b)
     if a.size != b.size:
         raise ParameterError("score series must be paired (equal length)")
@@ -290,13 +292,12 @@ def cvm_statistic(values, tail: GpTail) -> float:
 
 
 # frozen Monte Carlo survival table for t < 0.02 (tools/gen_cvm_table.py,
-# 2e7 replications of the truncated spectral sum, K = 500 + mean correction)
+# 2e7 replications of the truncated spectral sum, K = 500 + mean correction);
+# the right edge comes from the series, see _cvm_table_surv
 _CVM_TABLE_T = np.array(
     [0.0, 0.0025, 0.005, 0.0075, 0.01, 0.0125, 0.015, 0.0175, 0.02]
 )
-_CVM_TABLE_SURV = np.array(
-    [1.0, 1.0, 1.0, 0.9999999, 0.99999375, 0.9999319, 0.99962655, 0.99876475, np.nan]
-)
+_CVM_TABLE_SURV = (1.0, 1.0, 1.0, 0.9999999, 0.99999375, 0.9999319, 0.99962655, 0.99876475)
 
 _SERIES_MAX_T = 2.0
 _TABLE_MAX_T = 0.02
@@ -304,6 +305,8 @@ _TABLE_MAX_T = 0.02
 
 def _cvm_series_cdf(t: np.ndarray, kmax: int = 60) -> np.ndarray:
     """Limiting CvM cdf by the classical Bessel-K_{1/4} series (t > 0)."""
+    from scipy.special import gammaln, kv
+
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     for k in range(kmax):
@@ -318,18 +321,23 @@ def _cvm_series_cdf(t: np.ndarray, kmax: int = 60) -> np.ndarray:
     return out / (np.pi * np.sqrt(t))
 
 
-# pin the table's right edge to the series so the regimes join continuously
-_CVM_TABLE_SURV[-1] = 1.0 - float(_cvm_series_cdf(np.array([_TABLE_MAX_T]))[0])
+@cache
+def _cvm_table_surv() -> tuple[float, ...]:
+    """The survival table, its right edge pinned to the series so the
+    regimes join continuously; computed on first use, not at import."""
+    return _CVM_TABLE_SURV + (1.0 - float(_cvm_series_cdf(np.array([_TABLE_MAX_T]))[0]),)
 
 
 def _cvm_log_survival(t: np.ndarray) -> np.ndarray:
+    from scipy.special import log_ndtr
+
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     small = t <= _TABLE_MAX_T
     mid = (t > _TABLE_MAX_T) & (t <= _SERIES_MAX_T)
     big = t > _SERIES_MAX_T
     if np.any(small):
-        surv = np.interp(t[small], _CVM_TABLE_T, _CVM_TABLE_SURV)
+        surv = np.interp(t[small], _CVM_TABLE_T, _cvm_table_surv())
         out[small] = np.log(np.where(t[small] <= 0.0, 1.0, surv))
     if np.any(mid):
         out[mid] = np.log(np.maximum(1.0 - _cvm_series_cdf(t[mid]), 1e-300))
@@ -406,6 +414,8 @@ def exceedance_calibration(batch: RecordBatch, x_grid) -> np.ndarray:
     Needs simulated batches (known data-generating process and hidden
     state); raises otherwise.
     """
+    from scipy.special import ndtri
+
     if batch.model not in ("nn", "ge") or batch.hidden is None:
         raise UnsupportedFamilyError(
             "exceedance calibration needs a simulated batch with known truth"

@@ -1,10 +1,8 @@
 import csv
 import io as stringio
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1022,25 +1020,40 @@ class TestCliFitGp:
                      "0.9"]) == 2
 
 
-def _python_stdout(code: str) -> str:
-    """What a fresh interpreter prints running ``code`` against this package."""
-    src = str(Path(crpstail_io.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env=env, check=True)
-    return r.stdout.strip()
-
-
 class TestInstalledEntryPoint:
-    def test_cli_import_leaves_solvers_unloaded(self):
-        # scipy.integrate and scipy.optimize load on first use, not at import
-        code = (
-            "import sys, crpstail.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    def test_cli_import_leaves_solvers_unloaded(self, python_stdout):
+        # scipy.integrate, scipy.optimize and scipy.special load on first use,
+        # not when the package or its command line is imported
+        loaded = (
+            "[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+            "if m in sys.modules]"
         )
-        assert _python_stdout(code) == "[]"
+        code = f"import sys, crpstail; a = {loaded}; import crpstail.cli; print(a, {loaded})"
+        assert python_stdout(code) == "[] []"
 
-    def test_weighted_gamma_score_leaves_integrate_unloaded(self, tmp_path):
+    def test_special_functions_load_on_first_use(self, tmp_path, python_stdout):
+        # exponential records are scored, shuffled and compared without a special
+        # function, and so is the cup; the normal cdf then loads scipy.special
+        exp_rec, normal_rec = tmp_path / "e.jsonl", tmp_path / "n.jsonl"
+        write_records(simulate("ge", "ideal", 500, seed=0), str(exp_rec))
+        write_records(simulate("nn", "ideal", 50, seed=0), str(normal_rec))
+        out = str(tmp_path / "out.csv")
+        skip = [
+            ["score", "--records", str(exp_rec), "--weight-quantile", "0.9",
+             "--shuffle-seed", "1", "--out", out],
+            ["verify", "qqpp", "--records", str(exp_rec), "--shuffle-seed", "1", "--out", out],
+            ["verify", "cup", "--gamma", "0.25", "--grid", "3", "--out", out],
+        ]
+        load = ["score", "--records", str(normal_rec), "--out", out]
+        code = (
+            "import sys; from crpstail.cli import main; "
+            f"codes = [main(a) for a in {skip!r}]; "
+            "print(codes, 'scipy.special' in sys.modules, end=' '); "
+            f"print(main({load!r}), 'scipy.special' in sys.modules)"
+        )
+        assert python_stdout(code) == "[0, 0, 0] False 0 True"
+
+    def test_weighted_gamma_score_leaves_integrate_unloaded(self, tmp_path, python_stdout):
         # Gamma rows are scored by their batch kernels, one far in the tail
         rec = tmp_path / "gamma.jsonl"
         batch = RecordBatch(t=np.arange(4), y=np.array([0.3, 1.0, 2.5, 60.0]), family="gamma",
@@ -1052,7 +1065,7 @@ class TestInstalledEntryPoint:
             "import sys; from crpstail.cli import main; "
             f"code = main({argv!r}); print(code, 'scipy.integrate' in sys.modules)"
         )
-        assert _python_stdout(code) == "0 False"
+        assert python_stdout(code) == "0 False"
 
     def test_console_script_roundtrip(self, tmp_path):
         out = tmp_path / "cup.csv"

@@ -198,7 +198,9 @@ class TestTailSurvivalIntegral:
         ],
         ids=lambda d: type(d).__name__,
     )
-    @pytest.mark.parametrize("q", [0.5, 2.0])
+    # q = -20 and -50 lie far below the bulk, beyond what the mixture's
+    # probability-space map p -> Q(1 - p) can resolve
+    @pytest.mark.parametrize("q", [0.5, 2.0, -20.0, -50.0])
     def test_matches_quadrature(self, dist, q):
         def integrand(s):
             x = q + s / (1.0 - s)
@@ -206,6 +208,7 @@ class TestTailSurvivalIntegral:
 
         want, _ = integrate.quad(integrand, 0.0, 1.0, limit=300, points=[0.5])
         assert_allclose(survival_sq_tail(dist, q), want, rtol=1e-9)
+        assert wcrps_quantile(dist, 0.0, q) >= 0.0
 
     def test_below_support_adds_head(self):
         d = Exponential(1.0)
@@ -495,21 +498,7 @@ _FAMILY_PARAMS = {
 }
 
 
-_MIXTURE_TAIL_DEFECT = (
-    "the mixture tail table's remainder quad is off when q lies far below the "
-    "bulk (see test_mixture_tail_far_below_the_bulk)"
-)
-
-
-@pytest.mark.parametrize(
-    "family",
-    [
-        pytest.param(family, marks=pytest.mark.xfail(reason=_MIXTURE_TAIL_DEFECT))
-        if family == "normal_mixture2"
-        else family
-        for family in sorted(_FAMILY_PARAMS)
-    ],
-)
+@pytest.mark.parametrize("family", sorted(_FAMILY_PARAMS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), y=st.floats(-1e4, 1e4), q=st.floats(-1e4, 1e4))
 def test_batch_kernel_invariants(family, data, y, q):
@@ -531,12 +520,32 @@ def test_batch_kernel_invariants(family, data, y, q):
     assert abs(wcrps[2] - wcrps[1]) <= step + tol[2], wcrps
 
 
-@pytest.mark.xfail(reason=_MIXTURE_TAIL_DEFECT, strict=True)
 def test_mixture_tail_far_below_the_bulk():
     # all weight on N(-165, 546); q = -5440 lies 9.7 std below its mean, where
-    # wCRPS = int_q^inf (1 - F)^2 <= CRPS; the table gives about 4 too much
+    # wCRPS = int_q^inf (1 - F)^2 <= CRPS; the table's remainder runs from the
+    # grid's edge across a plateau about 4,900 wide
     params = np.array([[0.0, 0.0, 1.0, -165.0, 546.0]])
     y = np.array([0.0])
     q = -5440.0
     wcrps = wcrps_quantile_batch("normal_mixture2", params, y, q)
     assert wcrps[0] <= crps_closed_batch("normal_mixture2", params, y)[0]
+    # below q the score is the tail itself; 40-digit mpmath quadrature
+    tail = wcrps_quantile_batch("normal_mixture2", params, np.array([q - 1.0]), q)
+    assert_allclose(tail[0], 4966.952487382925, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "row, q, want",
+    [
+        # found by test_batch_kernel_invariants: the step 2 stds below the
+        # upper mean ends a 1,516-wide plateau of the remainder
+        ((0.0, -239.0, 1.0, -237.0, 1.0), -1756.0, 1518.4358104164523),
+        # the lower component's upper flank, 5000 of its stds below the other
+        ((0.5, 0.0, 1e-3, 5000.0, 1e-3), -100.0, 1349.9997179052082),
+        ((0.3, 0.0, 1.0, 800.0, 2.0), -9000.0, 9391.396317145603),
+    ],
+)
+def test_mixture_tail_far_below_both_components(row, q, want):
+    # 30-digit mpmath quadrature, broken at each mean and 10 stds either side
+    tail = wcrps_quantile_batch("normal_mixture2", np.array([row]), np.array([q - 1.0]), q)
+    assert_allclose(tail[0], want, rtol=1e-9)

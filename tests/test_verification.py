@@ -359,6 +359,18 @@ class TestCvmPvalue:
         lo, hi = cvm_log_pvalue(2.0 - eps), cvm_log_pvalue(2.0 + eps)
         assert abs(lo - hi) < 0.05
 
+    def test_table_edge_is_the_same_on_first_use(self, python_stdout):
+        # the table's right edge comes from the series on first use: p-values
+        # asked for first in a fresh interpreter carry the same bits as those
+        # after a mid-range call has run the series
+        ts = [0.001, 0.0125, 0.02, 0.021, 0.5, 3.0]
+        calls = f"print([(cvm_pvalue(t).hex(), cvm_log_pvalue(t).hex()) for t in {ts!r}])"
+        imports = "from crpstail.verification import cvm_log_pvalue, cvm_pvalue"
+        first = python_stdout(f"{imports}; {calls}")
+        assert first == python_stdout(f"{imports}; cvm_pvalue(0.5); {calls}")
+        cvm_pvalue(0.5)
+        assert first == str([(cvm_pvalue(t).hex(), cvm_log_pvalue(t).hex()) for t in ts])
+
     def test_tiny_statistic_saturates_at_one(self):
         assert cvm_pvalue(0.0) == 1.0
         assert cvm_pvalue(0.001) == 1.0
