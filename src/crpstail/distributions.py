@@ -85,22 +85,34 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     """int_a^b f by adaptive QUADPACK quadrature; the package's only
     integration path. The defaults are ``scipy.integrate.quad``'s.
 
-    Break points outside (a, b) are dropped. QUADPACK takes no break points
-    on an infinite range, so a range to +inf is split at the last break
-    point and the rest goes to QUADPACK's own infinite-range rule.
+    Break points outside (a, b), or within 1e-12 (relative) of the node before
+    them or of b, are dropped: QUADPACK bisects its smallest subintervals to
+    extrapolate, and one a few ulps wide cannot be bisected. The range between
+    the outermost finite nodes is split at the nodes inside it. An infinite
+    end is integrated beyond the outermost node p after the map x = p +- L s /
+    (1 - s), s in [0, 1), where L is the gap from p to the next node, or 1 when
+    there is none: QUADPACK's own infinite-range rule, with L = 1 always, loses
+    an algebraic tail cut far out.
     """
     from scipy import integrate
 
+    def rule(g, lo, hi, pts=None):
+        return integrate.quad(g, lo, hi, epsabs=tol, epsrel=tol, limit=limit, points=pts)[0]
+
     if a >= b:
         return 0.0
-    pts = sorted(p for p in points if a < p < b)
-    pieces = [(a, b, pts)]
-    if pts and math.isinf(b):
-        pieces = [(a, pts[-1], pts[:-1]), (pts[-1], b, [])]
-    return sum(
-        integrate.quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=limit, points=p or None)[0]
-        for lo, hi, p in pieces
-    )
+    nodes = [a]
+    for p in sorted({p for p in points if a < p < b}):
+        if min(p - nodes[-1], b - p) > 1e-12 * abs(p):
+            nodes.append(p)
+    # the finite nodes; 0 when both ends are infinite and nothing lies between
+    nodes = [x for x in (*nodes, b) if math.isfinite(x)] or [0.0]
+    total = rule(f, nodes[0], nodes[-1], nodes[1:-1] or None)
+    for end, p, nxt in ((a, nodes[0], nodes[1:2]), (b, nodes[-1], nodes[-2:-1])):
+        if math.isinf(end):
+            step = math.copysign(abs(p - nxt[0]) if nxt else 1.0, end)  # +-L
+            total += rule(lambda s: f(p + step * s / (1 - s)) * abs(step) / (1 - s) ** 2, 0, 1)
+    return total
 
 
 class Distribution(ABC):
@@ -253,15 +265,17 @@ class NormalMixture2(Distribution):
         flat = np.atleast_1d(p)
         out = np.empty_like(flat)
         for i, pi in enumerate(flat):
-            # component quantiles bracket the mixture quantile
+            # component quantiles bracket the mixture quantile; a component of
+            # weight 0 (or nearly) leaves it on a bracket end, where rounding
+            # can put the sign change just outside
             qs = [m + s * ndtri(pi) for _, m, s in self._components()]
             lo, hi = min(qs), max(qs)
-            if hi - lo < 1e-14:
-                out[i] = lo
-            else:
-                out[i] = brentq(
+            try:
+                out[i] = lo if hi - lo < 1e-14 else brentq(
                     lambda x: self.cdf(x) - pi, lo, hi, xtol=1e-12, rtol=1e-14
                 )
+            except ValueError:
+                out[i] = min(qs, key=lambda x: abs(self.cdf(x) - pi))
         out = out.reshape(np.shape(p))
         return _finish(out, scalar)
 
@@ -793,11 +807,13 @@ def _mixture2_tail_table(w, s1, s2, delta, s, n=8193):
     sq = f * f
     # break at each mean and 8 stds either side of it, up to the upper mean:
     # far below the bulk the remainder crosses both components, whose steps
-    # would hide between the nodes of a long flat stretch. A grid that reaches
-    # both means leaves the remainder to the infinite-range rule alone.
+    # would hide between the nodes of a long flat stretch. The last break, 8
+    # of the larger std above the upper mean, leaves to the mapped infinite
+    # end only what lies beyond the bulk.
     top = max(0.0, delta)
     knots = [m + k * sd for m, sd in ((0.0, s1), (delta, s2)) for k in (-8.0, 0.0, 8.0)]
-    rem = _quad(lambda t: fbar(t) ** 2, grid[-1], np.inf, points=[k for k in knots if k <= top])
+    pts = [k for k in knots if k <= top] + [top + 8.0 * max(s1, s2)]
+    rem = _quad(lambda t: fbar(t) ** 2, grid[-1], np.inf, points=pts)
     # cumulative from the right edge inward
     seg = 0.5 * (sq[1:] + sq[:-1]) * np.diff(grid)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + rem

@@ -7,10 +7,11 @@ The CRPS of a forecast distribution F at an observation y is
 and the weighted form inserts a non-negative weight w(x) under the integral.
 Closed forms are provided for the normal, two-component normal mixture,
 exponential, Gamma and generalized Pareto families (their kernels live in
-the family table of :mod:`crpstail.distributions`); everything else goes
-through adaptive quadrature. Batch entry points score a whole column of
-same-family forecasts against paired observations in vectorized numpy,
-which is what the simulation testbeds and the verification tooling run on.
+the family table of :mod:`crpstail.distributions`); everything else is one
+adaptive quadrature of F^2 w or (1 - F)^2 w in x space, broken at the law's
+own quantiles. Batch entry points score a whole column of same-family
+forecasts against paired observations in vectorized numpy, which is what
+the simulation testbeds and the verification tooling run on.
 
 The quantile-indicator weight w(x) = 1{x >= q} gets dedicated treatment: for
 y >= q the weighted score equals CRPS(F, y) minus the constant
@@ -24,13 +25,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .distributions import (
     _FAMILIES,
     Distribution,
+    NormalMixture2,
     Spliced,
     UniformMixture,
     _crps_ensemble_kernel,
@@ -204,79 +205,50 @@ def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndar
 
 def _pdf_knots(dist: Distribution) -> list[float]:
     if isinstance(dist, UniformMixture):
-        pts = []
-        for _, a, b in dist.components:
-            pts.extend([a, b])
-        return pts
+        return [x for _, a, b in dist.components for x in (a, b)]
     if isinstance(dist, Spliced):
         return _pdf_knots(dist.base) + [dist.splice_point]
+    if isinstance(dist, NormalMixture2):
+        # a narrow component's step would hide between the nodes of a wide one
+        return [m + k * s for _, m, s in dist._components() for k in (-8.0, 0.0, 8.0)]
     return []
 
 
-# the scoring paths integrate to 1e-12, absolute and relative, in at most 400
-# subintervals
-_tight_quad = partial(_quad, tol=1e-12, limit=400)
+# levels of the law's own quantiles: break points that give the bulk and each decade
+# of tail mass subintervals of their own, and map an infinite end on its last decade
+_LEVELS = np.concatenate([10.0 ** -np.arange(12, 0, -1), [0.5], 1.0 - 10.0 ** -np.arange(1, 13)])
 
 
-def _quad_prob_space(dist, p_lo, p_hi, weight, kind, points_p=()):
-    """int of c(p) * w(Q(p)) / pdf(Q(p)) dp with c = p^2 ('cdf') or (1-p)^2."""
+def _sq_integral(dist, a, b, weight: WeightFunction = UNIT, survival=False) -> float:
+    """int_a^b F(x)^2 w(x) dx, or (1 - F(x))^2 w(x) dx with ``survival``, in x
+    space to 1e-12 (absolute and relative) in at most 400 subintervals.
 
-    def integrand(p):
-        x = dist.quantile(min(max(p, 1e-300), 1.0 - 1e-16))
-        d = float(dist.pdf(x))
-        if d <= 0.0:
-            return 0.0
-        c = p * p if kind == "cdf" else (1.0 - p) * (1.0 - p)
-        return c * float(weight.w(x)) / d
-
-    return _tight_quad(integrand, p_lo, p_hi, points=points_p)
+    Break points: the weight's knots, the law's kinks and steps, the finite
+    ends of its support and its quantiles at ``_LEVELS``.
+    """
+    sq = dist.survival if survival else dist.cdf
+    points = [*weight.knots(), *_pdf_knots(dist), *dist.support(), *dist.quantile(_LEVELS)]
+    return _quad(lambda x: float(sq(x)) ** 2 * float(weight.w(x)), a, b, points, 1e-12, 400)
 
 
 def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> float:
-    """Weighted CRPS by adaptive quadrature (absolute tolerance ~1e-10).
+    """Weighted CRPS by adaptive quadrature in x space (tolerance 1e-12,
+    absolute and relative).
 
-    Works for every family; bounded-support distributions integrate in x
-    space, unbounded ones in probability space p = F(x), where the change of
-    variables keeps heavy-tail integrands finite. A unit-weight request on a
-    distribution without a finite mean raises
-    :class:`~crpstail.errors.DivergenceError`.
+    Works for every family: int_lo^y F^2 w + int_y^hi (1 - F)^2 w over the
+    support [lo, hi], plus the weight's mass between y and the support when y
+    lies outside it. A unit-weight request on a distribution without a finite
+    mean raises :class:`~crpstail.errors.DivergenceError`.
     """
     y = float(y)
     if not np.isfinite(y):
         raise DomainError("observation must be finite")
     lo, hi = dist.support()
     if isinstance(weight, UnitWeight) and math.isinf(dist.mean()):
-        raise DivergenceError(
-            "unit-weight CRPS diverges: distribution has no finite mean"
-        )
-
-    extra = 0.0
-    yc = y
-    if y < lo:
-        extra = float(weight.antiderivative(lo)) - float(weight.antiderivative(y))
-        yc = lo
-    elif y > hi:
-        extra = float(weight.antiderivative(y)) - float(weight.antiderivative(hi))
-        yc = hi
-
-    knots = list(weight.knots()) + _pdf_knots(dist)
-    if math.isfinite(lo) and math.isfinite(hi):
-        left = _tight_quad(
-            lambda x: float(dist.cdf(x)) ** 2 * float(weight.w(x)), lo, yc, points=knots
-        )
-        right = _tight_quad(
-            lambda x: float(dist.survival(x)) ** 2 * float(weight.w(x)),
-            yc,
-            hi,
-            points=knots,
-        )
-        return extra + left + right
-
-    p_y = float(dist.cdf(yc))
-    points_p = [float(dist.cdf(k)) for k in knots]
-    left = _quad_prob_space(dist, 0.0, p_y, weight, "cdf", points_p)
-    right = _quad_prob_space(dist, p_y, 1.0, weight, "survival", points_p)
-    return extra + left + right
+        raise DivergenceError("unit-weight CRPS diverges: distribution has no finite mean")
+    yc = min(max(y, lo), hi)
+    extra = abs(float(weight.antiderivative(y)) - float(weight.antiderivative(yc)))
+    return extra + _sq_integral(dist, lo, yc, weight) + _sq_integral(dist, yc, hi, weight, True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,61 +260,37 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
     """int_q^inf survival(x)^2 dx.
 
     Closed form for generalized Pareto (shape < 2), exponential, normal and
-    Gamma; quadrature otherwise. Diverges (and raises) for Pareto shape >= 2.
+    Gamma; x-space quadrature otherwise. Diverges (and raises) for Pareto
+    shape >= 2.
     """
     q = float(q)
     fam, params = _one_row(dist)
     if fam is not None and fam.tail is not None and fam.tail_exact:
         return float(fam.tail(params, q)[0])
     lo, hi = dist.support()
-    head = max(lo - q, 0.0)  # survival == 1 below the support
-    qc = max(q, lo)
-    if math.isfinite(hi):
-        return head + _tight_quad(
-            lambda x: float(dist.survival(x)) ** 2, qc, hi, points=_pdf_knots(dist)
-        )
-    # below the median in x space: p -> Q(1 - p) would squeeze a lower tail
-    # far below the bulk into a sliver of p next to 1
-    med = float(dist.quantile(0.5))
-    if qc < med:
-        head += _tight_quad(
-            lambda x: float(dist.survival(x)) ** 2, qc, med, points=_pdf_knots(dist)
-        )
-        qc = med
-    # probability space above: int_0^{sbar(q)} p^2 / pdf(Q(1-p)) dp
-    sbar = float(dist.survival(qc))
-
-    def integrand(p):
-        x = dist.quantile(min(max(1.0 - p, 1e-300), 1.0 - 1e-16))
-        d = float(dist.pdf(x))
-        return 0.0 if d <= 0.0 else p * p / d
-
-    return head + _tight_quad(integrand, 0.0, sbar)
+    # survival == 1 below the support
+    return max(lo - q, 0.0) + _sq_integral(dist, max(q, lo), hi, survival=True)
 
 
 def wcrps_quantile(dist: Distribution, y, q: float):
     """CRPS weighted by the indicator w(x) = 1{x >= q}; vectorized over y.
 
     Equals ``survival_sq_tail(dist, q)`` when y < q, and adds
-    ``CRPS(F, y) - CRPS(F, q)`` when y >= q, so it is continuous at y = q.
-    Finite for any Pareto shape < 2.
+    ``CRPS(F, y) - CRPS(F, q)`` when y >= q (capped at CRPS(F, y) against
+    rounding), so it is continuous at y = q. Finite for any Pareto shape < 2.
     """
     tail = survival_sq_tail(dist, q)
     y_arr = np.asarray(y, dtype=float)
     try:
-        diff = crps_closed(dist, y_arr) - crps_closed(dist, float(q))
+        crps_y = crps_closed(dist, y_arr)
+        diff = crps_y - crps_closed(dist, float(q))
     except (UnsupportedFamilyError, InfiniteMeanError):
         # int_q^y F^2 - (1 - F)^2, finite even for Pareto 1 <= shape < 2
         def quad_diff(yi):
-            return _tight_quad(
-                lambda x: float(dist.cdf(x)) ** 2 - float(dist.survival(x)) ** 2,
-                q,
-                yi,
-                points=_pdf_knots(dist),
-            )
+            return _sq_integral(dist, q, yi) - _sq_integral(dist, q, yi, survival=True)
 
-        diff = np.vectorize(quad_diff, otypes=[float])(y_arr)
-    out = tail + np.where(y_arr >= q, diff, 0.0)
+        crps_y, diff = np.inf, np.vectorize(quad_diff, otypes=[float])(y_arr)
+    out = np.where(y_arr >= q, np.minimum(tail + diff, crps_y), tail)
     return float(out) if y_arr.ndim == 0 else out
 
 
@@ -350,34 +298,21 @@ def crps_shift_constant(dist: Distribution, q: float) -> float:
     """int_{-inf}^q F(x)^2 dx: the constant separating CRPS from its
     quantile-weighted form above the threshold (non-negative, non-decreasing
     in q, zero at the lower end of the support)."""
-    q = float(q)
     lo, hi = dist.support()
-    if q <= lo:
-        return 0.0
-    qc = min(q, hi)
-    tail_extra = max(q - hi, 0.0)  # cdf == 1 above the support
-    try:
-        val = float(crps_closed(dist, qc)) - survival_sq_tail(dist, qc)
-        return val + tail_extra
-    except (UnsupportedFamilyError, InfiniteMeanError):
-        pass
-    if math.isfinite(lo):
-        return tail_extra + _tight_quad(
-            lambda x: float(dist.cdf(x)) ** 2, lo, qc, points=_pdf_knots(dist)
-        )
-    return tail_extra + _quad_prob_space(dist, 0.0, float(dist.cdf(qc)), UNIT, "cdf")
+    # cdf == 1 above the support
+    return max(float(q) - hi, 0.0) + _sq_integral(dist, lo, min(float(q), hi))
 
 
 def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: float):
     """Quantile-indicator weighted CRPS for a same-family forecast column.
 
-    tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)) on the family's kernels: exact
-    for exponential / Gamma / Pareto / normal rows; the two-component normal
-    mixture tail is a dense table per unique (w, std1, std2, mean-offset)
-    signature, measured at 5.5e-6 relative error in the median and 3.5e-5 at
-    most (fine for the Monte Carlo summaries this path exists for; use
-    :func:`wcrps_quantile` for scalar full-precision values). Ensemble rows
-    use the chaining form CRPS(max(x, q), max(y, q)).
+    tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)), at most CRPS(y), on the family's
+    kernels: exact for exponential / Gamma / Pareto / normal rows; the
+    two-component normal mixture tail is a dense table per unique (w, std1,
+    std2, mean-offset) signature, measured at 5.5e-6 relative error in the
+    median and 3.5e-5 at most (fine for the Monte Carlo summaries this path
+    exists for; use :func:`wcrps_quantile` for scalar full-precision values).
+    Ensemble rows use the chaining form CRPS(max(x, q), max(y, q)).
     """
     fam = family_entry(family)
     params = np.atleast_2d(np.asarray(params, dtype=float))
@@ -386,11 +321,14 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
     if fam.wcrps is not None:
         return fam.wcrps(params, y, q)
     # CRPS(y) - CRPS(q) enters only where y >= q: score just those rows, in
-    # place on the fresh array the tail kernel returns
+    # place on the fresh array the tail kernel returns. The score there is
+    # CRPS(y) - int_-inf^q F^2 <= CRPS(y), which the rounding of the sum
+    # breaks where that integral is below the last digit of CRPS(q).
     y = np.broadcast_to(y, (len(params),))
     above = y >= q
     out = fam.tail(params, q)
-    out[above] += fam.crps(params[above], y[above]) - fam.crps(params[above], q)
+    crps_y = fam.crps(params[above], y[above])
+    out[above] = np.minimum(out[above] + (crps_y - fam.crps(params[above], q)), crps_y)
     return out
 
 

@@ -68,6 +68,13 @@ class TestNormalMixture2:
         p = np.array([1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6])
         assert_allclose(d.cdf(d.quantile(p)), p, atol=1e-10)
 
+    def test_quantile_with_a_weightless_component(self):
+        # the root sits on a bracket end, where rounding can leave it outside
+        p = np.array([1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12])
+        for w, ref in ((0.0, Normal(0.0, 1.0)), (1.0, Normal(0.0, 0.5))):
+            got = NormalMixture2(w, 0.0, 0.5, 0.0, 1.0).quantile(p)
+            assert_allclose(got, ref.quantile(p), rtol=1e-12)
+
     def test_mean(self):
         d = NormalMixture2(0.25, -2.0, 1.0, 4.0, 3.0)
         assert_allclose(d.mean(), 0.25 * -2.0 + 0.75 * 4.0, rtol=1e-14)
@@ -251,6 +258,27 @@ class TestQuadratureHelper:
         want = 2.0 / math.e + math.exp(-3.0)
         got = _quad(f, 0.0, math.inf, points=[3.0, -1.0, 0.0, 1.0], tol=1e-13, limit=200)
         assert_allclose(got, want, rtol=1e-12)
+
+    def test_minus_infinite_range_with_break_points(self):
+        # the mirror image of the test above: a kink at -1, a jump at -3
+        def f(x):
+            return abs(x + 1.0) * math.exp(x) + (x <= -3.0) * math.exp(x)
+
+        want = 2.0 / math.e + math.exp(-3.0)
+        got = _quad(f, -math.inf, 0.0, points=[-3.0, 1.0, 0.0, -1.0], tol=1e-13, limit=200)
+        assert_allclose(got, want, rtol=1e-12)
+
+    def test_algebraic_tail_cut_far_out(self):
+        # GP(1, 1.95) holds sigma S(q)^(2 - xi) / (2 - xi) of int S^2 beyond
+        # q = Q(1 - 1e-12), over some 1e16 of its scale; the infinite-range map
+        # with L = 1 returns 1.4e-21 of it, the gap L = q - Q(1 - 1e-11) all.
+        # At a tighter tol QUADPACK warns that its extrapolation stalls.
+        d = GeneralizedPareto(1.0, 1.95)
+        q11, q12 = d.quantile(1.0 - 1e-11), d.quantile(1.0 - 1e-12)
+        got = _quad(
+            lambda x: float(d.survival(x)) ** 2 * (x >= q12), q11, math.inf, points=[q12], tol=1e-9
+        )
+        assert_allclose(got, 5.023767306235897, rtol=1e-9)
 
     def test_one_function_calls_quad(self):
         """Every integral goes through ``_quad``, so break points and infinite

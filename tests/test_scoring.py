@@ -28,7 +28,7 @@ from crpstail import (
     wcrps_quantile,
     wcrps_quantile_batch,
 )
-from crpstail.distributions import _FAMILIES, family_entry
+from crpstail.distributions import _FAMILIES, family_entry, from_family
 
 CLOSED_CASES = [
     (Normal(0.0, 1.0), 0.7),
@@ -44,8 +44,8 @@ CLOSED_CASES = [
     (Gamma(10.0, 0.3), 3.0),
 ]
 
-# observations far beyond the forecast's bulk; crps_quadrature still clamps
-# there, so these are checked against the definition only
+# observations far beyond the forecast's bulk, checked against the definition
+# and against the x-space quadrature entry point
 FAR_TAIL_CASES = [
     (Gamma(4.0, 4.0), 20.0),
     (Gamma(4.0, 4.0), 10.0 * float(Gamma(4.0, 4.0).quantile(1.0 - 1e-12))),
@@ -104,6 +104,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("dist, y", FAR_TAIL_CASES, ids=lambda v: str(v))
     def test_far_tail_matches_definition(self, dist, y):
         assert_allclose(crps_closed(dist, y), brute_crps(dist, y), rtol=1e-12)
+        assert_allclose(crps_quadrature(dist, y), crps_closed(dist, y), rtol=1e-12)
 
     def test_gamma_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -154,6 +155,32 @@ class TestClosedForms:
         assert_allclose(a, b, rtol=1e-13)
 
 
+# observations many quantiles beyond the bulk, above and below it
+FAR_BEYOND_BULK = [
+    (Normal(0.0, 1.0), 9.0),
+    (Normal(0.0, 1.0), 40.0),
+    (Normal(0.0, 1.0), -40.0),
+    (Exponential(1.0), 60.0),
+    (Gamma(4.0, 4.0), 20.0),
+    (GeneralizedPareto(1.0, 0.3), 1e4),
+    (NormalMixture2(0.5, 0.0, 1.0, 2.0, 1.0), -30.0),
+]
+
+
+class TestQuadratureFarBeyondTheBulk:
+    @pytest.mark.parametrize("dist, y", FAR_BEYOND_BULK, ids=lambda v: str(v))
+    def test_matches_closed_form(self, dist, y):
+        assert_allclose(crps_quadrature(dist, y), crps_closed(dist, y), rtol=1e-12)
+
+    def test_pinned_values(self):
+        got = crps_quadrature(GeneralizedPareto(1.0, 0.3), 1e4)
+        assert_allclose(got, 9997.73109245897, rtol=1e-12)
+        # y < q: the tail int_q^inf S^2, which is CRPS(F, -30) + 20 this far down
+        d = NormalMixture2(0.5, 0.0, 1.0, 2.0, 1.0)
+        got = crps_quadrature(d, -51.0, QuantileIndicatorWeight(-50.0))
+        assert_allclose(got, 50.192777937396116, rtol=1e-12)
+
+
 class TestWeights:
     def test_quantile_indicator(self):
         w = QuantileIndicatorWeight(2.0)
@@ -198,8 +225,8 @@ class TestTailSurvivalIntegral:
         ],
         ids=lambda d: type(d).__name__,
     )
-    # q = -20 and -50 lie far below the bulk, beyond what the mixture's
-    # probability-space map p -> Q(1 - p) can resolve
+    # q = -20 and -50 lie far below the bulk: the survival is 1 over a long
+    # stretch before it falls through the bulk
     @pytest.mark.parametrize("q", [0.5, 2.0, -20.0, -50.0])
     def test_matches_quadrature(self, dist, q):
         def integrand(s):
@@ -332,6 +359,54 @@ class TestQuantileWeightedScore:
         )
         assert_allclose(crps_shift_constant(d, q), want, rtol=1e-9)
 
+    def test_never_above_crps(self):
+        """wCRPS <= CRPS exactly: with q below the bulk, rounding alone puts
+        tail(q) + CRPS(y) - CRPS(q) an ulp above CRPS(y) on many of these rows."""
+        rng = np.random.default_rng(8)
+        n, q = 300, -2.0
+        y = rng.uniform(q, 6.0, n)
+        for family, params in [
+            ("normal", np.column_stack([rng.normal(size=n), rng.uniform(0.1, 3.0, n)])),
+            ("generalized_pareto", np.column_stack([rng.uniform(0.1, 3.0, n), rng.uniform(-0.5, 0.9, n)])),
+        ]:
+            crps = crps_closed_batch(family, params, y)
+            assert (wcrps_quantile_batch(family, params, y, q) <= crps).all()
+            scalar = [wcrps_quantile(from_family(family, p), yi, q) for p, yi in zip(params, y)]
+            assert (np.array(scalar) <= crps).all()
+
+    def test_heavy_pareto_threshold_below_support(self):
+        # below the support F = 0 and y > 0, so the score is
+        # int_0^y F^2 + sigma S(y)^(2 - xi) / (2 - xi), here by 40-digit mpmath
+        d = GeneralizedPareto(0.22201435901866298, 1.5435661951111648)
+        got = wcrps_quantile(d, 0.10189085219393677, q=-848.9619288778048)
+        assert_allclose(got, 0.41875513423530246, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            NormalMixture2(
+                0.8479694301231584, -48.37395964967821, 0.09753016558485518,
+                54.523270076632485, 10.701583622568503,
+            ),
+            Normal(0.0, 1.0),
+            Gamma(4.0, 4.0),
+            GeneralizedPareto(1.0, 1.5),
+        ],
+        ids=lambda d: type(d).__name__,
+    )
+    def test_shift_constant_nonnegative_and_nondecreasing(self, dist):
+        qs = np.linspace(-1000.0, 200.0, 61)
+        c = np.array([crps_shift_constant(dist, q) for q in qs])
+        assert (c >= 0.0).all() and (np.diff(c) >= 0.0).all(), c
+
+    def test_shift_constant_far_below_a_mixture(self):
+        # both components' cdfs underflow to 0 at q
+        d = NormalMixture2(
+            0.8479694301231584, -48.37395964967821, 0.09753016558485518,
+            54.523270076632485, 10.701583622568503,
+        )
+        assert crps_shift_constant(d, -726.6959842266824) == 0.0
+
     def test_shift_constant_vanishes_at_lower_endpoint(self):
         assert crps_shift_constant(Exponential(1.0), 0.0) == 0.0
         assert crps_shift_constant(Exponential(1.0), -5.0) == 0.0
@@ -381,11 +456,12 @@ class TestQuantileWeightedScore:
 
 
 def _wcrps_all_rows(family, params, y, q):
-    """tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)) with both scores on every row:
-    the reference for the batch path, which scores only the rows y >= q."""
+    """tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)), capped at CRPS(y), with both
+    scores on every row: the reference for the batch path, which scores only
+    the rows y >= q."""
     fam = family_entry(family)
-    diff = fam.crps(params, y) - fam.crps(params, q)
-    return fam.tail(params, q) + np.where(y >= q, diff, 0.0)
+    tail, crps_y = fam.tail(params, q), fam.crps(params, y)
+    return np.where(y >= q, np.minimum(tail + (crps_y - fam.crps(params, q)), crps_y), tail)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 1000, 40_000])
@@ -518,6 +594,18 @@ def test_batch_kernel_invariants(family, data, y, q):
     # the score is 1-Lipschitz in y: a jump at y = q would show beyond the steps
     assert abs(wcrps[3] - wcrps[1]) <= 2.0 * step + tol[2], wcrps
     assert abs(wcrps[2] - wcrps[1]) <= step + tol[2], wcrps
+
+
+@pytest.mark.parametrize("family", sorted(set(_FAMILY_PARAMS) - {"ensemble"}))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), y=st.floats(-1e4, 1e4))
+def test_quadrature_matches_closed_forms(family, data, y):
+    """The x-space quadrature is >= 0 and agrees with every closed form,
+    however far y lies from the forecast's bulk."""
+    dist = from_family(family, data.draw(_FAMILY_PARAMS[family]))
+    got = crps_quadrature(dist, y)
+    assert got >= 0.0
+    assert_allclose(got, crps_closed(dist, y), rtol=1e-9)
 
 
 def test_mixture_tail_far_below_the_bulk():
