@@ -66,12 +66,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _order_list(text: str) -> list[float]:
+def _order(text: str) -> float:
     try:
-        orders = [float(x) for x in text.split(",") if x.strip()]
+        order = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad quantile list {text!r}") from exc
-    if not orders or any(not 0.0 < q < 1.0 for q in orders):
+        raise argparse.ArgumentTypeError(f"bad quantile order {text!r}") from exc
+    if not 0.0 < order < 1.0:
+        raise argparse.ArgumentTypeError("quantile orders must lie in (0, 1)")
+    return order
+
+
+def _order_list(text: str) -> list[float]:
+    orders = [_order(x) for x in text.split(",") if x.strip()]
+    if not orders:
         raise argparse.ArgumentTypeError("quantile orders must lie in (0, 1)")
     return orders
 
@@ -356,7 +363,7 @@ def build_parser() -> _Parser:
     p_score.add_argument("--records", required=True, help="JSON-lines record file")
     p_score.add_argument(
         "--weight-quantile",
-        type=float,
+        type=_order,
         default=None,
         help="observation quantile order defining the tail-weight threshold",
     )
@@ -377,7 +384,7 @@ def build_parser() -> _Parser:
     p_ic.add_argument("--records-clim", default=None, help="climatology record file")
     _add_sim_flags(p_ic)
     p_ic.add_argument("--quantiles", type=_order_list, default=_order_list("0.75,0.8,0.85,0.9,0.95,0.99"))
-    p_ic.add_argument("--threshold-order", type=float, default=None, help="GP fit order (default: lowest quantile)")
+    p_ic.add_argument("--threshold-order", type=_order, default=None, help="GP fit order (default: lowest quantile)")
     p_ic.add_argument("--method", choices=("pwm", "mle"), default="pwm")
     _add_output_flags(p_ic)
     p_ic.set_defaults(func=cmd_verify_index_curve)
@@ -392,7 +399,7 @@ def build_parser() -> _Parser:
     p_qq.add_argument("--records", default=None)
     _add_sim_flags(p_qq)
     p_qq.add_argument("--shuffle-seed", type=int, default=None, required=False)
-    p_qq.add_argument("--weight-quantile", type=float, default=None)
+    p_qq.add_argument("--weight-quantile", type=_order, default=None)
     _add_output_flags(p_qq)
     p_qq.set_defaults(func=cmd_verify_qqpp)
 
@@ -405,7 +412,7 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit-gp", help="GP tail fit of a record file's observations")
     p_fit.add_argument("--records", required=True)
-    p_fit.add_argument("--threshold-order", type=float, default=0.95)
+    p_fit.add_argument("--threshold-order", type=_order, default=0.95)
     p_fit.add_argument("--method", choices=("pwm", "mle"), default="pwm")
     _add_output_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit_gp)

@@ -259,13 +259,13 @@ def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> flo
 def survival_sq_tail(dist: Distribution, q: float) -> float:
     """int_q^inf survival(x)^2 dx.
 
-    Closed form for generalized Pareto (shape < 2), exponential, normal and
-    Gamma; x-space quadrature otherwise. Diverges (and raises) for Pareto
-    shape >= 2.
+    The family table's closed form on a one-row batch for every record family,
+    x-space quadrature for other laws. Diverges (and raises) for Pareto shape
+    >= 2.
     """
     q = float(q)
     fam, params = _one_row(dist)
-    if fam is not None and fam.tail is not None and fam.tail_exact:
+    if fam is not None and fam.tail is not None:
         return float(fam.tail(params, q)[0])
     lo, hi = dist.support()
     # survival == 1 below the support
@@ -307,11 +307,7 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
     """Quantile-indicator weighted CRPS for a same-family forecast column.
 
     tail(q) + 1{y >= q} (CRPS(y) - CRPS(q)), at most CRPS(y), on the family's
-    kernels: exact for exponential / Gamma / Pareto / normal rows; the
-    two-component normal mixture tail is a dense table per unique (w, std1,
-    std2, mean-offset) signature, measured at 5.5e-6 relative error in the
-    median and 3.5e-5 at most (fine for the Monte Carlo summaries this path
-    exists for; use :func:`wcrps_quantile` for scalar full-precision values).
+    closed-form kernels, the same that :func:`wcrps_quantile` runs on one row.
     Ensemble rows use the chaining form CRPS(max(x, q), max(y, q)).
     """
     fam = family_entry(family)

@@ -20,9 +20,8 @@ from crpstail import (
     UnsupportedFamilyError,
     batch_cdf,
     from_family,
-    simulate,
 )
-from crpstail.distributions import _group_rows, _mixture2_tail_sq, _mixture2_tail_table, _quad
+from crpstail.distributions import _quad
 
 ALL_DISTS = [
     Normal(0.3, 1.2),
@@ -355,74 +354,3 @@ class TestSharedInvariants:
         x = dist.sample(150_000, np.random.default_rng(11))
         se = x.std() / np.sqrt(x.size)
         assert abs(x.mean() - dist.mean()) < 4 * se + 1e-3
-
-
-def _mixture_key(params):
-    w, m1, s1, m2, s2 = params.T
-    return np.round(np.column_stack([w, s1, s2, m2 - m1]), 12)
-
-
-def _tail_sq_by_unique_rows(params, q):
-    """The mixture tail by one table per ``np.unique(axis=0)`` row, each
-    group found by a full scan: the reference for ``_mixture2_tail_sq``."""
-    key = _mixture_key(params)
-    s = q - params[:, 1]
-    tail = np.empty(len(params))
-    for row in np.unique(key, axis=0):
-        sel = np.all(key == row, axis=1)
-        tail[sel] = _mixture2_tail_table(*row, s[sel])
-    return tail
-
-
-class TestMixtureGrouping:
-    @staticmethod
-    def _check(key):
-        uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        groups = _group_rows(key)
-        assert len(groups) == len(uniq)
-        codes = np.full(len(key), -1)
-        for g, rows in enumerate(groups):
-            codes[rows] = g
-        assert codes.tolist() == inverse.tolist()
-        assert [g.size for g in groups] == np.bincount(inverse, minlength=len(uniq)).tolist()
-        # every group lists its rows in ascending order, and its first row is
-        # the distinct key row that np.unique gives for it
-        assert np.concatenate(groups).tolist() == np.argsort(inverse, kind="stable").tolist()
-        assert np.array_equal(key[[g[0] for g in groups]], uniq)
-
-    def test_constant_key(self):
-        self._check(np.tile([0.5, 1.0, 1.0, 2.0], (1000, 1)))
-
-    def test_simulated_unfocused_rows(self):
-        params = simulate("nn", "unfocused", 5000, seed=3).params
-        key = _mixture_key(params)
-        self._check(key)
-        assert len(_group_rows(key)) == 2  # mean offset +-2
-
-    def test_all_distinct_keys(self, rng):
-        self._check(rng.random((3000, 4)))
-
-    def test_cardinality_product_past_int64(self, rng):
-        key = rng.integers(-1000, 1000, size=(20_000, 6)).astype(float)
-        cardinality = [np.unique(col).size for col in key.T]
-        assert np.prod(cardinality, dtype=object) > 2**63
-        self._check(key)
-
-    def test_empty_key(self):
-        assert _group_rows(np.empty((0, 4))) == []
-
-    def test_tail_matches_unique_row_loop_bit_for_bit(self, rng):
-        n = 4000
-        m1 = rng.normal(size=n)
-        params = np.column_stack([
-            rng.choice([0.2, 0.5, 0.8], n),
-            m1,
-            rng.choice([0.5, 1.0, 2.0], n),
-            m1 + rng.integers(-20, 21, n) / 4.0,
-            rng.choice([1.0, 3.0], n),
-        ])
-        assert len(np.unique(_mixture_key(params), axis=0)) > 300
-        for q in (-1.0, 0.7, 4.0):
-            got, want = _mixture2_tail_sq(params, q), _tail_sq_by_unique_rows(params, q)
-            assert got.tobytes() == want.tobytes()

@@ -1020,6 +1020,27 @@ class TestCliFitGp:
                      "0.9"]) == 2
 
 
+
+@pytest.mark.parametrize("value", ["1.5", "nan", "0", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--records", "{rec}", "--weight-quantile"],
+        ["verify", "qqpp", "--records", "{rec}", "--shuffle-seed", "1", "--weight-quantile"],
+        ["fit-gp", "--records", "{rec}", "--threshold-order"],
+        ["verify", "index-curve", "--model", "ge", "--forecaster", "ideal", "--t", "500",
+         "--seed", "3", "--threshold-order"],
+    ],
+    ids=["score", "qqpp", "fit-gp", "index-curve"],
+)
+def test_order_outside_unit_interval_is_usage_error(argv, value, tmp_path, capsys):
+    rec = tmp_path / "r.jsonl"
+    write_records(simulate("ge", "ideal", 500, seed=0), str(rec))
+    with pytest.raises(SystemExit) as exc:
+        _run([a.format(rec=rec) for a in argv] + [value])
+    assert exc.value.code == 1
+    assert "quantile orders must lie in (0, 1)" in capsys.readouterr().err
+
 class TestInstalledEntryPoint:
     def test_cli_import_leaves_solvers_unloaded(self, python_stdout):
         # scipy.integrate, scipy.optimize and scipy.special load on first use,
@@ -1066,6 +1087,23 @@ class TestInstalledEntryPoint:
             f"code = main({argv!r}); print(code, 'scipy.integrate' in sys.modules)"
         )
         assert python_stdout(code) == "0 False"
+
+    def test_weighted_mixture_scoring_leaves_integrate_unloaded(self, tmp_path, python_stdout):
+        # mixture tails are closed forms: verify dm and a weighted score of
+        # mixture records integrate nothing
+        rec = tmp_path / "m.jsonl"
+        write_records(simulate("nn", "unfocused", 500, seed=0), str(rec))
+        runs = [
+            ["verify", "dm", "--model", "nn", "--t", "2000", "--seed", "3",
+             "--out", str(tmp_path / "dm.csv")],
+            ["score", "--records", str(rec), "--weight-quantile", "0.9",
+             "--out", str(tmp_path / "score.csv")],
+        ]
+        code = (
+            "import sys; from crpstail.cli import main; "
+            f"codes = [main(a) for a in {runs!r}]; print(codes, 'scipy.integrate' in sys.modules)"
+        )
+        assert python_stdout(code) == "[0, 0] False"
 
     def test_console_script_roundtrip(self, tmp_path):
         out = tmp_path / "cup.csv"
