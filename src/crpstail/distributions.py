@@ -1,10 +1,10 @@
 """Forecast distribution families.
 
-Every family exposes the same small surface: ``cdf``, ``pdf``, ``survival``,
+Every family exposes the same small surface: ``cdf``, ``survival``,
 ``quantile``, ``sample``, ``mean``, ``mean_excess`` and ``support``. All
 point-wise methods accept scalars or numpy arrays and return the matching
-shape. Heavy-tail families compute ``survival`` natively (not as ``1 - cdf``)
-so tail probabilities keep relative precision.
+shape (a float for a scalar). The record families compute ``survival``
+natively (not as ``1 - cdf``), so tail probabilities keep relative precision.
 
 Families
 --------
@@ -16,9 +16,10 @@ GeneralizedPareto(scale, shape)                  shape >= 0 heavy tail, < 0 boun
 UniformMixture((w, a, b), ...)                   mixture of uniform components
 Spliced(base, replacement, splice_point)         base below u, rescaled tail above
 
-The record families (the first five, and raw ensemble members) also have an
-entry in the family table at the end of this module, which holds their
-parameter rule and the vectorized kernels the batch scoring paths run on.
+The record families (the first five, and raw ensemble members) are described
+once, in the family table at the end of this module: their parameter rule and
+the vectorized kernels that both the batch paths and the classes' point-wise
+``cdf`` and ``survival`` (on a one-row batch) run on.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ __all__ = [
     "Spliced",
     "from_family",
 ]
-
-# Below this |shape| the generalized Pareto switches to its exponential limit form.
-_GP_SHAPE_EPS = 1e-8
 
 
 def _prepare(x):
@@ -115,22 +113,23 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     return total
 
 
+def _one_row(kernel, params, x):
+    """``kernel`` of the family table on the one-row batch ``params`` at ``x``;
+    the result keeps the shape of ``x``, a float for a scalar."""
+    x = np.asarray(x, dtype=float)
+    out = kernel(np.array([params], dtype=float), x)
+    return float(out[0]) if x.ndim == 0 else out
+
+
 class Distribution(ABC):
     """Abstract base for all forecast distribution families."""
 
     family: ClassVar[str]
 
-    def __post_init__(self):
-        # table families share their parameter rule with the record batches
-        check_params(self.family, self.params)
-
     # -- point-wise surface -------------------------------------------------
 
     @abstractmethod
     def cdf(self, x): ...
-
-    @abstractmethod
-    def pdf(self, x): ...
 
     def survival(self, x):
         x, scalar = _prepare(x)
@@ -146,16 +145,6 @@ class Distribution(ABC):
     def mean(self) -> float: ...
 
     # -- derived ------------------------------------------------------------
-
-    @property
-    def params(self) -> list[float]:
-        """Flat parameter vector: the dataclass fields of a family-table class,
-        in the order of its table columns."""
-        if self.family not in _FAMILIES:
-            raise UnsupportedFamilyError(
-                f"{self.family} does not have a flat parameter vector"
-            )
-        return [getattr(self, f.name) for f in fields(self)]
 
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` values by inverse-cdf from caller-owned RNG state."""
@@ -175,34 +164,37 @@ class Distribution(ABC):
         return _quad(lambda x: float(self.survival(x)), u, self.support()[1], limit=200) / s_u
 
 
+class _TableFamily(Distribution):
+    """A record family: a dataclass whose fields are its family-table columns.
+    ``cdf`` and ``survival`` are the table's kernels on a one-row batch."""
+
+    def __post_init__(self):
+        # the parameter rule the record batches are checked against
+        check_params(self.family, self.params)
+
+    @property
+    def params(self) -> list[float]:
+        """Flat parameter vector: the dataclass fields, in table column order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def cdf(self, x):
+        return _one_row(_FAMILIES[self.family].cdf, self.params, x)
+
+    def survival(self, x):
+        return _one_row(_FAMILIES[self.family].survival, self.params, x)
+
+
 # ---------------------------------------------------------------------------
 # Normal and two-component normal mixture
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Normal(Distribution):
+class Normal(_TableFamily):
     mean_: float
     std: float
 
     family: ClassVar[str] = "normal"
-
-    def cdf(self, x):
-        from scipy.special import ndtr
-
-        x, scalar = _prepare(x)
-        return _finish(ndtr((x - self.mean_) / self.std), scalar)
-
-    def survival(self, x):
-        from scipy.special import ndtr
-
-        x, scalar = _prepare(x)
-        return _finish(ndtr(-(x - self.mean_) / self.std), scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        z = (x - self.mean_) / self.std
-        return _finish(np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi)), scalar)
 
     def quantile(self, p):
         from scipy.special import ndtri
@@ -218,7 +210,7 @@ class Normal(Distribution):
 
 
 @dataclass(frozen=True)
-class NormalMixture2(Distribution):
+class NormalMixture2(_TableFamily):
     """w * Normal(mean1, std1) + (1 - w) * Normal(mean2, std2)."""
 
     w: float
@@ -234,28 +226,6 @@ class NormalMixture2(Distribution):
             (self.w, self.mean1, self.std1),
             (1.0 - self.w, self.mean2, self.std2),
         )
-
-    def cdf(self, x):
-        from scipy.special import ndtr
-
-        x, scalar = _prepare(x)
-        out = sum(w * ndtr((x - m) / s) for w, m, s in self._components())
-        return _finish(out, scalar)
-
-    def survival(self, x):
-        from scipy.special import ndtr
-
-        x, scalar = _prepare(x)
-        out = sum(w * ndtr(-(x - m) / s) for w, m, s in self._components())
-        return _finish(out, scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        out = np.zeros_like(x, dtype=float)
-        for w, m, s in self._components():
-            z = (x - m) / s
-            out = out + w * np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
-        return _finish(out, scalar)
 
     def quantile(self, p):
         from scipy.optimize import brentq
@@ -305,22 +275,10 @@ class NormalMixture2(Distribution):
 
 
 @dataclass(frozen=True)
-class Exponential(Distribution):
+class Exponential(_TableFamily):
     rate: float
 
     family: ClassVar[str] = "exponential"
-
-    def cdf(self, x):
-        x, scalar = _prepare(x)
-        return _finish(np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0))), scalar)
-
-    def survival(self, x):
-        x, scalar = _prepare(x)
-        return _finish(np.where(x <= 0.0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0))), scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        return _finish(np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0))), scalar)
 
     def quantile(self, p):
         p, scalar = _check_prob(p)
@@ -341,28 +299,11 @@ class Exponential(Distribution):
 
 
 @dataclass(frozen=True)
-class Gamma(Distribution):
+class Gamma(_TableFamily):
     shape: float
     rate: float
 
     family: ClassVar[str] = "gamma"
-
-    def cdf(self, x):
-        from scipy.special import gammainc
-
-        x, scalar = _prepare(x)
-        return _finish(gammainc(self.shape, self.rate * np.maximum(x, 0.0)), scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        xp = np.maximum(x, 1e-300)
-        logpdf = (
-            self.shape * math.log(self.rate)
-            + (self.shape - 1.0) * np.log(xp)
-            - self.rate * xp
-            - math.lgamma(self.shape)
-        )
-        return _finish(np.where(x < 0.0, 0.0, np.exp(logpdf)), scalar)
 
     def quantile(self, p):
         from scipy.special import gammaincinv
@@ -383,12 +324,11 @@ class Gamma(Distribution):
 
 
 @dataclass(frozen=True)
-class GeneralizedPareto(Distribution):
+class GeneralizedPareto(_TableFamily):
     """Generalized Pareto on [0, inf) (shape >= 0) or [0, -scale/shape] (shape < 0).
 
-    Survival (1 + shape*x/scale)^(-1/shape); the shape -> 0 limit is the
-    exponential with mean ``scale`` and is taken automatically for
-    |shape| < 1e-8.
+    Survival (1 + shape*x/scale)^(-1/shape), and exp(-x/scale), the shape -> 0
+    limit, wherever |shape*x/scale| < 1e-16, where the two agree to rounding.
     """
 
     scale: float
@@ -396,65 +336,22 @@ class GeneralizedPareto(Distribution):
 
     family: ClassVar[str] = "generalized_pareto"
 
-    def _is_exp(self):
-        return abs(self.shape) < _GP_SHAPE_EPS
-
-    def _log_survival(self, x):
-        """log of survival on x >= 0, -inf beyond a finite upper endpoint."""
-        if self._is_exp():
-            return -x / self.scale
-        z = self.shape * x / self.scale
-        if self.shape < 0.0:
-            inside = z > -1.0
-            out = np.full(np.shape(x), -np.inf)
-            out = np.where(inside, -np.log1p(np.where(inside, z, 0.0)) / self.shape, out)
-            return out
-        return -np.log1p(z) / self.shape
-
-    def survival(self, x):
-        x, scalar = _prepare(x)
-        xx = np.maximum(x, 0.0)
-        s = np.exp(self._log_survival(xx))
-        return _finish(np.where(x <= 0.0, 1.0, s), scalar)
-
-    def cdf(self, x):
-        x, scalar = _prepare(x)
-        xx = np.maximum(x, 0.0)
-        if self._is_exp():
-            c = -np.expm1(-xx / self.scale)
-        else:
-            c = -np.expm1(self._log_survival(xx))
-        return _finish(np.where(x <= 0.0, 0.0, c), scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        xx = np.maximum(x, 0.0)
-        if self._is_exp():
-            d = np.exp(-xx / self.scale) / self.scale
-        else:
-            z = self.shape * xx / self.scale
-            if self.shape < 0.0:
-                inside = z > -1.0
-                d = np.where(
-                    inside,
-                    np.exp(-(1.0 / self.shape + 1.0) * np.log1p(np.where(inside, z, 0.0)))
-                    / self.scale,
-                    0.0,
-                )
-            else:
-                d = np.exp(-(1.0 / self.shape + 1.0) * np.log1p(z)) / self.scale
-        return _finish(np.where(x < 0.0, 0.0, d), scalar)
-
     def quantile(self, p):
         p, scalar = _check_prob(p)
-        if self._is_exp():
-            out = -self.scale * np.log1p(-p)
-        else:
-            out = self.scale / self.shape * np.expm1(-self.shape * np.log1p(-p))
-        return _finish(out, scalar)
+        flat = np.atleast_1d(p)
+        t = -self.shape * np.log1p(-flat)
+        # the survival's rule on t = -shape log S: the shape-0 form where
+        # |t| < 1e-16, as at a zero or subnormal shape, where scale / shape
+        # is not finite
+        small = np.abs(t) < 1e-16
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.expm1(t) * (np.float64(self.scale) / self.shape)
+        out[small] = -self.scale * np.log1p(-flat[small])
+        return _finish(out.reshape(np.shape(p)), scalar)
 
     def support(self):
-        if self.shape < -_GP_SHAPE_EPS:
+        if self.shape < 0.0:
+            # beyond the largest float (inf) for a subnormal shape
             return (0.0, -self.scale / self.shape)
         return (0.0, math.inf)
 
@@ -510,13 +407,6 @@ class UniformMixture(Distribution):
         out = np.zeros_like(x, dtype=float)
         for w, a, b in self.components:
             out = out + w * np.clip((x - a) / (b - a), 0.0, 1.0)
-        return _finish(out, scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        out = np.zeros_like(x, dtype=float)
-        for w, a, b in self.components:
-            out = out + np.where((x >= a) & (x < b), w / (b - a), 0.0)
         return _finish(out, scalar)
 
     def quantile(self, p):
@@ -610,14 +500,6 @@ class Spliced(Distribution):
         above = self._tail_mass() * np.asarray(
             self.replacement.survival(np.maximum(x - self.splice_point, 0.0)),
             dtype=float,
-        )
-        return _finish(np.where(x <= self.splice_point, below, above), scalar)
-
-    def pdf(self, x):
-        x, scalar = _prepare(x)
-        below = np.asarray(self.base.pdf(x), dtype=float)
-        above = self._tail_mass() * np.asarray(
-            self.replacement.pdf(np.maximum(x - self.splice_point, 0.0)), dtype=float
         )
         return _finish(np.where(x <= self.splice_point, below, above), scalar)
 
@@ -722,22 +604,29 @@ def _crps_gamma_kernel(shape, rate, y):
     )
 
 
+def _gp_log_survival(scale, shape, x):
+    """log survival of generalized Pareto rows at x >= 0: -log1p(z) / shape,
+    z = shape x / scale, and -x / scale where |z| < 1e-16, which equals it to
+    rounding there (and is the shape 0 limit); -inf from a finite upper
+    endpoint on, where z <= -1."""
+    z = shape * x / scale
+    # log1p(-1) = -inf; 0 / 0 where shape is 0, which the rule replaces
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = -np.log1p(np.maximum(z, -1.0)) / shape
+    # False also where z is nan: shape 0 at x = inf
+    return np.where(np.abs(z) >= 1e-16, log_s, -x / scale)
+
+
 def _crps_gp_kernel(scale, shape, y):
     """CRPS for the generalized Pareto; requires shape < 1 (finite mean)."""
     if np.any(shape >= 1.0):
         raise InfiniteMeanError("generalized Pareto CRPS requires shape < 1")
-    # clamp y into the support, add |y - clamp| afterwards (exact extension)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.where(
-            shape < -_GP_SHAPE_EPS, -scale / np.minimum(shape, -_GP_SHAPE_EPS), np.inf
-        )
+    # clamp y into the support, add |y - clamp| afterwards (exact extension);
+    # the upper endpoint overflows to inf for a subnormal shape
+    with np.errstate(divide="ignore", over="ignore"):
+        hi = np.where(shape < 0.0, -scale / shape, np.inf)
     yc = np.clip(y, 0.0, hi)
-    exp_like = np.abs(shape) < _GP_SHAPE_EPS
-    safe_shape = np.where(exp_like, 0.5, shape)
-    # z = -1 at the upper endpoint of a negative shape, where sbar is 0
-    z = np.maximum(safe_shape * yc / scale, -1.0)
-    with np.errstate(divide="ignore"):
-        sbar = np.where(exp_like, np.exp(-yc / scale), np.exp(-np.log1p(z) / safe_shape))
+    sbar = np.exp(_gp_log_survival(scale, shape, yc))
     crps = (
         yc
         + 2.0 * sbar * (scale + shape * yc) / (1.0 - shape)
@@ -767,15 +656,7 @@ def _gp_tail_sq_kernel(scale, shape, q):
     """Vectorized int_q^inf survival^2 for generalized Pareto rows, q >= 0."""
     if np.any(shape >= 2.0):
         raise DivergenceError("tail integral diverges for Pareto shape >= 2")
-    exp_like = np.abs(shape) < _GP_SHAPE_EPS
-    safe = np.where(exp_like, 0.5, shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_sbar = np.where(
-            exp_like,
-            -q / scale,
-            -np.log1p(np.maximum(safe * q / scale, -1.0 + 1e-15)) / safe,
-        )
-    return scale * np.exp((2.0 - shape) * log_sbar) / (2.0 - shape)
+    return scale * np.exp((2.0 - shape) * _gp_log_survival(scale, shape, q)) / (2.0 - shape)
 
 
 def _gamma_tail_sq_kernel(shape, rate, q):
@@ -863,25 +744,39 @@ def _mixture2_cdf(params, x):
     return w * ndtr((x - m1) / s1) + (1.0 - w) * ndtr((x - m2) / s2)
 
 
+def _normal_survival(params, x):
+    from scipy.special import ndtr
+
+    return ndtr(-(x - params[:, 0]) / params[:, 1])
+
+
+def _mixture2_survival(params, x):
+    from scipy.special import ndtr
+
+    w, m1, s1, m2, s2 = params.T
+    return w * ndtr(-(x - m1) / s1) + (1.0 - w) * ndtr(-(x - m2) / s2)
+
+
 def _gamma_cdf(params, x):
     from scipy.special import gammainc
 
     return gammainc(params[:, 0], params[:, 1] * np.maximum(x, 0.0))
 
 
+def _gamma_survival(params, x):
+    from scipy.special import gammaincc
+
+    return gammaincc(params[:, 0], params[:, 1] * np.maximum(x, 0.0))
+
+
 def _gp_cdf(params, x):
-    scale, shape = params[:, 0], params[:, 1]
-    exp_like = np.abs(shape) < _GP_SHAPE_EPS
-    safe = np.where(exp_like, 0.5, shape)
-    z = safe * np.maximum(x, 0.0) / scale
-    # z <= -1 only at or past the finite upper endpoint of a negative shape
-    inside = z > -1.0
-    c = np.where(
-        exp_like,
-        -np.expm1(-np.maximum(x, 0.0) / scale),
-        np.where(inside, -np.expm1(-np.log1p(np.where(inside, z, 0.0)) / safe), 1.0),
-    )
-    return np.where(x <= 0.0, 0.0, c)
+    log_s = _gp_log_survival(params[:, 0], params[:, 1], np.maximum(x, 0.0))
+    return np.where(x <= 0.0, 0.0, -np.expm1(log_s))
+
+
+def _gp_survival(params, x):
+    log_s = _gp_log_survival(params[:, 0], params[:, 1], np.maximum(x, 0.0))
+    return np.where(x <= 0.0, 1.0, np.exp(log_s))
 
 
 def _ensemble_cdf(members, x):
@@ -904,6 +799,7 @@ class Family(NamedTuple):
     rule: str  # what ``valid`` demands beyond finite parameters
     valid: Callable  # params -> bool per row
     cdf: Callable  # (params, x) -> F(x)
+    survival: Callable | None  # (params, x) -> 1 - F(x) to relative precision
     crps: Callable  # (params, y) -> CRPS(F, y)
     tail: Callable | None = None  # (params, q) -> int_q^inf (1 - F)^2, q scalar
     wcrps: Callable | None = None  # (params, y, q) -> weighted CRPS, w = 1{x >= q}
@@ -914,6 +810,7 @@ _FAMILIES = {
         Normal, 2, "std > 0",
         valid=lambda p: p[:, 1] > 0.0,
         cdf=_normal_cdf,
+        survival=_normal_survival,
         crps=_columns(_crps_normal_kernel),
         tail=lambda p, q: p[:, 1] * _normal_tail_sq((q - p[:, 0]) / p[:, 1]),
     ),
@@ -921,6 +818,7 @@ _FAMILIES = {
         NormalMixture2, 5, "weight in [0, 1] and component stds > 0",
         valid=lambda p: (p[:, 0] >= 0.0) & (p[:, 0] <= 1.0) & (p[:, 2] > 0.0) & (p[:, 4] > 0.0),
         cdf=_mixture2_cdf,
+        survival=_mixture2_survival,
         crps=_columns(_crps_mixture2_kernel),
         tail=_mixture2_tail_sq,
     ),
@@ -928,6 +826,7 @@ _FAMILIES = {
         Exponential, 1, "rate > 0",
         valid=lambda p: p[:, 0] > 0.0,
         cdf=lambda p, x: np.where(x <= 0.0, 0.0, -np.expm1(-p[:, 0] * np.maximum(x, 0.0))),
+        survival=lambda p, x: np.where(x <= 0.0, 1.0, np.exp(-p[:, 0] * np.maximum(x, 0.0))),
         crps=_columns(_crps_exponential_kernel),
         tail=lambda p, q: np.exp(-2.0 * p[:, 0] * max(q, 0.0)) / (2.0 * p[:, 0]) + max(-q, 0.0),
     ),
@@ -935,6 +834,7 @@ _FAMILIES = {
         Gamma, 2, "shape > 0 and rate > 0",
         valid=lambda p: (p[:, 0] > 0.0) & (p[:, 1] > 0.0),
         cdf=_gamma_cdf,
+        survival=_gamma_survival,
         crps=_columns(_crps_gamma_kernel),
         tail=lambda p, q: _gamma_tail_sq_kernel(p[:, 0], p[:, 1], q),
     ),
@@ -942,6 +842,7 @@ _FAMILIES = {
         GeneralizedPareto, 2, "scale > 0",
         valid=lambda p: p[:, 0] > 0.0,
         cdf=_gp_cdf,
+        survival=_gp_survival,
         crps=_columns(_crps_gp_kernel),
         tail=lambda p, q: _gp_tail_sq_kernel(p[:, 0], p[:, 1], max(q, 0.0)) + max(-q, 0.0),
     ),
@@ -949,6 +850,7 @@ _FAMILIES = {
         None, None, "at least one member",
         valid=lambda p: np.full(len(p), p.shape[1] > 0),
         cdf=_ensemble_cdf,
+        survival=None,
         crps=_crps_ensemble_kernel,
         # chaining function v(z) = max(z, q) (Allen, Ginsbourger & Ziegel 2023)
         wcrps=lambda p, y, q: _crps_ensemble_kernel(np.maximum(p, q), np.maximum(y, q)),

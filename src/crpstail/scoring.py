@@ -35,6 +35,7 @@ from .distributions import (
     Spliced,
     UniformMixture,
     _crps_ensemble_kernel,
+    _one_row,
     _quad,
     family_entry,
 )
@@ -162,14 +163,6 @@ class TabulatedWeight(WeightFunction):
 # ---------------------------------------------------------------------------
 
 
-def _one_row(dist: Distribution):
-    """(family-table entry, one-row parameter batch) of ``dist``, or (None, None)."""
-    fam = _FAMILIES.get(dist.family)
-    if fam is None:
-        return None, None
-    return fam, np.array([dist.params], dtype=float)
-
-
 def crps_closed(dist: Distribution, y):
     """Closed-form CRPS; vectorized over ``y``.
 
@@ -178,14 +171,11 @@ def crps_closed(dist: Distribution, y):
     :class:`~crpstail.errors.UnsupportedFamilyError` otherwise and
     :class:`~crpstail.errors.InfiniteMeanError` for a Pareto shape >= 1.
     """
-    fam, params = _one_row(dist)
-    if fam is None:
+    if dist.family not in _FAMILIES:
         raise UnsupportedFamilyError(
             f"no closed-form CRPS for family {dist.family!r}"
         )
-    y_arr = np.asarray(y, dtype=float)
-    out = fam.crps(params, y_arr)
-    return float(out[0]) if y_arr.ndim == 0 else out
+    return _one_row(_FAMILIES[dist.family].crps, dist.params, y)
 
 
 def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -264,9 +254,8 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
     >= 2.
     """
     q = float(q)
-    fam, params = _one_row(dist)
-    if fam is not None and fam.tail is not None:
-        return float(fam.tail(params, q)[0])
+    if dist.family in _FAMILIES:
+        return _one_row(_FAMILIES[dist.family].tail, dist.params, q)
     lo, hi = dist.support()
     # survival == 1 below the support
     return max(lo - q, 0.0) + _sq_integral(dist, max(q, lo), hi, survival=True)

@@ -1,11 +1,12 @@
-"""Accuracy of the closed-form tails int_q^inf S(x)^2 dx against mpmath, far
-beyond the forecast's bulk as well as inside it."""
+"""Accuracy against mpmath, far beyond the forecast's bulk as well as inside
+it: of the closed-form tails int_q^inf S(x)^2 dx, and of the survival and the
+CRPS of the generalized Pareto and the Gamma."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from crpstail import NormalMixture2, simulate
+from crpstail import Gamma, GeneralizedPareto, NormalMixture2, crps_closed, simulate
 from crpstail.distributions import _FAMILIES, _normal_tail_sq
 from crpstail.scoring import survival_sq_tail
 
@@ -100,3 +101,35 @@ def test_mixture_tail_rows_do_not_depend_on_the_batch():
 )
 def test_normal_tail_far_out(s, want):
     assert _normal_tail_sq(np.float64(s)) == pytest.approx(want, rel=1e-9)
+
+
+GP_CASES = [(shape, x) for shape in (1e-9, 5e-9, -5e-9, 9e-9) for x in (1.0, 30.0, 100.0)]
+
+
+@pytest.mark.parametrize("shape, x", GP_CASES)
+def test_gp_near_zero_shape_matches_mpmath(shape, x):
+    # shape 0 stands in for these shapes only where |shape x / scale| < 1e-16:
+    # at 9e-9 and x = 100 it is 4.5e-5 off the survival
+    d = GeneralizedPareto(1.0, shape)
+    with mpmath.workdps(40):
+        xi, y = mpmath.mpf(shape), mpmath.mpf(x)
+
+        def sf(t):
+            # 0 beyond the upper endpoint -1/shape of a negative shape
+            return max(1 + xi * t, 0) ** (-1 / xi)
+
+        end = -1 / xi if xi < 0 else mpmath.inf
+        crps = mpmath.quad(lambda t: (1 - sf(t)) ** 2, [0, y]) + mpmath.quad(
+            lambda t: sf(t) ** 2, [y, y + 1, y + 10, end]
+        )
+        want_sf, want_crps = float(sf(y)), float(crps)
+    assert d.survival(x) == pytest.approx(want_sf, rel=1e-13, abs=0.0)
+    assert crps_closed(d, x) == pytest.approx(want_crps, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [5.0, 10.0, 20.0])
+def test_gamma_survival_far_out(x):
+    # 1 - cdf cancels here: 7.9e-4 off at 10 and 0.0 at 20
+    with mpmath.workdps(40):
+        want = float(mpmath.gammainc(4, 4 * mpmath.mpf(x), mpmath.inf, regularized=True))
+    assert Gamma(4.0, 4.0).survival(x) == pytest.approx(want, rel=1e-13, abs=0.0)
