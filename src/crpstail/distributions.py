@@ -346,6 +346,9 @@ class GeneralizedPareto(_TableFamily):
         small = np.abs(t) < 1e-16
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.expm1(t) * (np.float64(self.scale) / self.shape)
+            # scale / shape alone can overflow where the quantile is finite
+            big = ~np.isfinite(out)
+            out[big] = np.expm1(t[big]) / self.shape * self.scale
         out[small] = -self.scale * np.log1p(-flat[small])
         return _finish(out.reshape(np.shape(p)), scalar)
 
@@ -609,12 +612,14 @@ def _gp_log_survival(scale, shape, x):
     z = shape x / scale, and -x / scale where |z| < 1e-16, which equals it to
     rounding there (and is the shape 0 limit); -inf from a finite upper
     endpoint on, where z <= -1."""
-    z = shape * x / scale
-    # log1p(-1) = -inf; 0 / 0 where shape is 0, which the rule replaces
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # log1p(-1) = -inf; 0 / 0 where shape is 0, which the rule replaces; an
+    # overflow of z, log_s or -x / scale still gives log S = -inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = shape * x / scale
         log_s = -np.log1p(np.maximum(z, -1.0)) / shape
+        exp_like = -x / scale
     # False also where z is nan: shape 0 at x = inf
-    return np.where(np.abs(z) >= 1e-16, log_s, -x / scale)
+    return np.where(np.abs(z) >= 1e-16, log_s, exp_like)
 
 
 def _crps_gp_kernel(scale, shape, y):

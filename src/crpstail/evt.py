@@ -98,13 +98,63 @@ def _gp_negloglik(params, x):
     return x.size * log_sigma + (1.0 + 1.0 / gamma) * float(np.sum(np.log1p(z)))
 
 
+def _sorted(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(f, x0, xatol, fatol, maxiter):
+    """Minimize f from x0 by Nelder & Mead's simplex (1965, Comput. J. 7, 308)
+    as scipy 1.17 runs it without bounds or adaptive steps, operation for
+    operation, so both take the same iterates; returns (x, f(x), converged),
+    converged meaning it stopped before maxiter iterations, counted from 1.
+    """
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    # sorted twice, as scipy does: argsort need not keep tied vertices in place
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside the worst vertex, or inside when xr is no better
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _sorted(sim, fsim)
+    return sim[0], np.min(fsim), iterations < maxiter
+
+
 def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult:
     """Fit a GP tail to positive threshold excesses.
 
     method "pwm": probability-weighted moments, closed form, the default.
     method "mle": Nelder-Mead over (log sigma, gamma) restricted to
     gamma > -0.5, started at the PWM estimate; falls back to PWM (with
-    ``diagnostics["fallback"] = "pwm"``) if the optimizer fails.
+    ``diagnostics["fallback"] = "pwm"``) if the optimizer fails. The simplex
+    is the package's own, which follows scipy's Nelder-Mead iterate for
+    iterate, so the fit loads no part of scipy.
 
     ``threshold`` only anchors the returned tail (threshold_ref); the
     excesses themselves must already be relative to it and strictly positive.
@@ -132,19 +182,13 @@ def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult
     if method != "mle":
         raise ParameterError(f"unknown fit method {method!r} (expected pwm or mle)")
 
-    from scipy.optimize import minimize
-
     start = np.array([math.log(sigma_pwm), np.clip(gamma_pwm, -0.45, 5.0)])
-    res = minimize(
-        _gp_negloglik,
-        start,
-        args=(x,),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
+    xopt, fun, converged = _nelder_mead(
+        lambda p: _gp_negloglik(p, x), start, xatol=1e-10, fatol=1e-10, maxiter=2000
     )
-    if res.success and np.all(np.isfinite(res.x)):
-        sigma, gamma = math.exp(res.x[0]), float(res.x[1])
-        diag = {**diag, "negloglik": float(res.fun), "converged": True}
+    if converged and np.all(np.isfinite(xopt)):
+        sigma, gamma = math.exp(xopt[0]), float(xopt[1])
+        diag = {**diag, "negloglik": float(fun), "converged": True}
         return GpFitResult(
             tail=GpTail(sigma, gamma, threshold),
             method="mle",

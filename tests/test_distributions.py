@@ -158,6 +158,17 @@ class TestGeneralizedPareto:
         if np.isfinite(hi):
             assert np.all(got[x >= hi] == 1.0)
 
+    def test_overflowing_ratio_gives_the_limits(self):
+        # shape x / scale overflows to inf, which Tier-1 would raise as a warning
+        d = GeneralizedPareto(1e-10, 0.5)
+        assert d.cdf(1e300) == 1.0
+        assert d.survival(1e300) == 0.0
+
+    def test_quantile_where_scale_over_shape_overflows(self):
+        # 40-digit mpmath: scale expm1(-shape log1p(-p)) / shape
+        got = GeneralizedPareto(1e305, 1e-5).quantile(0.5)
+        assert_allclose(got, 6.931495828305653e304, rtol=1e-14)
+
     def test_mean_excess_linear(self):
         d = GeneralizedPareto(1.0, 0.25)
         for u in (0.0, 2.0, 7.5):

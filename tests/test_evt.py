@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from crpstail import (
     GpTail,
     InsufficientDataError,
     ParameterError,
+    evt,
     fit_gp,
     shift_scale,
     threshold_grid,
@@ -110,15 +113,10 @@ class TestMleFit:
         assert abs(mle.sigma - pwm.sigma) < 0.05
 
     def test_fallback_flag_when_optimizer_fails(self, monkeypatch):
-        # fit_gp imports the optimizer on first use, from scipy.optimize
-        import scipy.optimize
+        def failed(*args, **kwargs):
+            return np.array([np.nan, np.nan]), np.inf, False
 
-        class _Failed:
-            success = False
-            x = np.array([np.nan, np.nan])
-            fun = np.inf
-
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **k: _Failed())
+        monkeypatch.setattr(evt, "_nelder_mead", failed)
         x = np.arange(1.0, 31.0)
         res = fit_gp(x, method="mle")
         assert res.method == "mle"
@@ -127,6 +125,45 @@ class TestMleFit:
         pwm = fit_gp(x, method="pwm")
         assert_allclose(res.sigma, pwm.sigma, rtol=1e-15)
         assert_allclose(res.gamma, pwm.gamma, rtol=1e-15)
+
+
+def _simplex_and_scipy(x, maxiter):
+    """(x, f(x), converged) of the package's Nelder-Mead and of scipy's, the
+    oracle, on the GP likelihood of x from the start that fit_gp takes."""
+    from scipy.optimize import minimize
+
+    sigma, gamma, _ = evt._pwm_estimate(x)
+    start = np.array([math.log(sigma), np.clip(gamma, -0.45, 5.0)])
+    got = evt._nelder_mead(lambda p: evt._gp_negloglik(p, x), start, 1e-10, 1e-10, maxiter)
+    ref = minimize(evt._gp_negloglik, start, args=(x,), method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter})
+    return got, (ref.x, ref.fun, ref.success)
+
+
+class TestNelderMead:
+    def test_matches_scipy_bit_for_bit(self):
+        converged = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 5001))
+            law = GeneralizedPareto(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-0.45, 1.5))
+            x = law.sample(n, rng)
+            # a start outside the support leaves every vertex at inf, and both
+            # stop tests then take inf - inf
+            with np.errstate(invalid="ignore"):
+                (x_got, f_got, ok_got), (x_ref, f_ref, ok_ref) = _simplex_and_scipy(x, 2000)
+            assert x_got.tobytes() == x_ref.tobytes(), (seed, x_got, x_ref)
+            assert np.float64(f_got).tobytes() == np.float64(f_ref).tobytes(), seed
+            assert ok_got == ok_ref, seed
+            converged += ok_got
+        assert converged >= 190
+
+    def test_both_fail_when_iterations_run_out(self):
+        x = GeneralizedPareto(2.0, 0.3).sample(1000, np.random.default_rng(5))
+        (x_got, f_got, ok_got), (x_ref, f_ref, ok_ref) = _simplex_and_scipy(x, 10)
+        assert ok_got is False and not ok_ref
+        assert x_got.tobytes() == x_ref.tobytes()
+        assert f_got == f_ref
 
 
 class TestFitValidation:

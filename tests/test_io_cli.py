@@ -1105,6 +1105,28 @@ class TestInstalledEntryPoint:
         )
         assert python_stdout(code) == "[0, 0] False"
 
+    def test_fit_gp_loads_no_scipy(self, tmp_path, python_stdout):
+        # the MLE runs the package's own Nelder-Mead, so neither fit imports
+        # scipy, and the MLE converges with scipy.optimize blocked
+        rec = tmp_path / "r.jsonl"
+        write_records(simulate("ge", "ideal", 4000, seed=0), str(rec))
+        runs = [["fit-gp", "--records", str(rec), "--threshold-order", "0.9", "--method", m,
+                 "--format", "json", "--out", str(tmp_path / f"{m}.json")]
+                for m in ("mle", "pwm")]
+        code = (
+            "import sys; from crpstail.cli import main; "
+            f"codes = [main(a) for a in {runs!r}]; "
+            "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        assert python_stdout(code) == "[0, 0] []"
+        blocked = (
+            "import sys; sys.modules['scipy.optimize'] = None; "
+            f"from crpstail.cli import main; print(main({runs[0]!r}))"
+        )
+        assert python_stdout(blocked) == "0"
+        meta = json.loads((tmp_path / "mle.json").read_text())["meta"]
+        assert meta["diagnostics"]["converged"] is True
+
     def test_console_script_roundtrip(self, tmp_path):
         out = tmp_path / "cup.csv"
         cmd = [sys.executable, "-m", "crpstail", "verify", "cup", "--gamma",
