@@ -442,6 +442,3 @@ def main(argv=None) -> int:
         _note(f"crpstail: numeric failure: {exc}")
         return EXIT_NUMERIC
 
-
-if __name__ == "__main__":
-    sys.exit(main())

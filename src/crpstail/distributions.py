@@ -645,8 +645,9 @@ def _crps_ensemble_kernel(members, y):
     from the sorted members."""
     xs = np.sort(members, axis=1)
     m = xs.shape[1]
-    k = np.arange(1, m + 1)
-    return np.abs(xs - np.asarray(y)[..., None]).mean(axis=1) - xs @ (2 * k - m - 1) / (m * m)
+    w = 2 * np.arange(1, m + 1) - m - 1
+    # a pairwise sum, not a BLAS product, so no result depends on the BLAS build
+    return np.abs(xs - np.asarray(y)[..., None]).mean(axis=1) - (xs * w).sum(axis=1) / (m * m)
 
 
 def _normal_tail_sq(s):

@@ -98,6 +98,18 @@ def _gp_negloglik(params, x):
     return x.size * log_sigma + (1.0 + 1.0 / gamma) * float(np.sum(np.log1p(z)))
 
 
+def _mle_start(x, sigma, gamma):
+    """The likelihood search's start (log sigma, gamma) from the PWM estimate:
+    gamma clipped to [-0.45, 5] and, where that leaves the upper endpoint
+    -sigma/gamma at or below the largest excess (every simplex vertex would
+    then score inf), raised until the endpoint lies 1 % above it."""
+    gamma = float(np.clip(gamma, -0.45, 5.0))
+    top = float(np.max(x))
+    if gamma < 0.0 and -sigma / gamma <= top:
+        gamma = -sigma / (1.01 * top)
+    return np.array([math.log(sigma), gamma])
+
+
 def _sorted(sim, fsim):
     ind = np.argsort(fsim)
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
@@ -151,7 +163,8 @@ def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult
 
     method "pwm": probability-weighted moments, closed form, the default.
     method "mle": Nelder-Mead over (log sigma, gamma) restricted to
-    gamma > -0.5, started at the PWM estimate; falls back to PWM (with
+    gamma > -0.5, started at the PWM estimate (its shape raised, if need be,
+    until the upper endpoint lies above every excess); falls back to PWM (with
     ``diagnostics["fallback"] = "pwm"``) if the optimizer fails. The simplex
     is the package's own, which follows scipy's Nelder-Mead iterate for
     iterate, so the fit loads no part of scipy.
@@ -182,7 +195,7 @@ def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult
     if method != "mle":
         raise ParameterError(f"unknown fit method {method!r} (expected pwm or mle)")
 
-    start = np.array([math.log(sigma_pwm), np.clip(gamma_pwm, -0.45, 5.0)])
+    start = _mle_start(x, sigma_pwm, gamma_pwm)
     xopt, fun, converged = _nelder_mead(
         lambda p: _gp_negloglik(p, x), start, xatol=1e-10, fatol=1e-10, maxiter=2000
     )

@@ -218,10 +218,12 @@ def diebold_mariano(scores_a, scores_b, lag: int = 0) -> DmResult:
     d = a - b
     mean = float(d.mean())
     dc = d - mean
-    gamma0 = float(dc @ dc) / n
+    # numpy's pairwise sums, not BLAS dot products, whose rounding depends on
+    # the BLAS build and its thread count
+    gamma0 = float(np.sum(dc * dc)) / n
     var = gamma0
     for ell in range(1, min(lag, n - 1) + 1):
-        cov = float(dc[ell:] @ dc[:-ell]) / n
+        cov = float(np.sum(dc[ell:] * dc[:-ell])) / n
         var += 2.0 * (1.0 - ell / (lag + 1.0)) * cov
     var /= n
     if var <= 0.0:

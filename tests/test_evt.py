@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def _simplex_and_scipy(x, maxiter):
     from scipy.optimize import minimize
 
     sigma, gamma, _ = evt._pwm_estimate(x)
-    start = np.array([math.log(sigma), np.clip(gamma, -0.45, 5.0)])
+    start = evt._mle_start(x, sigma, gamma)
     got = evt._nelder_mead(lambda p: evt._gp_negloglik(p, x), start, 1e-10, 1e-10, maxiter)
     ref = minimize(evt._gp_negloglik, start, args=(x,), method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter})
@@ -148,15 +149,40 @@ class TestNelderMead:
             n = int(rng.integers(10, 5001))
             law = GeneralizedPareto(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-0.45, 1.5))
             x = law.sample(n, rng)
-            # a start outside the support leaves every vertex at inf, and both
-            # stop tests then take inf - inf
-            with np.errstate(invalid="ignore"):
-                (x_got, f_got, ok_got), (x_ref, f_ref, ok_ref) = _simplex_and_scipy(x, 2000)
+            (x_got, f_got, ok_got), (x_ref, f_ref, ok_ref) = _simplex_and_scipy(x, 2000)
             assert x_got.tobytes() == x_ref.tobytes(), (seed, x_got, x_ref)
             assert np.float64(f_got).tobytes() == np.float64(f_ref).tobytes(), seed
             assert ok_got == ok_ref, seed
             converged += ok_got
         assert converged >= 190
+
+    def test_start_inside_support(self):
+        # seed 152 of the comparison above: the PWM shape, -0.403, puts the
+        # endpoint at 0.2835, below the largest excess 0.2900; started there,
+        # every vertex scored inf and the fit fell back to PWM after 2,000
+        # shrinks, warning on each inf - inf of the stop test
+        rng = np.random.default_rng(152)
+        n = int(rng.integers(10, 5001))
+        law = GeneralizedPareto(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-0.45, 1.5))
+        x = law.sample(n, rng)
+        sigma, gamma, _ = evt._pwm_estimate(x)
+        assert gamma < 0.0 and -sigma / gamma < x.max()
+        log_sigma, start_gamma = evt._mle_start(x, sigma, gamma)
+        assert -0.45 <= start_gamma < 0.0
+        assert -math.exp(log_sigma) / start_gamma > x.max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_gp(x, method="mle")
+        assert res.diagnostics["converged"] is True
+        assert -res.sigma / res.gamma > x.max()
+        assert abs(res.gamma - law.shape) < 0.05
+
+    def test_start_inside_support_keeps_its_bits(self):
+        x = GeneralizedPareto(1.0, -0.3).sample(1000, np.random.default_rng(5))
+        sigma, gamma, _ = evt._pwm_estimate(x)
+        assert -0.45 < gamma < 0.0 and -sigma / gamma > x.max()
+        start = np.array([math.log(sigma), np.clip(gamma, -0.45, 5.0)])
+        assert evt._mle_start(x, sigma, gamma).tobytes() == start.tobytes()
 
     def test_both_fail_when_iterations_run_out(self):
         x = GeneralizedPareto(2.0, 0.3).sample(1000, np.random.default_rng(5))

@@ -1,8 +1,10 @@
 import csv
 import io as stringio
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import crpstail
 import crpstail.io as crpstail_io
 
 from crpstail import (
@@ -1041,6 +1044,36 @@ def test_order_outside_unit_interval_is_usage_error(argv, value, tmp_path, capsy
     assert exc.value.code == 1
     assert "quantile orders must lie in (0, 1)" in capsys.readouterr().err
 
+class TestPackageNamespace:
+    """``crpstail`` imports a public name's submodule on first access."""
+
+    def test_import_loads_no_numpy(self, python_stdout):
+        assert python_stdout("import sys, crpstail; print('numpy' in sys.modules)") == "False"
+
+    def test_names_are_the_submodules_own(self, python_stdout):
+        code = (
+            "import sys, crpstail\n"
+            "wrong = []\n"
+            "for name in crpstail.__all__[1:]:\n"
+            "    value = getattr(crpstail, name)\n"
+            "    owner = sys.modules['crpstail.' + crpstail._MODULE_OF[name]]\n"
+            "    if value is not vars(owner)[name] "
+            "or getattr(value, '__module__', owner.__name__) != owner.__name__:\n"
+            "        wrong.append(name)\n"
+            "print(crpstail.__all__[0], len(crpstail.__all__), wrong)"
+        )
+        assert python_stdout(code) == "__version__ 81 []"
+
+    def test_dir_and_unknown_names(self, python_stdout):
+        code = (
+            "import crpstail\n"
+            "print(dir(crpstail) == sorted(crpstail.__all__), end=' ')\n"
+            "try: crpstail.no_such_name\n"
+            "except AttributeError as exc: print(exc)"
+        )
+        assert python_stdout(code) == "True module 'crpstail' has no attribute 'no_such_name'"
+
+
 class TestInstalledEntryPoint:
     def test_cli_import_leaves_solvers_unloaded(self, python_stdout):
         # scipy.integrate, scipy.optimize and scipy.special load on first use,
@@ -1126,6 +1159,46 @@ class TestInstalledEntryPoint:
         assert python_stdout(blocked) == "0"
         meta = json.loads((tmp_path / "mle.json").read_text())["meta"]
         assert meta["diagnostics"]["converged"] is True
+
+    def test_console_script_is_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(crpstail.__file__).parents[2] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"crpstail": "crpstail.__main__:main"}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+    @pytest.mark.parametrize("launch", [
+        "import crpstail.__main__ as entry; code = entry.main({argv!r})",
+        # what python -m crpstail runs
+        "import runpy, sys; sys.argv[1:] = {argv!r}\n"
+        "try: runpy.run_module('crpstail', run_name='__main__')\n"
+        "except SystemExit as exc: code = exc.code",
+    ], ids=["main", "runpy"])
+    def test_command_line_runs_one_blas_thread(self, tmp_path, python_stdout, launch):
+        # numpy's and scipy's OpenBLAS would each start a worker per extra CPU
+        argv = ["verify", "dm", "--model", "nn", "--t", "2000", "--seed", "3",
+                "--out", str(tmp_path / "dm.csv")]
+        code = (
+            "import os; os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            + launch.format(argv=argv)
+            + "\nprint(code, len(os.listdir('/proc/self/task')))"
+        )
+        assert python_stdout(code) == "0 1"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+    def test_user_blas_threads_kept(self, tmp_path, python_stdout):
+        argv = ["verify", "dm", "--model", "nn", "--t", "2000", "--seed", "3",
+                "--out", str(tmp_path / "dm.csv")]
+        code = (
+            "import os; os.environ['OPENBLAS_NUM_THREADS'] = '2'; "
+            f"import crpstail.__main__ as entry; code = entry.main({argv!r}); "
+            "print(code, os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+        )
+        code, setting, threads = python_stdout(code).split()
+        assert (code, setting) == ("0", "2")
+        if len(os.sched_getaffinity(0)) > 1:
+            assert int(threads) > 1
 
     def test_console_script_roundtrip(self, tmp_path):
         out = tmp_path / "cup.csv"

@@ -1,10 +1,13 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import crpstail
 from crpstail import (
     DomainError,
     GpTail,
@@ -260,6 +263,37 @@ class TestDieboldMariano:
             diebold_mariano([1.0, 2.0], [1.0])
         with pytest.raises(InsufficientDataError):
             diebold_mariano([1.0], [2.0])
+
+
+class TestNoBlas:
+    """No result may depend on the BLAS build or its thread count."""
+
+    def test_dm_bits_do_not_depend_on_blas_threads(self, python_stdout):
+        # seed 0 gave -0.9154487086666889 on one thread and ...888 on two
+        # while the variance was a BLAS dot product
+        def statistics(threads):
+            return python_stdout(
+                f"import os; os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'; "
+                "import numpy as np; from crpstail import diebold_mariano; "
+                "a, b = np.random.default_rng(0).standard_normal((2, 300_000)); "
+                "print([diebold_mariano(a, b, lag).statistic.hex() for lag in (0, 5)])"
+            )
+
+        assert statistics(1) == statistics(2)
+
+    def test_package_makes_no_blas_call(self):
+        blas = {"dot", "matmul", "vdot", "inner", "einsum"}
+        found = []
+        for path in sorted(Path(crpstail.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.MatMult):
+                    found.append((path.name, "@"))
+                elif isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                    if name in blas:
+                        found.append((path.name, node.lineno, name))
+        assert found == []
 
 
 class TestDmMatrix:
