@@ -194,21 +194,9 @@ def cmd_verify_index_curve(args) -> int:
         "pit_max_dev",
         "note",
     ]
+    flags = ("pathological", "auto_calibrated")  # written as 0/1
     rows = [
-        [
-            r.order,
-            r.threshold,
-            r.n_tail,
-            r.t_forecast,
-            r.t_clim,
-            r.log_p_forecast,
-            r.log_p_clim,
-            r.index,
-            int(r.pathological),
-            int(r.auto_calibrated),
-            r.pit_max_dev,
-            r.note,
-        ]
+        [int(getattr(r, n)) if n in flags else getattr(r, n) for n in header]
         for r in curve.rows
     ]
     meta = {

@@ -96,6 +96,8 @@ def simulate_forecasters(
             )
     if t <= 0:
         raise DomainError("record count must be positive")
+    if not 0 <= seed < 2**128:
+        raise ParameterError(f"seed must lie in [0, 2**128), got {seed}")
     u = _uniforms(t, seed, t0)
     ts = np.arange(t0, t0 + t, dtype=np.int64)
     stream, forecast = _STREAMS[model]

@@ -55,8 +55,8 @@ __all__ = [
 def _check_cup_params(gamma, sigma):
     if not (0.0 <= gamma < 1.0):
         raise ParameterError(f"cup analytics require 0 <= gamma < 1, got {gamma}")
-    if not (sigma > 0.0):
-        raise ParameterError(f"scale must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"scale must be finite and positive, got {sigma}")
 
 
 def expected_crps_pareto(a, gamma: float, sigma: float = 1.0):
@@ -154,33 +154,18 @@ def ambiguous_counterpart(a: float, gamma: float, sigma: float = 1.0) -> float:
     a0 = 3.0 / (1.0 + gamma)
     if not (0.0 <= a <= a0):
         raise DomainError(f"a = {a} lies outside the ambiguity cup [0, {a0:.6g}]")
-
-    from scipy.optimize import brentq, minimize_scalar
-
-    def phi(x):
-        return expected_crps_pareto(x, gamma, sigma)
-
-    # the minimizer is a = 1 analytically; confirm numerically before bracketing
-    res = minimize_scalar(phi, bounds=(0.0, a0), method="bounded", options={"xatol": 1e-10})
-    amin = float(res.x)
-    if abs(a - amin) < 1e-6:
+    if abs(a - 1.0) < 1e-6:
         raise DomainError(
             "a sits at the cup minimum; its equal-score counterpart is itself"
         )
-    target = phi(a)
-    if a < amin:
-        lo, hi = amin, a0
-    else:
-        lo, hi = 0.0, amin
-    f = lambda x: phi(x) - target
-    if f(lo) * f(hi) > 0:
-        # no sign change can only mean a is at (or numerically at) an edge,
-        # where the counterpart is the opposite edge; anything else is a bug
-        edge = a0 if a < amin else 0.0
-        if abs(f(edge)) > 1e-9 * max(1.0, abs(target)):
-            raise DomainError(f"no equal-score counterpart found for a = {a}")
-        return edge
-    return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    # phi(x) = phi(a) is the quadratic A x^2 - B x - 4c = 0 with
+    # c = (phi(a) - phi(0)) / (2 sigma), formed without the cancelling
+    # subtraction; a is one root, so the other is B/A - a, clamped to the cup
+    # against rounding at its edges
+    c = a * (0.5 / (2.0 - a * gamma) - 1.0 / (1.0 + a - a * gamma))
+    big_a = 1.0 + gamma + 2.0 * c * gamma * (1.0 - gamma)
+    big_b = 3.0 + 2.0 * c * (2.0 - 3.0 * gamma)
+    return min(max(big_b / big_a - a, 0.0), a0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from functools import cache
 import numpy as np
 
 from .errors import (
-    DegenerateDataError,
     DomainError,
     InsufficientDataError,
     ParameterError,
@@ -116,6 +115,8 @@ def shuffled_score_series(
     the reference point for how much of the score distribution is pairing
     (information) rather than climatology.
     """
+    if shuffle_seed < 0:
+        raise ParameterError(f"shuffle seed must be non-negative, got {shuffle_seed}")
     perm = np.random.default_rng(shuffle_seed).permutation(len(batch))
     y = batch.y[perm]
     vals = _score_batch(batch, y, weight_threshold)
@@ -479,39 +480,31 @@ def extremes_index(
     failing the PIT screen arrives with ``auto_calibrated=False`` and
     should not be read as extremes skill.
     """
-    return _extremes_index(batch_f, batch_clim, u, fit, pit_alpha)
+    scores_f, scores_c = _tail_scores(batch_f, batch_clim, batch_f.y > u)
+    return _index_row(u, fit, scores_f, scores_c, pit_calibration(batch_f), pit_alpha)
 
 
 def _tail_scores(batch_f, batch_clim, sel):
     """CRPS of the forecast and the climatology on the rows ``sel`` picks."""
+    if len(batch_f) != len(batch_clim) or not np.array_equal(batch_f.y, batch_clim.y):
+        raise ParameterError("forecast and climatology batches must share observations")
     return (
         _score_batch(batch_f.subset(sel), batch_f.y[sel], None),
         _score_batch(batch_clim.subset(sel), batch_clim.y[sel], None),
     )
 
 
-def _extremes_index(
-    batch_f, batch_clim, u, fit, pit_alpha=0.05, pit=None, tail_scores=_tail_scores
-):
-    """:func:`extremes_index`, reusing the forecast's PIT when ``pit`` is given
-    and scoring the exceedances with ``tail_scores(batch_f, batch_clim, sel)``."""
-    if len(batch_f) != len(batch_clim) or not np.array_equal(batch_f.y, batch_clim.y):
-        raise ParameterError("forecast and climatology batches must share observations")
-    sel = batch_f.y > u
-    m = int(sel.sum())
+def _index_row(u, fit, scores_f, scores_c, pit, pit_alpha) -> IndexResult:
+    """The index row at threshold ``u`` from the CRPS of its exceedances."""
+    m = scores_f.size
     if m < 10:
-        raise InsufficientDataError(
-            f"only {m} observations exceed the threshold {u}"
-        )
+        raise InsufficientDataError(f"only {m} observations exceed the threshold {u}")
     tail_u = shift_scale(fit, float(u))
-    scores_f, scores_c = tail_scores(batch_f, batch_clim, sel)
     t_f = cvm_statistic(scores_f, tail_u)
     t_c = cvm_statistic(scores_c, tail_u)
     log_pf = float(cvm_log_pvalue(t_f))
     log_pc = float(cvm_log_pvalue(t_c))
     ratio = math.exp(min(log_pf - log_pc, 500.0))
-    if pit is None:
-        pit = pit_calibration(batch_f)
     return IndexResult(
         threshold=float(u),
         n_tail=m,
@@ -526,6 +519,15 @@ def _extremes_index(
         auto_calibrated=pit.auto_calibrated(pit_alpha),
         pit_max_dev=pit.max_dev,
     )
+
+
+# every field of a gap row but its threshold, order, tail count and note
+_GAP_FIELDS = {
+    **dict.fromkeys(("t_forecast", "t_clim", "p_forecast", "p_clim", "log_p_forecast",
+                     "log_p_clim", "index", "pit_max_dev"), math.nan),
+    "pathological": False,
+    "auto_calibrated": False,
+}
 
 
 @dataclass(frozen=True)
@@ -562,43 +564,18 @@ def index_curve(
     thresholds = threshold_grid(y, orders)
     pit = pit_calibration(batch_f)  # one PIT serves every threshold
     # a record's CRPS does not depend on the threshold, and the exceedances
-    # of a higher threshold are among those of a lower one: the first
-    # threshold that gets scored scores the rows of all later ones
-    scored = []
-
-    def nested_scores(batch_f, batch_clim, sel):
-        if not scored:
-            scored.append((sel, *_tail_scores(batch_f, batch_clim, sel)))
-        base, scores_f, scores_c = scored[0]
-        keep = sel[base]
-        return scores_f[keep], scores_c[keep]
-
+    # of a higher threshold are among those of the lowest one
+    sel = y > thresholds[0]
+    scores_f, scores_c = _tail_scores(batch_f, batch_clim, sel)
+    y_tail = y[sel]
     rows = []
     for order, u in zip(orders, thresholds):
+        keep = y_tail > u
         try:
-            row = _extremes_index(
-                batch_f, batch_clim, float(u), fit, pit=pit, tail_scores=nested_scores
-            )
-            rows.append(replace(row, order=float(order)))
-        except (InsufficientDataError, DomainError, DegenerateDataError) as exc:
-            rows.append(
-                IndexResult(
-                    threshold=float(u),
-                    n_tail=int((y > u).sum()),
-                    t_forecast=math.nan,
-                    t_clim=math.nan,
-                    p_forecast=math.nan,
-                    p_clim=math.nan,
-                    log_p_forecast=math.nan,
-                    log_p_clim=math.nan,
-                    index=math.nan,
-                    pathological=False,
-                    auto_calibrated=False,
-                    pit_max_dev=math.nan,
-                    order=float(order),
-                    note=str(exc),
-                )
-            )
+            row = _index_row(float(u), fit, scores_f[keep], scores_c[keep], pit, 0.05)
+        except (InsufficientDataError, DomainError) as exc:
+            row = IndexResult(float(u), int(keep.sum()), note=str(exc), **_GAP_FIELDS)
+        rows.append(replace(row, order=float(order)))
     return IndexCurve(rows=rows, fit=fit)
 
 

@@ -787,6 +787,44 @@ class TestCliSimulate:
         assert exc.value.code == 1
 
 
+class TestCliSeedRange:
+    """A seed outside its generator's range is a usage error, not a traceback."""
+
+    @pytest.fixture()
+    def record_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(simulate("ge", "ideal", 50, seed=3), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "ge", "--forecaster", "ideal", "--t", "5",
+             "--seed", "-1"],
+            ["simulate", "--model", "nn", "--forecaster", "ideal", "--t", "5",
+             "--seed", str(2**128)],
+            ["verify", "dm", "--model", "ge", "--t", "50", "--seed", "-3"],
+            ["verify", "index-curve", "--model", "ge", "--forecaster", "ideal",
+             "--t", "50", "--seed", "-2"],
+        ],
+        ids=["simulate", "simulate-2**128", "dm", "index-curve"],
+    )
+    def test_seed(self, argv, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert _run(argv + ["--out", str(out)]) == 1
+        assert "crpstail: usage error: seed must lie in [0, 2**128)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["score"], ["verify", "qqpp"]])
+    def test_shuffle_seed(self, command, record_file, capsys, tmp_path):
+        out = tmp_path / "out"
+        argv = command + ["--records", record_file, "--shuffle-seed", "-1", "--out", str(out)]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert "crpstail: usage error: shuffle seed must be non-negative" in err
+        assert not out.exists()
+
+
 class TestCliScore:
     @pytest.fixture()
     def record_file(self, tmp_path):
@@ -996,6 +1034,16 @@ class TestCliVerifyCup:
         with pytest.raises(SystemExit) as exc:
             _run(["verify", "cup", "--gamma", "1.0"])
         assert exc.value.code == 1
+
+    def test_infinite_scale_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "cup.csv"
+        code = _run(["verify", "cup", "--gamma", "0.2", "--sigma", "inf", "--grid", "3",
+                     "--out", str(out)])
+        assert code == 1
+        assert "crpstail: usage error: scale must be finite and positive" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestCliFitGp:

@@ -125,6 +125,16 @@ class TestSimulateForecasters:
         with pytest.raises(DomainError):
             simulate_forecasters("ge", FORECASTERS, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_key_range(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            simulate_forecasters("ge", FORECASTERS, 10, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            simulate("nn", "ideal", 10, seed=seed)
+
+    def test_largest_seed(self):
+        assert len(simulate("ge", "ideal", 5, seed=2**128 - 1)) == 5
+
 
 class TestModelNn:
     def test_marginal_moments(self, nn_small):

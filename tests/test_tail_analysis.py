@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -136,6 +138,11 @@ class TestAmbiguityRegion:
         )
         assert_allclose(geom.area, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ParameterError, match="scale"):
+            ambiguity_region(0.2, sigma)
+
     def test_area_scales_with_sigma(self):
         assert_allclose(
             ambiguity_region(0.2, sigma=2.5).area,
@@ -169,6 +176,21 @@ class TestAmbiguousCounterpart:
     def test_minimizer_has_no_counterpart(self):
         with pytest.raises(DomainError):
             ambiguous_counterpart(1.0, 0.1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.06, 0.12, 0.5, 0.88, 0.96])
+    def test_stays_inside_the_cup(self, gamma):
+        a0 = 3.0 / (1.0 + gamma)
+        near = np.logspace(-16, -3, 50)
+        for a in np.r_[np.linspace(0.0, a0, 401), a0 * near, a0 * (1.0 - near)]:
+            if abs(a - 1.0) >= 1e-6:
+                assert 0.0 <= ambiguous_counterpart(a, gamma) <= a0
+
+    def test_loads_no_scipy_optimize(self, python_stdout):
+        code = (
+            "import sys; from crpstail import ambiguous_counterpart; "
+            "ambiguous_counterpart(0.5, 0.1); print('scipy.optimize' in sys.modules)"
+        )
+        assert python_stdout(code) == "False"
 
     def test_outside_cup_rejected(self):
         with pytest.raises(DomainError):

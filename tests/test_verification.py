@@ -112,6 +112,11 @@ class TestScoreSeries:
         s3 = shuffled_score_series(batch, shuffle_seed=8)
         assert not np.array_equal(s3.obs, s1.obs)
 
+    def test_negative_shuffle_seed(self):
+        batch = _normal_batch(np.zeros(5), 1.0, np.arange(5.0))
+        with pytest.raises(ParameterError, match="shuffle seed"):
+            shuffled_score_series(batch, shuffle_seed=-1)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             ScoreSeries(values=np.ones(3), pairing="mixed", obs=np.ones(3))
@@ -633,6 +638,37 @@ class TestIndexCurve:
         assert calls == [curve.rows[0].n_tail] * 2
         monkeypatch.setattr(RecordBatch, "subset", subset)
         for row in curve.rows:
+            alone = extremes_index(ext, clim, row.threshold, curve.fit)
+            assert replace(alone, order=row.order) == row
+
+    def test_curve_opens_and_closes_with_gaps(self, ge_small, monkeypatch):
+        calls = []
+        subset = RecordBatch.subset
+
+        def counted(batch, index):
+            calls.append(batch)
+            return subset(batch, index)
+
+        monkeypatch.setattr(RecordBatch, "subset", counted)
+        ext, clim = ge_small["extremist"], ge_small["climatological"]
+        orders = [0.75, 0.9, 0.95, 0.9999]
+        curve = index_curve(ext, clim, orders, fit_order=0.9)
+        assert len(calls) == 2 and calls[0] is ext and calls[1] is clim
+        monkeypatch.setattr(RecordBatch, "subset", subset)
+        below, *good, few = curve.rows
+        assert [r.order for r in curve.rows] == orders
+        # the lowest threshold lies below the fit threshold
+        assert "below the fit threshold" in below.note
+        assert math.isnan(below.index) and math.isnan(below.pit_max_dev)
+        assert below.n_tail == int((ext.y > below.threshold).sum())
+        assert not below.pathological and not below.auto_calibrated
+        # the highest leaves too few exceedances
+        assert few.note == (
+            f"only {few.n_tail} observations exceed the threshold {few.threshold}"
+        )
+        assert few.n_tail == int((ext.y > few.threshold).sum()) < 10
+        assert math.isnan(few.index)
+        for row in good:
             alone = extremes_index(ext, clim, row.threshold, curve.fit)
             assert replace(alone, order=row.order) == row
 

@@ -2,10 +2,10 @@
 
 The set covers ``simulate`` for both models and all four forecasters,
 ``score`` (weighted, shuffled, JSON) on each simulated file, ``verify
-index-curve`` in simulator and file mode, ``verify dm``, ``verify qqpp``,
-``verify cup`` and ``fit-gp``, and ``score`` and ``fit-gp`` on a record
-file that this tool rewrites from a simulated one in another JSON layout
-(see :func:`write_noncanonical`). Each command runs as ``python -m
+index-curve`` in simulator and file mode and with gap rows at both ends of
+a curve, ``verify dm``, ``verify qqpp``, ``verify cup`` and ``fit-gp``, and
+``score`` and ``fit-gp`` on a record file that this tool rewrites from a
+simulated one in another JSON layout (see :func:`write_noncanonical`). Each command runs as ``python -m
 crpstail`` in a fresh temporary directory, against the package sources in
 ``--src``.
 
@@ -85,6 +85,12 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
         runs.append((out, ["verify", "index-curve", "--records", f"{model}_extremist.jsonl",
                            "--records-clim", f"{model}_climatological.jsonl",
                            "--method", "mle", "--out", out]))
+    # the lowest order lies below the fit threshold and the highest leaves too
+    # few exceedances: the curve opens and closes with gap rows
+    runs.append(("index_gaps.csv", ["verify", "index-curve", "--model", "ge", "--forecaster",
+                                    "unfocused", "--t", t, "--seed", SEED, "--quantiles",
+                                    "0.75,0.9,0.95,0.9999", "--threshold-order", "0.9",
+                                    "--out", "index_gaps.csv"]))
     for model in MODELS:
         for fmt in ("csv", "json"):
             out = f"dm_{model}.{fmt}"
