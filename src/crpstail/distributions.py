@@ -31,9 +31,9 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-# scipy.integrate, scipy.optimize and scipy.special are imported where they
-# are used, so a command that never integrates, optimizes or calls a special
-# function does not pay to load them.
+# scipy.optimize, scipy.special and the package's own quadrature are imported
+# where they are used, so a command that never optimizes, calls a special
+# function or integrates does not pay to load them.
 from .errors import (
     ConditioningError,
     DivergenceError,
@@ -80,8 +80,9 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
 
 
 def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
-    """int_a^b f by adaptive QUADPACK quadrature; the package's only
-    integration path. The defaults are ``scipy.integrate.quad``'s.
+    """int_a^b f by adaptive QUADPACK quadrature (:mod:`crpstail._quadpack`,
+    which returns scipy's ``quad`` bits); the package's only integration path.
+    The defaults are scipy's.
 
     Break points outside (a, b), or within 1e-12 (relative) of the node before
     them or of b, are dropped: QUADPACK bisects its smallest subintervals to
@@ -92,10 +93,10 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     there is none: QUADPACK's own infinite-range rule, with L = 1 always, loses
     an algebraic tail cut far out.
     """
-    from scipy import integrate
+    from . import _quadpack
 
     def rule(g, lo, hi, pts=None):
-        return integrate.quad(g, lo, hi, epsabs=tol, epsrel=tol, limit=limit, points=pts)[0]
+        return _quadpack.quad(g, lo, hi, tol, limit, pts).result
 
     if a >= b:
         return 0.0
@@ -111,14 +112,6 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
             step = math.copysign(abs(p - nxt[0]) if nxt else 1.0, end)  # +-L
             total += rule(lambda s: f(p + step * s / (1 - s)) * abs(step) / (1 - s) ** 2, 0, 1)
     return total
-
-
-def _one_row(kernel, params, x):
-    """``kernel`` of the family table on the one-row batch ``params`` at ``x``;
-    the result keeps the shape of ``x``, a float for a scalar."""
-    x = np.asarray(x, dtype=float)
-    out = kernel(np.array([params], dtype=float), x)
-    return float(out[0]) if x.ndim == 0 else out
 
 
 class Distribution(ABC):
@@ -169,19 +162,31 @@ class _TableFamily(Distribution):
     ``cdf`` and ``survival`` are the table's kernels on a one-row batch."""
 
     def __post_init__(self):
-        # the parameter rule the record batches are checked against
-        check_params(self.family, self.params)
+        # the parameter rule the record batches are checked against, on the
+        # one-row batch that every point-wise call (each quadrature node among
+        # them) runs the kernels on, built once
+        row = np.array([self.params], dtype=float)
+        row.flags.writeable = False
+        check_params(self.family, row)
+        object.__setattr__(self, "_row", row)
 
     @property
     def params(self) -> list[float]:
         """Flat parameter vector: the dataclass fields, in table column order."""
         return [getattr(self, f.name) for f in fields(self)]
 
+    def _one_row(self, kernel, x):
+        """``kernel`` of the family table on this law's one-row batch at ``x``;
+        the result keeps the shape of ``x``, a float for a scalar."""
+        x = np.asarray(x, dtype=float)
+        out = kernel(self._row, x)
+        return float(out[0]) if x.ndim == 0 else out
+
     def cdf(self, x):
-        return _one_row(_FAMILIES[self.family].cdf, self.params, x)
+        return self._one_row(_FAMILIES[self.family].cdf, x)
 
     def survival(self, x):
-        return _one_row(_FAMILIES[self.family].survival, self.params, x)
+        return self._one_row(_FAMILIES[self.family].survival, x)
 
 
 # ---------------------------------------------------------------------------

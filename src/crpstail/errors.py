@@ -58,3 +58,9 @@ class DataFormatError(CrpstailError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class IntegrationWarning(UserWarning):
+    """An adaptive quadrature stopped short of its tolerance; the message is
+    QUADPACK's reason (subdivision limit, roundoff, bad integrand behaviour,
+    stalled extrapolation or divergence)."""

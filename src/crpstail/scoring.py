@@ -35,7 +35,6 @@ from .distributions import (
     Spliced,
     UniformMixture,
     _crps_ensemble_kernel,
-    _one_row,
     _quad,
     family_entry,
 )
@@ -175,7 +174,7 @@ def crps_closed(dist: Distribution, y):
         raise UnsupportedFamilyError(
             f"no closed-form CRPS for family {dist.family!r}"
         )
-    return _one_row(_FAMILIES[dist.family].crps, dist.params, y)
+    return dist._one_row(_FAMILIES[dist.family].crps, y)
 
 
 def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -255,7 +254,7 @@ def survival_sq_tail(dist: Distribution, q: float) -> float:
     """
     q = float(q)
     if dist.family in _FAMILIES:
-        return _one_row(_FAMILIES[dist.family].tail, dist.params, q)
+        return dist._one_row(_FAMILIES[dist.family].tail, q)
     lo, hi = dist.support()
     # survival == 1 below the support
     return max(lo - q, 0.0) + _sq_integral(dist, max(q, lo), hi, survival=True)

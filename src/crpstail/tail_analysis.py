@@ -57,6 +57,10 @@ def _check_cup_params(gamma, sigma):
         raise ParameterError(f"cup analytics require 0 <= gamma < 1, got {gamma}")
     if not 0.0 < sigma < math.inf:
         raise ParameterError(f"scale must be finite and positive, got {sigma}")
+    # every cup quantity is sigma times its value at sigma = 1, and the flat
+    # level sigma / (1 - gamma) is the largest of them
+    if math.isinf(sigma / (1.0 - gamma)):
+        raise ParameterError(f"scale {sigma} overflows the flat level sigma / (1 - gamma)")
 
 
 def expected_crps_pareto(a, gamma: float, sigma: float = 1.0):
@@ -78,8 +82,9 @@ def expected_crps_pareto(a, gamma: float, sigma: float = 1.0):
         raise DomainError("forecast factor a must be non-negative")
     if np.any(a_arr * gamma >= 2.0):
         raise DomainError("a * gamma must stay below 2 (divergent tail integral)")
-    out = sigma / (1.0 - gamma) + 2.0 * a_arr * sigma * (
-        0.5 / (2.0 - a_arr * gamma) - 1.0 / (1.0 + a_arr - a_arr * gamma)
+    out = sigma * (
+        1.0 / (1.0 - gamma)
+        + 2.0 * a_arr * (0.5 / (2.0 - a_arr * gamma) - 1.0 / (1.0 + a_arr - a_arr * gamma))
     )
     return float(out) if scalar else out
 
@@ -97,20 +102,22 @@ class CupGeometry:
     area: float        # int_0^{a0} (phi(0) - phi(a)) da
 
 
-def _cup_area_closed(gamma, sigma):
+def _cup_area_closed(gamma):
+    """The cup area at sigma = 1."""
     a0 = 3.0 / (1.0 + gamma)
-    return 2.0 * sigma * (
+    return 2.0 * (
         a0 * (1.0 + gamma) / (2.0 * gamma * (1.0 - gamma))
         - math.log1p((1.0 - gamma) * a0) / (1.0 - gamma) ** 2
         + math.log1p(-a0 * gamma / 2.0) / gamma ** 2
     )
 
 
-def _cup_area_quadrature(gamma, sigma):
-    # cancellation-free for every gamma >= 0 including exactly 0
-    flat = sigma / (1.0 - gamma)
+def _cup_area_quadrature(gamma):
+    """The cup area at sigma = 1, cancellation-free for every gamma >= 0
+    including exactly 0."""
+    flat = 1.0 / (1.0 - gamma)
     return _quad(
-        lambda a: flat - expected_crps_pareto(a, gamma, sigma),
+        lambda a: flat - expected_crps_pareto(a, gamma),
         0.0,
         3.0 / (1.0 + gamma),
         tol=1e-13,
@@ -127,18 +134,15 @@ def ambiguity_region(gamma: float, sigma: float = 1.0) -> CupGeometry:
     """
     _check_cup_params(gamma, sigma)
     a0 = 3.0 / (1.0 + gamma)
-    if gamma >= 1e-3:
-        area = _cup_area_closed(gamma, sigma)
-    else:
-        area = _cup_area_quadrature(gamma, sigma)
+    area = _cup_area_closed(gamma) if gamma >= 1e-3 else _cup_area_quadrature(gamma)
     return CupGeometry(
         gamma=gamma,
         sigma=sigma,
         a0=a0,
         argmin=1.0,
-        phi_flat=sigma / (1.0 - gamma),
-        phi_min=sigma / ((2.0 - gamma) * (1.0 - gamma)),
-        area=area,
+        phi_flat=sigma * (1.0 / (1.0 - gamma)),
+        phi_min=sigma * (1.0 / ((2.0 - gamma) * (1.0 - gamma))),
+        area=sigma * area,
     )
 
 

@@ -1,10 +1,11 @@
 import inspect
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 import crpstail
@@ -281,13 +282,20 @@ class TestQuadratureHelper:
         assert_allclose(got, 5.023767306235897, rtol=1e-9)
 
     def test_one_function_calls_quad(self):
-        """Every integral goes through ``_quad``, so break points and infinite
-        ranges are handled in one place."""
-        texts = [p.read_text(encoding="utf-8") for p in Path(crpstail.__file__).parent.glob("*.py")]
-        assert sum(t.count("integrate.quad(") for t in texts) == 1
-        assert sum(t.count("from scipy import integrate") for t in texts) == 1
-        assert not any("scipy.integrate import" in t or "import scipy.integrate" in t for t in texts)
-        assert "integrate.quad(" in inspect.getsource(_quad)
+        """Every integral goes through ``_quad`` and the package's own QUADPACK:
+        no module names scipy's integration package, and every mention of
+        ``_quadpack`` outside it lies in ``_quad``."""
+        texts = {
+            p.name: p.read_text(encoding="utf-8")
+            for p in Path(crpstail.__file__).parent.glob("*.py")
+        }
+        assert not any(
+            "scipy.integrate" in t or "from scipy import integrate" in t for t in texts.values()
+        )
+        uses = sum(t.count("_quadpack") for name, t in texts.items() if name != "_quadpack.py")
+        helper = inspect.getsource(_quad)
+        assert uses == helper.count("_quadpack")
+        assert helper.count("_quadpack.quad(") == 1
 
 
 class TestFamilyRegistry:
@@ -314,6 +322,25 @@ class TestFamilyRegistry:
     def test_wrong_param_count(self):
         with pytest.raises(ParameterError):
             from_family("normal", [0.0])
+
+    @pytest.mark.parametrize("family", ["normal", "normal_mixture2", "exponential", "gamma",
+                                        "generalized_pareto"])
+    def test_point_wise_calls_reuse_one_row(self, family):
+        # each instance builds its (1, k) parameter row once; cdf and survival
+        # run the family kernels on it without reading ``params`` again
+        d = from_family(family, {"normal": [0.5, 1.5], "normal_mixture2": [0.5, 0, 1, 2, 1],
+                                 "exponential": [0.7], "gamma": [4.0, 4.0],
+                                 "generalized_pareto": [1.0, 0.25]}[family])
+        row = np.array([d.params])
+        assert_array_equal(d._row, row)
+        assert not d._row.flags.writeable
+        x = np.array([-0.5, 0.3, 1.3, 4.0])
+        with mock.patch.object(type(d), "params", new_callable=mock.PropertyMock,
+                               side_effect=AssertionError):
+            got = [[d.cdf(v), d.survival(v)] for v in x]
+        kernels = crpstail.distributions.family_entry(family)
+        want = np.stack([kernels.cdf(row, x), kernels.survival(row, x)], axis=1)
+        assert_array_equal(got, want)
 
 
 class TestSharedInvariants:

@@ -1,6 +1,7 @@
 import csv
 import io as stringio
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1045,6 +1046,21 @@ class TestCliVerifyCup:
         )
         assert not out.exists()
 
+    def test_huge_scale_stays_finite_or_is_a_usage_error(self, capsys, tmp_path):
+        # sigma / (1 - gamma) = 1.25e308 is finite, so is every value; at
+        # 1.5e308 it overflows
+        out = tmp_path / "cup.json"
+        argv = ["verify", "cup", "--gamma", "0.2", "--grid", "3", "--format", "json",
+                "--out", str(out)]
+        assert _run([*argv, "--sigma", "1e308"]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        values = [v for row in doc["rows"] for v in row] + list(doc["meta"]["gamma=0.2"].values())
+        assert all(math.isfinite(v) for v in values)
+        out.unlink()
+        assert _run([*argv, "--sigma", "1.5e308"]) == 1
+        assert "usage error: scale 1.5e+308 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliFitGp:
     def test_single_row_report(self, tmp_path):
@@ -1185,6 +1201,24 @@ class TestInstalledEntryPoint:
             f"codes = [main(a) for a in {runs!r}]; print(codes, 'scipy.integrate' in sys.modules)"
         )
         assert python_stdout(code) == "[0, 0] False"
+
+    def test_quadrature_loads_no_scipy(self, tmp_path, python_stdout):
+        # the splice of GP(1, 1/4) above its 0.99 quantile with a dominated
+        # exponential: the exact gap and the CRPS of the splice integrate
+        # numpy-only laws, and the cup of shape 0 integrates its area, all
+        # through the package's own QUADPACK
+        code = (
+            "import sys; from crpstail import distributions as d, scoring, tail_analysis as ta\n"
+            "from crpstail.cli import main\n"
+            "base = d.GeneralizedPareto(1.0, 0.25); u = float(base.quantile(0.99))\n"
+            "spliced = ta.splice_tail(base, d.Exponential(2.0 / (1.0 + 0.25 * u)), u)\n"
+            "gap = ta.wcrps_gap_exact(base, spliced); crps = scoring.crps_quadrature(spliced, 3.0)\n"
+            f"code = main(['verify', 'cup', '--gamma', '0', '--grid', '5', '--out', "
+            f"{str(tmp_path / 'cup.csv')!r}])\n"
+            "print(gap > 0, crps > 0, code, [m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules])"
+        )
+        assert python_stdout(code) == "True True 0 []"
 
     def test_fit_gp_loads_no_scipy(self, tmp_path, python_stdout):
         # the MLE runs the package's own Nelder-Mead, so neither fit imports

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate
 
 from crpstail import (
@@ -149,6 +149,26 @@ class TestAmbiguityRegion:
             2.5 * ambiguity_region(0.2).area,
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("gamma", [0.0, 5e-4, 0.2, 0.9])
+    def test_every_quantity_is_sigma_times_its_unit_value(self, gamma):
+        # exactly, so a scale near the largest float overflows nothing that
+        # the flat level does not
+        unit = ambiguity_region(gamma)
+        a = np.linspace(0.0, unit.a0, 7)
+        for sigma in (2.5, 1e308 * (1.0 - gamma)):
+            geom = ambiguity_region(gamma, sigma)
+            for name in ("phi_flat", "phi_min", "area"):
+                assert getattr(geom, name) == sigma * getattr(unit, name)
+            assert_array_equal(
+                expected_crps_pareto(a, gamma, sigma), sigma * expected_crps_pareto(a, gamma)
+            )
+
+    def test_scale_overflowing_the_flat_level_is_rejected(self):
+        ambiguity_region(0.2, 1e308)  # flat level 1.25e308
+        for call in (ambiguity_region, lambda g, s: expected_crps_pareto(1.0, g, s)):
+            with pytest.raises(ParameterError, match="overflows"):
+                call(0.2, 1.5e308)
 
 
 class TestAmbiguousCounterpart:

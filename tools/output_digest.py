@@ -3,7 +3,8 @@
 The set covers ``simulate`` for both models and all four forecasters,
 ``score`` (weighted, shuffled, JSON) on each simulated file, ``verify
 index-curve`` in simulator and file mode and with gap rows at both ends of
-a curve, ``verify dm``, ``verify qqpp``, ``verify cup`` and ``fit-gp``, and
+a curve, ``verify dm``, ``verify qqpp``, ``verify cup`` (in JSON too, where the
+area of a small shape's cup is a quadrature) and ``fit-gp``, and
 ``score`` and ``fit-gp`` on a record file that this tool rewrites from a
 simulated one in another JSON layout (see :func:`write_noncanonical`). Each command runs as ``python -m
 crpstail`` in a fresh temporary directory, against the package sources in
@@ -105,6 +106,9 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
                                    "extremist", "--t", t, "--seed", SEED, "--shuffle-seed",
                                    "2", "--format", "json", "--out", "qqpp_sim.json"]))
     runs.append(("cup.csv", ["verify", "cup", "--gamma", "0,0.25,0.5", "--out", "cup.csv"]))
+    # shapes below 1e-3 integrate the cup area, which only the JSON meta holds
+    runs.append(("cup_small.json", ["verify", "cup", "--gamma", "0,0.0005", "--grid", "5",
+                                    "--format", "json", "--out", "cup_small.json"]))
     for method in ("mle", "pwm"):
         out = f"fit_{method}.json"
         runs.append((out, ["fit-gp", "--records", "ge_ideal.jsonl", "--method", method,
