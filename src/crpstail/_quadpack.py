@@ -1,12 +1,14 @@
-"""Adaptive Gauss-Kronrod quadrature: QUADPACK's DQAGSE and DQAGPE.
+"""Adaptive Gauss-Kronrod quadrature: QUADPACK's DQAGSE.
 
-A port of the Fortran routines of Piessens, de Doncker-Kapenga, Ueberhuber
+A port of the Fortran routine of Piessens, de Doncker-Kapenga, Ueberhuber
 and Kahaner (*QUADPACK*, Springer 1983), operation for operation, together
 with the 21-point rule DQK21, the error-list sort DQPSRT and the epsilon
-algorithm DQELG they share. Every float operation, comparison and branch is
+algorithm DQELG it calls. Every float operation, comparison and branch is
 the Fortran's, in its order, so a run returns the same bits as scipy 1.17's
-``quad`` (a C translation of the same routines): the result, the error
-estimate, ``ier``, the evaluation count and the subinterval lists.
+``quad`` without break points (a C translation of the same routines): the
+result, the error estimate, ``ier``, the evaluation count and the
+subinterval lists. Break points are the caller's: it integrates each piece
+between them with its own run.
 
 The lists are 1-based as in the Fortran (slot 0 is unused), so the
 transcription keeps QUADPACK's indices; :class:`Quadrature` returns them
@@ -19,8 +21,6 @@ import math
 import sys
 import warnings
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import IntegrationWarning
 
@@ -93,10 +93,7 @@ class Quadrature(NamedTuple):
     """One QUADPACK run: the integral, its error estimate, ``ier`` (0 when the
     tolerance was met) and scipy's ``full_output`` fields. The lists hold the
     ``last`` subintervals; ``iord`` ranks the indices (0-based) of those that
-    DQPSRT keeps in order, by error estimate. ``pts``, ``level`` and ``ndin``
-    are DQAGPE's: the ordered break points with both ends, each subinterval's
-    bisection level, and 1 for each initial interval whose error estimate was
-    replaced."""
+    DQPSRT keeps in order, by error estimate."""
 
     result: float
     abserr: float
@@ -108,32 +105,22 @@ class Quadrature(NamedTuple):
     rlist: Sequence[float]
     elist: Sequence[float]
     iord: Sequence[int]
-    pts: Sequence[float] = ()
-    level: Sequence[int] = ()
-    ndin: Sequence[int] = ()
 
 
 # ier 6: the input is invalid
 _INVALID = Quadrature(0.0, 0.0, 6, 0, 0, [], [], [], [], [])
 
 
-def quad(f, a, b, tol, limit, points=None) -> Quadrature:
+def quad(f, a, b, tol, limit) -> Quadrature:
     """int_a^b f over a finite range a <= b to the absolute and relative
-    tolerance ``tol`` in at most ``limit`` subintervals, as scipy's ``quad``
-    integrates it: DQAGSE without break points; otherwise DQAGPE on the
-    distinct points strictly inside (a, b). Warns
+    tolerance ``tol`` in at most ``limit`` subintervals, by DQAGSE as scipy's
+    ``quad`` integrates it without break points. Warns
     :class:`~crpstail.errors.IntegrationWarning` with scipy's message where
     ``ier`` is 1 to 5, and raises ``ValueError`` on invalid input (``ier`` 6)."""
     a, b, tol = float(a), float(b), float(tol)
     if a == b:
         return Quadrature(0.0, 0.0, 0, 0, 0, [], [], [], [], [])
-    if points is None:
-        out = _qagse(f, a, b, tol, tol, limit)
-    else:
-        inner = np.unique(points)
-        inner = inner[a < inner]
-        inner = inner[inner < b]
-        out = _qagpe(f, a, b, inner.tolist(), tol, tol, limit)
+    out = _qagse(f, a, b, tol, tol, limit)
     if out.ier == 6:
         raise ValueError("The input is invalid.")
     if out.ier:
@@ -383,9 +370,32 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
         rlist[maxerr] = area1
         rlist[last] = area2
         errbnd = max(epsabs, epsrel * abs(area))
-        ier, ierro = _flags(ier, ierro, iroff1, iroff2, iroff3, last, limit, a1, a2, b2)
-        _append(maxerr, last, a1, b1, a2, b2, area1, area2, error1, error2,
-                alist, blist, rlist, elist)
+        # roundoff, the subdivision limit, and bad integrand behaviour at a
+        # point (a subinterval too small to split)
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        # store the two halves: the one of larger error estimate in slot
+        # maxerr, the other in slot last
+        if not error2 > error1:
+            alist[last] = a2
+            blist[maxerr] = b1
+            blist[last] = b2
+            elist[maxerr] = error1
+            elist[last] = error2
+        else:
+            alist[maxerr] = a2
+            alist[last] = a1
+            blist[last] = b1
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist[last] = error1
         maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             converged = True
@@ -458,245 +468,11 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     return _out(result, abserr, ier, 42 * last - 21, last, alist, blist, rlist, elist, iord)
 
 
-def _qagpe(f, a, b, points, epsabs, epsrel, limit):
-    """DQAGPE: DQAGSE's bisection and extrapolation, started from the
-    subintervals between the sorted break points ``points``, a < points < b;
-    a subinterval's bisection level takes the place of its length."""
-    npts = len(points)
-    npts2 = npts + 2
-    if limit <= npts or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
-        return _INVALID
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    level = [0] * (limit + 1)
-    ndin = [0] * npts2
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    ier = 0
-    neval = 0
-    result = 0.0
-    abserr = 0.0
-    alist[1] = a
-    blist[1] = b
-    pts = [0.0, a, *points, b]
-    nint = npts + 1
-
-    # first integral and error approximations
-    a1 = pts[1]
-    resabs = 0.0
-    for i in range(1, nint + 1):
-        b1 = pts[i + 1]
-        area1, error1, defabs, resa = _qk21(f, a1, b1)
-        abserr = abserr + error1
-        result = result + area1
-        ndin[i] = 0
-        if error1 == resa and error1 != 0.0:
-            ndin[i] = 1
-        resabs = resabs + defabs
-        level[i] = 0
-        elist[i] = error1
-        alist[i] = a1
-        blist[i] = b1
-        rlist[i] = area1
-        iord[i] = i
-        a1 = b1
-    errsum = 0.0
-    for i in range(1, nint + 1):
-        if ndin[i] == 1:
-            elist[i] = abserr
-        errsum = errsum + elist[i]
-    # test on accuracy
-    last = nint
-    neval = 21 * nint
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
-        ier = 2
-    if nint != 1:
-        # rank the initial subintervals by error estimate
-        for i in range(1, npts + 1):
-            ind1 = iord[i]
-            k = i
-            for j in range(i + 1, nint + 1):
-                ind2 = iord[j]
-                if elist[ind1] > elist[ind2]:
-                    continue
-                ind1 = ind2
-                k = j
-            if ind1 != iord[i]:
-                iord[k] = iord[i]
-                iord[i] = ind1
-        if limit < npts2:
-            ier = 1
-    if ier != 0 or abserr <= errbnd:
-        return _out(result, abserr, ier, neval, last, alist, blist, rlist, elist, iord,
-                    pts, level, ndin)
-
-    # initialization
-    rlist2[1] = result
-    maxerr = iord[1]
-    errmax = elist[maxerr]
-    area = result
-    nrmax = 1
-    nres = 0
-    numrl2 = 1
-    ktmin = 0
-    extrap = False
-    noext = False
-    erlarg = errsum
-    ertest = errbnd
-    levmax = 1
-    iroff1 = iroff2 = iroff3 = 0
-    ierro = 0
-    abserr = _OFLOW
-    ksgn = -1
-    if dres >= (1.0 - 50.0 * _EPMACH) * resabs:
-        ksgn = 1
-    correc = 0.0
-    converged = False
-    # the loop always leaves by a break: ier = 1 at last = limit
-    for last in range(npts2, limit + 1):
-        # bisect the subinterval with the nrmax-th largest error estimate
-        levcur = level[maxerr] + 1
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, resa, defab1 = _qk21(f, a1, b1)
-        area2, error2, resa, defab2 = _qk21(f, a2, b2)
-        # improve the approximations to the integral and the error
-        neval = neval + 42
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        level[maxerr] = levcur
-        level[last] = levcur
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
-        ier, ierro = _flags(ier, ierro, iroff1, iroff2, iroff3, last, limit, a1, a2, b2)
-        _append(maxerr, last, a1, b1, a2, b2, area1, area2, error1, error2,
-                alist, blist, rlist, elist)
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            converged = True
-            break
-        if ier != 0:
-            break
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if levcur + 1 <= levmax:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the interval to be bisected next the smallest one?
-            if level[maxerr] + 1 <= levmax:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # the smallest interval has the largest error: before bisecting,
-            # decrease the sum of the errors over the larger intervals
-            # (erlarg) and extrapolate
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if level[maxerr] + 1 <= levmax:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        # perform extrapolation
-        numrl2 += 1
-        rlist2[numrl2] = area
-        if numrl2 > 2:
-            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-            ktmin += 1
-            if ktmin > 5 and abserr < 1e-3 * errsum:
-                ier = 5
-            if not abseps >= abserr:
-                ktmin = 0
-                abserr = abseps
-                result = reseps
-                correc = erlarg
-                ertest = max(epsabs, epsrel * abs(reseps))
-                if abserr < ertest:
-                    break
-            # prepare bisection of the smallest interval
-            if numrl2 == 1:
-                noext = True
-            if ier >= 5:
-                break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        levmax = levmax + 1
-        erlarg = errsum
-
-    result, abserr, ier = _final(converged, result, abserr, ier, ierro, correc, area,
-                                 errsum, ksgn, resabs, rlist, last)
-    return _out(result, abserr, ier, neval, last, alist, blist, rlist, elist, iord,
-                pts, level, ndin)
-
-
-def _flags(ier, ierro, iroff1, iroff2, iroff3, last, limit, a1, a2, b2):
-    """(ier, ierro) after a bisection: roundoff, the subdivision limit, and
-    bad integrand behaviour at a point (a subinterval too small to split)."""
-    if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-        ier = 2
-    if iroff2 >= 5:
-        ierro = 3
-    if last == limit:
-        ier = 1
-    if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-        ier = 4
-    return ier, ierro
-
-
-def _append(maxerr, last, a1, b1, a2, b2, area1, area2, error1, error2,
-            alist, blist, rlist, elist):
-    """Store the two halves of subinterval ``maxerr``: the one of larger
-    error estimate in its slot, the other in slot ``last``."""
-    if not error2 > error1:
-        alist[last] = a2
-        blist[maxerr] = b1
-        blist[last] = b2
-        elist[maxerr] = error1
-        elist[last] = error2
-    else:
-        alist[maxerr] = a2
-        alist[last] = a1
-        blist[last] = b1
-        rlist[maxerr] = area2
-        rlist[last] = area1
-        elist[maxerr] = error2
-        elist[last] = error1
-
-
 def _final(converged, result, abserr, ier, ierro, correc, area, errsum, ksgn, resabs,
            rlist, last):
-    """The shared ending of DQAGSE and DQAGPE: keep the extrapolated result
-    or sum the subinterval results, test for divergence, and shift ier 3-6
-    down by one. Returns (result, abserr, ier)."""
+    """DQAGSE's ending: keep the extrapolated result or sum the subinterval
+    results, test for divergence, and shift ier 3-6 down by one. Returns
+    (result, abserr, ier)."""
     summed = converged or abserr == _OFLOW
     if not summed:
         divergence_test = True
@@ -735,14 +511,10 @@ def _divide(x, y):
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _out(result, abserr, ier, neval, last, alist, blist, rlist, elist, iord,
-         pts=None, level=None, ndin=None):
+def _out(result, abserr, ier, neval, last, alist, blist, rlist, elist, iord):
     """The run as a :class:`Quadrature`, its lists 0-based: the ``last``
     subintervals, and the ranks that DQPSRT keeps, the first
     min(last, limit // 2 + 2)."""
     keep = min(last, (len(alist) - 1) // 2 + 2)
-    out = Quadrature(result, abserr, ier, neval, last, alist[1:last + 1], blist[1:last + 1],
-                     rlist[1:last + 1], elist[1:last + 1], [i - 1 for i in iord[1:keep + 1]])
-    if pts is None:
-        return out
-    return out._replace(pts=pts[1:], level=level[1:last + 1], ndin=ndin[1:])
+    return Quadrature(result, abserr, ier, neval, last, alist[1:last + 1], blist[1:last + 1],
+                      rlist[1:last + 1], elist[1:last + 1], [i - 1 for i in iord[1:keep + 1]])

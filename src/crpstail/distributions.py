@@ -80,23 +80,24 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
 
 
 def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
-    """int_a^b f by adaptive QUADPACK quadrature (:mod:`crpstail._quadpack`,
-    which returns scipy's ``quad`` bits); the package's only integration path.
-    The defaults are scipy's.
+    """int_a^b f by adaptive QUADPACK quadrature (DQAGSE in
+    :mod:`crpstail._quadpack`, which returns scipy's ``quad`` bits); the
+    package's only integration path. The defaults are scipy's; ``tol`` and
+    ``limit`` apply to each piece.
 
     Break points outside (a, b), or within 1e-12 (relative) of the node before
     them or of b, are dropped: QUADPACK bisects its smallest subintervals to
-    extrapolate, and one a few ulps wide cannot be bisected. The range between
-    the outermost finite nodes is split at the nodes inside it. An infinite
-    end is integrated beyond the outermost node p after the map x = p +- L s /
-    (1 - s), s in [0, 1), where L is the gap from p to the next node, or 1 when
-    there is none: QUADPACK's own infinite-range rule, with L = 1 always, loses
-    an algebraic tail cut far out.
+    extrapolate, and one a few ulps wide cannot be bisected. Each piece between
+    two consecutive finite nodes is integrated on its own, and the pieces are
+    summed left to right. An infinite end is integrated beyond the outermost
+    node p after the map x = p +- L s / (1 - s), s in [0, 1), where L is the
+    gap from p to the next node, or 1 when there is none: QUADPACK's own
+    infinite-range rule, with L = 1 always, loses an algebraic tail cut far out.
     """
     from . import _quadpack
 
-    def rule(g, lo, hi, pts=None):
-        return _quadpack.quad(g, lo, hi, tol, limit, pts).result
+    def rule(g, lo, hi):
+        return _quadpack.quad(g, lo, hi, tol, limit).result
 
     if a >= b:
         return 0.0
@@ -106,7 +107,9 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
             nodes.append(p)
     # the finite nodes; 0 when both ends are infinite and nothing lies between
     nodes = [x for x in (*nodes, b) if math.isfinite(x)] or [0.0]
-    total = rule(f, nodes[0], nodes[-1], nodes[1:-1] or None)
+    total = 0.0
+    for lo, hi in zip(nodes, nodes[1:]):
+        total += rule(f, lo, hi)
     for end, p, nxt in ((a, nodes[0], nodes[1:2]), (b, nodes[-1], nodes[-2:-1])):
         if math.isinf(end):
             step = math.copysign(abs(p - nxt[0]) if nxt else 1.0, end)  # +-L

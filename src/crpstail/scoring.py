@@ -210,7 +210,8 @@ _LEVELS = np.concatenate([10.0 ** -np.arange(12, 0, -1), [0.5], 1.0 - 10.0 ** -n
 
 def _sq_integral(dist, a, b, weight: WeightFunction = UNIT, survival=False) -> float:
     """int_a^b F(x)^2 w(x) dx, or (1 - F(x))^2 w(x) dx with ``survival``, in x
-    space to 1e-12 (absolute and relative) in at most 400 subintervals.
+    space, each piece between break points to 1e-12 (absolute and relative)
+    in at most 400 subintervals.
 
     Break points: the weight's knots, the law's kinks and steps, the finite
     ends of its support and its quantiles at ``_LEVELS``.

@@ -237,7 +237,10 @@ def _conditional_weight_excess(
             return 0.0
         return dist.mean_excess(q) * s_q / s_u
     hi = dist.support()[1]
-    return _quad(lambda x: float(weight.w(x)) * float(dist.survival(x)), u, hi, limit=200) / s_u
+    excess = _quad(
+        lambda x: float(weight.w(x)) * float(dist.survival(x)), u, hi, weight.knots(), limit=200
+    )
+    return excess / s_u
 
 
 def wcrps_gap_bound(
@@ -270,6 +273,7 @@ def wcrps_gap_exact(
         lambda t: dbar(t) ** 2 * float(weight.w(t)),
         spliced.splice_point,
         base.support()[1],
+        weight.knots(),
         limit=400,
     )
 

@@ -281,10 +281,39 @@ class TestQuadratureHelper:
         )
         assert_allclose(got, 5.023767306235897, rtol=1e-9)
 
+    def test_pieces_tile_the_range(self):
+        # one DQAGSE run per piece between consecutive kept nodes, and one per
+        # mapped tail over (0, 1)
+        from crpstail import _quadpack, scoring
+
+        runs = []
+        real = _quadpack.quad
+
+        def spy(f, a, b, tol, limit):
+            runs.append((a, b))
+            return real(f, a, b, tol, limit)
+
+        dist = Normal(0.3, 1.2)
+        with mock.patch.object(_quadpack, "quad", spy):
+            scoring.crps_quadrature(dist, 1.0, scoring.QuantileIndicatorWeight(0.5))
+        pieces = [run for run in runs if run != (0, 1)]
+        assert len(runs) - len(pieces) == 2
+        # below y = 1, then above it: end to end from the first kept node
+        # (the lowest quantile) to the last, split at the weight's jump and y
+        nodes = dist.quantile(scoring._LEVELS)
+        assert (pieces[0][0], pieces[-1][1]) == (nodes[0], nodes[-1])
+        assert all(b == a for (_, b), (a, _) in zip(pieces, pieces[1:]))
+        ends = {x for run in pieces for x in run}
+        assert {0.5, 1.0} <= ends
+        assert not any(a < x < b for a, b in pieces for x in [*nodes, 0.5, 1.0])
+
     def test_one_function_calls_quad(self):
         """Every integral goes through ``_quad`` and the package's own QUADPACK:
-        no module names scipy's integration package, and every mention of
-        ``_quadpack`` outside it lies in ``_quad``."""
+        no module names scipy's integration package, every mention of
+        ``_quadpack`` outside it lies in ``_quad``, and ``_quadpack`` has one
+        driver, DQAGSE, behind ``quad(f, a, b, tol, limit)``."""
+        from crpstail import _quadpack
+
         texts = {
             p.name: p.read_text(encoding="utf-8")
             for p in Path(crpstail.__file__).parent.glob("*.py")
@@ -296,6 +325,14 @@ class TestQuadratureHelper:
         helper = inspect.getsource(_quad)
         assert uses == helper.count("_quadpack")
         assert helper.count("_quadpack.quad(") == 1
+        assert list(inspect.signature(_quadpack.quad).parameters) == ["f", "a", "b", "tol", "limit"]
+        functions = {
+            name for name, obj in vars(_quadpack).items()
+            if inspect.isfunction(obj) and obj.__module__ == _quadpack.__name__
+        }
+        assert functions == {
+            "quad", "_qk21", "_qpsrt", "_qelg", "_qagse", "_final", "_divide", "_out"
+        }
 
 
 class TestFamilyRegistry:

@@ -13,6 +13,7 @@ from crpstail import (
     GeneralizedPareto,
     Normal,
     QuantileIndicatorWeight,
+    TabulatedWeight,
     UnitWeight,
     ambiguity_region,
     ambiguous_counterpart,
@@ -283,6 +284,32 @@ class TestExpectedScoreGap:
         exact = wcrps_gap_exact(self.base, self.spliced, weight)
         mean, se = spliced_gap_mc(self.base, self.spliced, weight, n=200_000, rng=9)
         assert abs(mean - exact) < 3.0 * se
+
+    @pytest.mark.parametrize(
+        "offset, want", [(20.0, 2.3672658532246825e-7), (0.37, 4.3399576385616401e-5)]
+    )
+    def test_indicator_gap_breaks_at_the_weight_jump(self, offset, want):
+        # GP(1, 0.25) with an exponential tail of twice its hazard bound spliced
+        # at Q(0.99); the weight jumps to 1 at u + offset. Values from mpmath
+        # at 40 digits; integrated across the jump, the first was 0.59 % off.
+        base = GeneralizedPareto(1.0, 0.25)
+        u = float(base.quantile(0.99))
+        spliced = splice_tail(base, Exponential(2.0 / (1.0 + 0.25 * u)), u)
+        gap = wcrps_gap_exact(base, spliced, QuantileIndicatorWeight(u + offset))
+        assert_allclose(gap, want, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "base, u, weight, want",
+        [
+            (Normal(0.0, 1.0), 0.5, TabulatedWeight([0.0, 1.0, 3.0], [0.0, 1.0, 0.5]),
+             0.096550588033691449),
+            (GeneralizedPareto(1.0, 0.25), 1.0, TabulatedWeight([0.0, 2.0, 30.0], [1.0] * 3),
+             0.55746195948164732),
+        ],
+    )
+    def test_tabulated_bound_breaks_at_the_knots(self, base, u, weight, want):
+        # the weight steps to 0 at its last knot; values from mpmath at 30 digits
+        assert_allclose(wcrps_gap_bound(base, u, weight), want, rtol=1e-13)
 
     def test_mc_reproducible(self):
         a = spliced_gap_mc(self.base, self.spliced, n=10_000, rng=5)
