@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -108,6 +109,25 @@ def _simulate_args(args, forecaster: str):
     return simulate(args.model, forecaster, args.t, seed=args.seed)
 
 
+class _ColumnRows(Sequence):
+    """The rows of a table held as equal-length numpy columns.
+
+    A slice builds its rows, tuples of Python scalars, from that slice of
+    each column only, so :func:`~crpstail.io.write_table`, which takes the
+    rows a chunk at a time, never holds a Python object per cell of the table.
+    """
+
+    def __init__(self, *columns: np.ndarray):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        cells = [c[index].tolist() for c in self._columns]
+        return list(zip(*cells)) if isinstance(index, slice) else tuple(cells)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -150,8 +170,7 @@ def cmd_score(args) -> int:
         header.append("crps_shuffled")
         columns.append(s2.values)
         meta["shuffle_seed"] = args.shuffle_seed
-    rows = list(zip(*[c.tolist() for c in columns]))
-    write_table(header, rows, args.out, fmt=args.format, meta=meta)
+    write_table(header, _ColumnRows(*columns), args.out, fmt=args.format, meta=meta)
     _note(f"score: {len(batch)} records, mean crps {s1.values.mean():.6g}")
     return EXIT_OK
 
@@ -227,6 +246,7 @@ def cmd_verify_dm(args) -> int:
             for name, b in batches.items()
         }
         mat = dm_matrix(scores)
+        del scores  # one quantile's scores at a time
         for i, row_name in enumerate(mat.names):
             for j, col_name in enumerate(mat.names):
                 if i == j:
@@ -259,8 +279,8 @@ def cmd_verify_qqpp(args) -> int:
     s1 = score_series(batch, weight_threshold=threshold)
     s2 = shuffled_score_series(batch, args.shuffle_seed, weight_threshold=threshold)
     res = qq_pp(s1, s2)
-    kinds = ["qq"] * len(res.qq) + ["pp"] * len(res.pp)
-    rows = list(zip(kinds, *np.concatenate([res.qq, res.pp]).T.tolist()))
+    kinds = np.repeat(["qq", "pp"], [len(res.qq), len(res.pp)])
+    rows = _ColumnRows(kinds, *np.concatenate([res.qq, res.pp]).T)
     n, m = len(s1), len(s2)
     meta = {
         "ks_distance": res.ks_distance,

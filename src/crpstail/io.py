@@ -22,7 +22,6 @@ import re
 import sys
 from collections.abc import Sequence
 from itertools import chain, islice
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -354,8 +353,8 @@ def _csv_rows(rows):
     """``rows`` with every float cell in :func:`format_float` form under ``csv``.
 
     ``csv`` writes a float cell by its repr: that is format_float's form for
-    a Python float, but ``np.float64(0.5)`` for a numpy float. Only a table
-    holding such float subclasses is rebuilt, cell by cell.
+    a Python float, but ``np.float64(0.5)`` for a numpy float. Only rows
+    holding such float subclasses are rebuilt, cell by cell.
     """
     cell_types = set(map(type, chain.from_iterable(rows)))
     if all(t is float or not issubclass(t, float) for t in cell_types):
@@ -387,7 +386,7 @@ def _json_cell(value) -> str:
     return text.replace("\n", "\n   ")
 
 
-def _json_column(column) -> list:
+def _json_column(column) -> Sequence:
     """A table column as the JSON text of its cells."""
     types = set(map(type, column))
     if types <= {int} or (types == {float} and all(map(math.isfinite, column))):
@@ -397,35 +396,39 @@ def _json_column(column) -> list:
     return list(map(_json_cell, column))
 
 
-def _write_rows(fh, template: str, columns: list, separator: str = "") -> None:
-    """Fill ``template`` from ``columns``, a chunk of rows per ``write``;
-    ``separator`` goes between rows."""
-    rows = zip(*columns)
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        text = separator.join(map(template.__mod__, islice(rows, _CHUNK_ROWS)))
-        fh.write(text if start == 0 else separator + text)
+def _chunks(rows):
+    """``rows`` as consecutive slices of at most ``_CHUNK_ROWS`` rows."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        yield rows[start : start + _CHUNK_ROWS]
 
 
 def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | None = None):
     """Write a report table with a stable header, as CSV or JSON.
 
-    ``rows`` is a sequence of row sequences; the header needs at least one
-    column and each row one cell per column (else ``ValueError``).
+    ``rows`` is a sequence of row sequences (``len`` and slicing; a one-shot
+    iterable raises ``TypeError``); the header needs at least one column and
+    each row one cell per column (else ``ValueError``).
     CSV: one header row then data rows; floats in shortest round-trip form.
     JSON: ``{"meta": {...}, "columns": [...], "rows": [[...], ...]}``, laid
     out as ``json.dump(..., indent=1, sort_keys=True)`` writes it.
     ``path_or_file=None`` writes to stdout.
 
-    The data lines are filled from one template per table, column by column.
+    The format, the header and the width of every row are checked before
+    the first byte is written. The rows are then taken ``_CHUNK_ROWS`` at a
+    time: each slice is formatted, from one template per table filled column
+    by column, and written before the next slice is read, so a table whose
+    slices build their rows on demand is never held as Python objects whole.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     width = len(header)
     if not width:
         raise ValueError("a table needs at least one column")
-    if not set(map(len, rows)) <= {width}:
-        raise ValueError(f"every row needs {width} cells, one per column")
-    columns = [list(map(itemgetter(j), rows)) for j in range(width)]
+    if not isinstance(rows, Sequence):
+        raise TypeError(f"rows must be a sequence of rows, not {type(rows).__name__}")
+    for chunk in _chunks(rows):
+        if not set(map(len, chunk)) <= {width}:
+            raise ValueError(f"every row needs {width} cells, one per column")
     if path_or_file is None:
         fh, close = sys.stdout, False
     elif hasattr(path_or_file, "write"):
@@ -436,10 +439,13 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            if _csv_writes_as_is(columns):
-                _write_rows(fh, ",".join(["%s"] * width) + "\n", columns)
-            else:
-                writer.writerows(_csv_rows(rows))
+            template = ",".join(["%s"] * width) + "\n"
+            for chunk in _chunks(rows):
+                columns = list(zip(*chunk))
+                if _csv_writes_as_is(columns):
+                    fh.write("".join(map(template.__mod__, zip(*columns))))
+                else:
+                    writer.writerows(_csv_rows(chunk))
         else:
             # "rows" sorts last: the head is json's text up to its empty list
             head = json.dumps(
@@ -452,7 +458,11 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
             else:
                 fh.write(head[: -len("[]\n}")] + "[\n")
                 template = "  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]"
-                _write_rows(fh, template, [_json_column(c) for c in columns], ",\n")
+                separator = ""
+                for chunk in _chunks(rows):
+                    columns = [_json_column(c) for c in zip(*chunk)]
+                    fh.write(separator + ",\n".join(map(template.__mod__, zip(*columns))))
+                    separator = ",\n"
                 fh.write("\n ]\n}\n")
     finally:
         if close:

@@ -50,19 +50,25 @@ MODELS = ("nn", "ge")
 FORECASTERS = ("ideal", "climatological", "unfocused", "extremist")
 
 _UNIFORMS_PER_RECORD = 4
+# records drawn and transformed at a time: the uniforms of a whole stream
+# are never held at once
+_BLOCK_RECORDS = 2**16
 
 
-def _uniforms(t: int, seed: int, t0: int) -> np.ndarray:
-    """(t, 4) uniforms from the counter-indexed substream of ``seed``.
+def _uniforms(t: int, seed: int, t0: int):
+    """(start, block) pairs: the stream's (t, 4) uniforms from the
+    counter-indexed substream of ``seed``, ``_BLOCK_RECORDS`` rows at a time.
 
     Philox.advance moves one 4-word counter block per unit — exactly one
-    record's worth of draws — so advancing by t0 lands on record t0.
+    record's worth of draws — so advancing by t0 lands on record t0, and
+    successive draws continue the stream where the last block stopped.
     """
     gen = Generator(Philox(key=seed))
     if t0:
         gen.bit_generator.advance(t0)
-    u = gen.random((t, _UNIFORMS_PER_RECORD))
-    return np.clip(u, 1e-17, 1.0 - 1e-16)
+    for start in range(0, t, _BLOCK_RECORDS):
+        u = gen.random((min(_BLOCK_RECORDS, t - start), _UNIFORMS_PER_RECORD))
+        yield start, np.clip(u, 1e-17, 1.0 - 1e-16, out=u)
 
 
 def simulate(
@@ -84,7 +90,9 @@ def simulate_forecasters(
 
     Each batch equals ``simulate(model, name, t, seed, t0)`` bit for bit, but
     the hidden state and the observations are drawn once and shared: the
-    batches hold the same ``t``, ``y`` and ``hidden`` arrays.
+    batches hold the same ``t``, ``y`` and ``hidden`` arrays. The
+    climatological forecaster's ``params`` are a read-only view of its one
+    constant row.
     """
     forecasters = tuple(forecasters)
     if model not in MODELS:
@@ -98,13 +106,18 @@ def simulate_forecasters(
         raise DomainError("record count must be positive")
     if not 0 <= seed < 2**128:
         raise ParameterError(f"seed must lie in [0, 2**128), got {seed}")
-    u = _uniforms(t, seed, t0)
+    stream, focus, forecast = _STREAMS[model]
+    delta, y = np.empty(t), np.empty(t)
+    tau = np.empty(t) if "unfocused" in forecasters else None
+    for start, u in _uniforms(t, seed, t0):
+        rows = slice(start, start + len(u))
+        delta[rows], y[rows] = stream(u)
+        if tau is not None:
+            tau[rows] = focus(u)
     ts = np.arange(t0, t0 + t, dtype=np.int64)
-    stream, forecast = _STREAMS[model]
-    delta, y = stream(u)
     batches = {}
     for name in forecasters:
-        family, params = forecast(name, delta, u)
+        family, params = forecast(name, delta, tau)
         batches[name] = RecordBatch(
             t=ts, y=y, family=family, params=params, hidden=delta, model=model
         )
@@ -118,14 +131,17 @@ def _nn_stream(u):
     return delta, delta + ndtri(u[:, 1])
 
 
-def _nn_forecast(forecaster, delta, u):
+def _nn_focus(u):
+    return np.where(u[:, 2] < 0.5, -2.0, 2.0)
+
+
+def _nn_forecast(forecaster, delta, tau):
     n = delta.size
     if forecaster == "ideal":
         return "normal", np.column_stack([delta, np.ones(n)])
     if forecaster == "climatological":
-        return "normal", np.column_stack([np.zeros(n), np.full(n, math.sqrt(2.0))])
+        return "normal", np.broadcast_to([0.0, math.sqrt(2.0)], (n, 2))
     if forecaster == "unfocused":
-        tau = np.where(u[:, 2] < 0.5, -2.0, 2.0)
         return "normal_mixture2", np.column_stack(
             [np.full(n, 0.5), delta, np.ones(n), delta + tau, np.ones(n)]
         )
@@ -139,19 +155,26 @@ def _ge_stream(u):
     return delta, -np.log1p(-u[:, 1]) / delta
 
 
-def _ge_forecast(forecaster, delta, u):
+def _ge_focus(u):
+    return (2.0 / 3.0) * (0.5 + 0.5 * u[:, 2]) + (1.0 / 3.0) * (1.0 + u[:, 3])
+
+
+def _ge_forecast(forecaster, delta, tau):
     if forecaster == "ideal":
         return "exponential", delta[:, None].copy()
     if forecaster == "climatological":
-        return "generalized_pareto", np.tile([1.0, 0.25], (delta.size, 1))
+        return "generalized_pareto", np.broadcast_to([1.0, 0.25], (delta.size, 2))
     if forecaster == "unfocused":
-        tau = (2.0 / 3.0) * (0.5 + 0.5 * u[:, 2]) + (1.0 / 3.0) * (1.0 + u[:, 3])
         return "exponential", (delta / tau)[:, None]
     return "exponential", (delta / 1.5)[:, None]  # extremist
 
 
-# model -> (uniforms -> (hidden, y), (forecaster, hidden, uniforms) -> (family, params))
-_STREAMS = {"nn": (_nn_stream, _nn_forecast), "ge": (_ge_stream, _ge_forecast)}
+# model -> (uniforms -> (hidden, y), uniforms -> the unfocused forecaster's
+# focus multiplier tau, (forecaster, hidden, tau) -> (family, params))
+_STREAMS = {
+    "nn": (_nn_stream, _nn_focus, _nn_forecast),
+    "ge": (_ge_stream, _ge_focus, _ge_forecast),
+}
 
 
 @dataclass(frozen=True)

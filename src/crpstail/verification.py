@@ -400,9 +400,14 @@ def pit_calibration(batch: RecordBatch) -> PitResult:
     n = u.size
     if n == 0:
         raise InsufficientDataError("empty batch")
-    k = np.arange(1, n + 1)
-    d_plus = float(np.max(k / n - u))
-    d_minus = float(np.max(u - (k - 1) / n))
+    # each side in one float array, in place: k / n - u, then u - (k - 1) / n
+    side = np.arange(1.0, n + 1.0)
+    side /= n
+    side -= u
+    d_plus = float(side.max())
+    side = np.arange(float(n))
+    side /= n
+    d_minus = float(np.subtract(u, side, out=side).max())
     return PitResult(
         values=pit,
         max_dev=max(d_plus, d_minus),

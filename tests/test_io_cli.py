@@ -537,6 +537,98 @@ class TestEmitterReference:
             assert back.hidden is None
 
 
+class _Sink:
+    """A file that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+class TestStreamedTable:
+    """write_table takes the rows a chunk at a time, after checking all of them."""
+
+    @staticmethod
+    def _table():
+        """2 * _CHUNK_ROWS + 3 rows; the only numpy float sits in the last chunk."""
+        n = 2 * crpstail_io._CHUNK_ROWS + 3
+        rows = [[i, i / 7.0, "plain"] for i in range(n)]
+        rows[1] = [-1, float("nan"), "a,b"]  # a string csv must quote
+        rows[crpstail_io._CHUNK_ROWS] = [2**40, float("inf"), 'q"t']
+        rows[-2] = [0, -float("inf"), ""]
+        rows[-1] = [3, np.float64(0.1), "plain"]
+        return ["n", "x", "kind"], rows
+
+    def test_csv_matches_whole_table_reference(self):
+        header, rows = self._table()
+        assert table_to_string(header, rows, fmt="csv") == _csv_rowwise(header, rows)
+
+    def test_json_matches_whole_table_reference(self):
+        header, rows = self._table()
+        meta = {"n": len(rows)}
+        out = table_to_string(header, rows, fmt="json", meta=meta)
+        assert out == _json_reference(header, rows, meta)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ragged_row_in_last_chunk_writes_nothing(self, fmt, tmp_path):
+        header, rows = self._table()
+        rows[-1] = rows[-1][:2]
+        buf = stringio.StringIO()
+        with pytest.raises(ValueError, match="3 cells"):
+            write_table(header, rows, buf, fmt=fmt)
+        assert buf.getvalue() == ""
+        path = tmp_path / f"table.{fmt}"
+        with pytest.raises(ValueError):
+            write_table(header, rows, str(path), fmt=fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_shot_iterable_is_refused(self, fmt):
+        rows = [[1, 2.5], [3, 4.5]]
+        for one_shot in (iter(rows), (row for row in rows), map(list, rows)):
+            buf = stringio.StringIO()
+            with pytest.raises(TypeError, match="sequence"):
+                write_table(["a", "b"], one_shot, buf, fmt=fmt)
+            assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_column_rows_match_row_list(self, fmt):
+        from crpstail.cli import _ColumnRows
+
+        rng = np.random.default_rng(5)
+        n = crpstail_io._CHUNK_ROWS + 17
+        columns = [np.arange(n), rng.exponential(size=n), np.repeat(["qq", "pp"], [n - 9, 9])]
+        columns[1][[3, n - 1]] = [-np.inf, np.inf]
+        rows = _ColumnRows(*columns)
+        want = list(zip(*[c.tolist() for c in columns]))
+        assert len(rows) == n and list(rows) == want and rows[-1] == want[-1]
+        assert rows[5:9] == want[5:9]
+        header = ["t", "x", "kind"]
+        assert table_to_string(header, rows, fmt=fmt) == table_to_string(header, want, fmt=fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_column_backed_table_writes_in_bounded_memory(self, fmt):
+        import tracemalloc
+
+        from crpstail.cli import _ColumnRows
+
+        n = 200_000
+        rng = np.random.default_rng(6)
+        columns = [np.arange(n), rng.exponential(size=n), rng.normal(size=n)]
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            write_table(["t", "a", "b"], _ColumnRows(*columns), sink, fmt=fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 20 * n
+        # built whole as a list of Python rows, this table peaks at about 37 MB
+        assert peak < 8e6, peak
+
+
 def _read_outcome(text_or_file):
     """What read_records gives: the batch's bytes, or the error and its line."""
     try:
@@ -859,6 +951,20 @@ class TestCliScore:
         wcrps = np.array([r[3] for r in payload["rows"]])
         want = score_series(batch, weight_threshold=threshold).values
         assert_allclose(wcrps, want, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["score", "--weight-quantile", "0.9", "--shuffle-seed", "1"],
+         ["verify", "qqpp", "--shuffle-seed", "1", "--format", "json"]],
+        ids=["score", "qqpp-json"],
+    )
+    def test_stdout_matches_out_file(self, argv, record_file, tmp_path, capsys):
+        argv = argv + ["--records", record_file]
+        out = tmp_path / "table"
+        assert _run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert _run(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert _run(["score", "--records", str(tmp_path / "nope.jsonl")]) == 2

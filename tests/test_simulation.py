@@ -89,6 +89,42 @@ class TestSimulateForecasters:
         assert ideal.y is extremist.y and ideal.hidden is extremist.hidden
         assert not np.shares_memory(ideal.params, ideal.hidden)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_climatological_params_are_a_read_only_row(self, model):
+        params = simulate(model, "climatological", 30, seed=2).params
+        assert params.shape == (30, 2) and params.strides[0] == 0
+        assert not params.flags.writeable
+        with pytest.raises(ValueError):
+            params[0, 0] = 1.0
+
+    def test_uniforms_are_drawn_in_blocks(self):
+        import tracemalloc
+
+        t = 2**18
+        simulate_forecasters("ge", ("ideal",), 10, seed=3)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            batches = simulate_forecasters("ge", ("ideal", "climatological"), t, seed=3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batches["ideal"]) == t
+        # beyond the arrays it returns, the simulator never held as much as
+        # half of the stream's (t, 4) uniforms at once
+        assert peak - held < t * 4 * 8 / 2, (peak, held)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_block_size_leaves_the_stream_bit_for_bit(self, model, monkeypatch):
+        from crpstail import simulation
+
+        whole = simulate_forecasters(model, FORECASTERS, 100, seed=9, t0=5)
+        monkeypatch.setattr(simulation, "_BLOCK_RECORDS", 7)
+        blocks = simulate_forecasters(model, FORECASTERS, 100, seed=9, t0=5)
+        for name in FORECASTERS:
+            for column in ("t", "y", "params", "hidden"):
+                got, want = getattr(blocks[name], column), getattr(whole[name], column)
+                assert got.tobytes() == want.tobytes(), (name, column)
+
     @pytest.mark.parametrize(
         "names",
         [("sharp", "ideal", "unfocused"), ("ideal", "sharp", "unfocused"),

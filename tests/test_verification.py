@@ -460,6 +460,15 @@ class TestPitCalibration:
         assert not res.approximate
         assert res.auto_calibrated()
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 1000])
+    def test_max_dev_matches_ks_formula(self, n):
+        rng = np.random.default_rng(n)
+        res = pit_calibration(_normal_batch(np.zeros(n), 1.0, rng.normal(size=n)))
+        u = np.sort(res.values)
+        k = np.arange(1, n + 1)
+        want = max(float(np.max(k / n - u)), float(np.max(u - (k - 1) / n)))
+        assert res.max_dev == want
+
     def test_band_matches_critical(self):
         n = 400
         res = pit_calibration(

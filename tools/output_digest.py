@@ -6,9 +6,12 @@ index-curve`` in simulator and file mode and with gap rows at both ends of
 a curve, ``verify dm``, ``verify qqpp``, ``verify cup`` (in JSON too, where the
 area of a small shape's cup is a quadrature) and ``fit-gp``, and
 ``score`` and ``fit-gp`` on a record file that this tool rewrites from a
-simulated one in another JSON layout (see :func:`write_noncanonical`). Each command runs as ``python -m
-crpstail`` in a fresh temporary directory, against the package sources in
-``--src``.
+simulated one in another JSON layout (see :func:`write_noncanonical`), and
+``score`` and ``verify qqpp`` with no ``--out``, which write their tables to
+stdout. Each command runs as ``python -m crpstail`` in a fresh temporary
+directory, against the package sources in ``--src``. A command's stdout is
+hashed too: it is the output file of a run without ``--out``, and is listed
+as ``<output>.stdout`` (empty when the table went to a file) otherwise.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -57,7 +60,8 @@ def write_noncanonical(work: Path) -> None:
 def commands(t: int) -> list[tuple[str, list[str]]]:
     """(output file, argv) pairs, in run order; later ones read earlier outputs.
 
-    An argv that is a function writes the output file itself.
+    An argv that is a function writes the output file itself; the stdout of
+    an argv without ``--out`` is its output file.
     """
     t = str(t)
     runs = []
@@ -121,6 +125,12 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
     runs.append(("fit_noncanonical.json", ["fit-gp", "--records", NONCANONICAL, "--method",
                                           "mle", "--format", "json", "--out",
                                           "fit_noncanonical.json"]))
+    # tables written to stdout: the run's stdout is its output file
+    runs.append(("score_stdout.csv", ["score", "--records", "nn_unfocused.jsonl",
+                                      "--weight-quantile", "0.9", "--shuffle-seed", "1"]))
+    runs.append(("qqpp_stdout.json", ["verify", "qqpp", "--records", "ge_ideal.jsonl",
+                                      "--shuffle-seed", "1", "--weight-quantile", "0.9",
+                                      "--format", "json"]))
     return runs
 
 
@@ -143,12 +153,15 @@ def main(argv=None) -> int:
                 cli_argv(work)
                 print(f"{sha256(work / out)}  {out}", flush=True)
                 continue
+            stdout = work / (f"{out}.stdout" if "--out" in cli_argv else out)
             stderr = work / f"{out}.stderr"
-            with open(stderr, "wb") as err:
+            with open(stdout, "wb") as std, open(stderr, "wb") as err:
                 code = subprocess.run([sys.executable, "-m", "crpstail", *cli_argv], cwd=work,
                                       env=env, stdin=subprocess.DEVNULL,
-                                      stdout=subprocess.DEVNULL, stderr=err).returncode
+                                      stdout=std, stderr=err).returncode
             print(f"{sha256(work / out)}  {out}", flush=True)
+            if stdout.name != out:
+                print(f"{sha256(stdout)}  {stdout.name}", flush=True)
             print(f"{sha256(stderr)}  {out}.stderr  exit {code}", flush=True)
     return 0
 
