@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .evt import fit_gp, threshold_grid
-from .io import read_records, write_records, write_table
+from .io import _ColumnRows, read_records, write_records, write_table
 from .simulation import FORECASTERS, MODELS, simulate, simulate_forecasters
 from .tail_analysis import ambiguity_region, expected_crps_pareto
 from .verification import (
@@ -107,25 +106,6 @@ def _require(args, names: list[str]) -> None:
 
 def _simulate_args(args, forecaster: str):
     return simulate(args.model, forecaster, args.t, seed=args.seed)
-
-
-class _ColumnRows(Sequence):
-    """The rows of a table held as equal-length numpy columns.
-
-    A slice builds its rows, tuples of Python scalars, from that slice of
-    each column only, so :func:`~crpstail.io.write_table`, which takes the
-    rows a chunk at a time, never holds a Python object per cell of the table.
-    """
-
-    def __init__(self, *columns: np.ndarray):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        cells = [c[index].tolist() for c in self._columns]
-        return list(zip(*cells)) if isinstance(index, slice) else tuple(cells)
 
 
 # ---------------------------------------------------------------------------

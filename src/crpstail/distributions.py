@@ -79,6 +79,34 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+# draws transformed at a time by the samplers: bounds what a sampler holds
+# beside its output, whatever the number of draws
+_BLOCK_DRAWS = 1 << 16
+
+
+def _draw_count(n, least: int = 0) -> int:
+    """``n`` as a number of draws: :class:`ParameterError` (a ``ValueError``)
+    unless it is an integer of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ParameterError(f"the number of draws must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _blocks(n: int):
+    """Consecutive slices of ``range(n)`` of at most ``_BLOCK_DRAWS`` each."""
+    for start in range(0, n, _BLOCK_DRAWS):
+        yield slice(start, min(start + _BLOCK_DRAWS, n))
+
+
+def _uniform_blocks(gen: np.random.Generator, n: int):
+    """(slice, uniforms) for each block of ``n`` draws from ``gen``, the
+    uniforms clipped in place into (0, 1) for an inverse cdf; together the
+    blocks are the stream ``gen.random(n)`` draws."""
+    for block in _blocks(n):
+        u = gen.random(block.stop - block.start)
+        yield block, np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+
+
 def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     """int_a^b f by adaptive QUADPACK quadrature (DQAGSE in
     :mod:`crpstail._quadpack`, which returns scipy's ``quad`` bits); the
@@ -143,10 +171,19 @@ class Distribution(ABC):
     # -- derived ------------------------------------------------------------
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """Draw ``n`` values by inverse-cdf from caller-owned RNG state."""
+        """Draw ``n`` values by inverse-cdf from caller-owned RNG state.
+
+        ``n`` must be a non-negative integer (else :class:`ParameterError`).
+        The uniforms are drawn and inverted ``_BLOCK_DRAWS`` at a time into
+        one preallocated output, so beside its ``n`` values a call holds one
+        block; the stream and every value are those of one ``gen.random(n)``.
+        """
+        n = _draw_count(n)
         gen = _as_generator(rng)
-        u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-        return np.asarray(self.quantile(u), dtype=float)
+        out = np.empty(n)
+        for block, u in _uniform_blocks(gen, n):
+            out[block] = self.quantile(u)
+        return out
 
     def mean_excess(self, u: float) -> float:
         """E(X - u | X > u), by quadrature of the survival function.
@@ -258,16 +295,23 @@ class NormalMixture2(_TableFamily):
         return _finish(out, scalar)
 
     def sample(self, n, rng):
+        """All ``n`` component picks, then ``n`` uniforms, from ``rng``, as
+        one ``gen.random(n)`` each; a pick is held as a boolean and the
+        uniforms are transformed a block at a time (see
+        :meth:`Distribution.sample`)."""
         from scipy.special import ndtri
 
+        n = _draw_count(n)
         gen = _as_generator(rng)
-        pick = gen.random(n)
-        u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-        z = ndtri(u)
-        first = pick < self.w
-        out = np.where(
-            first, self.mean1 + self.std1 * z, self.mean2 + self.std2 * z
-        )
+        first = np.empty(n, dtype=bool)
+        for block in _blocks(n):
+            first[block] = gen.random(block.stop - block.start) < self.w
+        out = np.empty(n)
+        for block, u in _uniform_blocks(gen, n):
+            z = ndtri(u, out=u)
+            out[block] = np.where(
+                first[block], self.mean1 + self.std1 * z, self.mean2 + self.std2 * z
+            )
         return out
 
     def support(self):
@@ -440,15 +484,27 @@ class UniformMixture(Distribution):
         return _finish(out, scalar)
 
     def sample(self, n, rng):
+        """All ``n`` component picks, then ``n`` uniforms, from ``rng``, as
+        one ``gen.random(n)`` each; a pick is held as the smallest integer
+        that indexes the components and the uniforms are transformed a block
+        at a time (see :meth:`Distribution.sample`)."""
+        n = _draw_count(n)
         gen = _as_generator(rng)
-        weights = np.array([w for w, _, _ in self.components])
-        edges = np.cumsum(weights)
-        pick = np.searchsorted(edges, gen.random(n), side="right")
-        pick = np.minimum(pick, len(self.components) - 1)
-        u = gen.random(n)
-        a = np.array([c[1] for c in self.components])[pick]
-        b = np.array([c[2] for c in self.components])[pick]
-        return a + u * (b - a)
+        last = len(self.components) - 1
+        edges = np.cumsum([w for w, _, _ in self.components])
+        pick = np.empty(n, dtype=np.min_scalar_type(last))
+        for block in _blocks(n):
+            at = np.searchsorted(edges, gen.random(block.stop - block.start), side="right")
+            pick[block] = np.minimum(at, last)
+        lows = np.array([a for _, a, _ in self.components])
+        highs = np.array([b for _, _, b in self.components])
+        out = np.empty(n)
+        for block in _blocks(n):
+            x = gen.random(out=out[block])
+            a = lows[pick[block]]
+            x *= highs[pick[block]] - a
+            x += a  # a + u (b - a)
+        return out
 
     def support(self):
         return (

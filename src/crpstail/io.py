@@ -67,8 +67,10 @@ def _column(values, dtype, name: str, line_of) -> np.ndarray:
         raise
 
 
-# lines per chunk: bounds the text held in memory at once, read and write
-_CHUNK_ROWS = 8192
+# lines per chunk: bounds the text held in memory at once, read and write.
+# A chunk of record lines being parsed holds several times its text in
+# Python strings; at 2,048 lines that stays a small share of a batch read
+_CHUNK_ROWS = 2048
 
 # the strict JSON number grammar: no leading zeros, '+', bare '.', NaN or
 # Infinity; [0-9], not \d, which also matches non-ASCII digits. An optional
@@ -200,11 +202,12 @@ def _match_lines(pattern, lines, n_line: int, hidden: bool) -> _Chunk | None:
     if not np.isfinite(numbers).all():
         return None
     k = 2 if hidden else 1
+    # a copy per field, so read_records can free each field on its own
     return _Chunk(
         t,
-        numbers[0],
-        numbers[1] if hidden else None,
-        np.ascontiguousarray(numbers[k:].T),
+        numbers[0].copy(),
+        numbers[1].copy() if hidden else None,
+        np.array(numbers[k:].T, order="C"),
         range(n_line + 1, n_line + 1 + len(lines)),
         None if hidden else n_line + 1,
     )
@@ -265,9 +268,11 @@ def read_records(path_or_file) -> RecordBatch:
             )
 
         def column(field: str, dtype) -> np.ndarray:
-            return np.concatenate(
-                [_column(getattr(c, field), dtype, field, c.line_of) for c in chunks]
-            )
+            # the chunks give up their copies of the field before it is
+            # joined, so the batch is held about once, not twice
+            parts = [_column(getattr(c, field), dtype, field, c.line_of) for c in chunks]
+            chunks[:] = [c._replace(**{field: None}) for c in chunks]
+            return np.concatenate(parts)
 
         def line_of(row: int) -> int:
             return list(chain.from_iterable(c.line_of for c in chunks))[row]
@@ -396,18 +401,47 @@ def _json_column(column) -> Sequence:
     return list(map(_json_cell, column))
 
 
-def _chunks(rows):
-    """``rows`` as consecutive slices of at most ``_CHUNK_ROWS`` rows."""
+class _ColumnRows(Sequence):
+    """The rows of a table held as equal-length numpy columns (``ValueError``
+    when their lengths differ).
+
+    :func:`write_table` takes the table's width from the column count and
+    formats each chunk from that slice of each column, so it never holds a
+    Python object per cell of the table; indexing builds rows, tuples of
+    Python scalars, from the indexed part of each column only.
+    """
+
+    def __init__(self, *columns: np.ndarray):
+        if not columns or len(set(map(len, columns))) > 1:
+            raise ValueError("a column table needs one or more columns of one length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        cells = [c[index].tolist() for c in self.columns]
+        return list(zip(*cells)) if isinstance(index, slice) else tuple(cells)
+
+
+def _chunk_columns(rows):
+    """The columns of ``rows``, ``_CHUNK_ROWS`` rows at a time: one sequence
+    of cells per column for each consecutive chunk."""
     for start in range(0, len(rows), _CHUNK_ROWS):
-        yield rows[start : start + _CHUNK_ROWS]
+        chunk = slice(start, start + _CHUNK_ROWS)
+        if isinstance(rows, _ColumnRows):
+            yield [c[chunk].tolist() for c in rows.columns]
+        else:
+            yield list(zip(*rows[chunk]))
 
 
 def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | None = None):
     """Write a report table with a stable header, as CSV or JSON.
 
     ``rows`` is a sequence of row sequences (``len`` and slicing; a one-shot
-    iterable raises ``TypeError``); the header needs at least one column and
-    each row one cell per column (else ``ValueError``).
+    iterable raises ``TypeError``) or a column table (``_ColumnRows``); the
+    header needs at least one column and each row, or the column table, one
+    cell per column (else ``ValueError``).
     CSV: one header row then data rows; floats in shortest round-trip form.
     JSON: ``{"meta": {...}, "columns": [...], "rows": [[...], ...]}``, laid
     out as ``json.dump(..., indent=1, sort_keys=True)`` writes it.
@@ -416,8 +450,9 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
     The format, the header and the width of every row are checked before
     the first byte is written. The rows are then taken ``_CHUNK_ROWS`` at a
     time: each slice is formatted, from one template per table filled column
-    by column, and written before the next slice is read, so a table whose
-    slices build their rows on demand is never held as Python objects whole.
+    by column, and written before the next slice is read, so a column table
+    is never held as Python objects whole, and each of its slices is built
+    once.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -426,9 +461,15 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
         raise ValueError("a table needs at least one column")
     if not isinstance(rows, Sequence):
         raise TypeError(f"rows must be a sequence of rows, not {type(rows).__name__}")
-    for chunk in _chunks(rows):
-        if not set(map(len, chunk)) <= {width}:
-            raise ValueError(f"every row needs {width} cells, one per column")
+    if isinstance(rows, _ColumnRows):
+        ragged = len(rows.columns) != width
+    else:
+        ragged = any(
+            not set(map(len, rows[start : start + _CHUNK_ROWS])) <= {width}
+            for start in range(0, len(rows), _CHUNK_ROWS)
+        )
+    if ragged:
+        raise ValueError(f"every row needs {width} cells, one per column")
     if path_or_file is None:
         fh, close = sys.stdout, False
     elif hasattr(path_or_file, "write"):
@@ -440,12 +481,11 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             template = ",".join(["%s"] * width) + "\n"
-            for chunk in _chunks(rows):
-                columns = list(zip(*chunk))
+            for columns in _chunk_columns(rows):
                 if _csv_writes_as_is(columns):
                     fh.write("".join(map(template.__mod__, zip(*columns))))
                 else:
-                    writer.writerows(_csv_rows(chunk))
+                    writer.writerows(_csv_rows(list(zip(*columns))))
         else:
             # "rows" sorts last: the head is json's text up to its empty list
             head = json.dumps(
@@ -459,8 +499,8 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
                 fh.write(head[: -len("[]\n}")] + "[\n")
                 template = "  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]"
                 separator = ""
-                for chunk in _chunks(rows):
-                    columns = [_json_column(c) for c in zip(*chunk)]
+                for columns in _chunk_columns(rows):
+                    columns = [_json_column(c) for c in columns]
                     fh.write(separator + ",\n".join(map(template.__mod__, zip(*columns))))
                     separator = ",\n"
                 fh.write("\n ]\n}\n")

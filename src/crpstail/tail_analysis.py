@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Spliced, _quad
+from .distributions import (
+    Distribution,
+    Spliced,
+    _as_generator,
+    _blocks,
+    _draw_count,
+    _quad,
+)
 from .errors import (
     ConstructionError,
     DomainError,
@@ -293,7 +300,14 @@ def spliced_gap_mc(
     ``J(x) = int_x^inf (Fbar - Gbar) w dt``, so each draw contributes the
     *difference* directly instead of two noisy scores. J is tabulated on a
     survival-geometric grid above u and interpolated.
+
+    ``n`` must be an integer of at least 2 (else :class:`ParameterError`,
+    before anything is drawn). The ``n`` draws of ``base.sample`` are turned
+    into score differences in place, a block at a time, so a call holds the
+    draws, one block and the standard deviation's one temporary; the stream
+    and the result are those of the whole-array computation.
     """
+    n = _draw_count(n, least=2)
     u = spliced.splice_point
     s_u = float(base.survival(u))
     # grid geometric in base survival down to 1e-12 of it
@@ -320,8 +334,11 @@ def spliced_gap_mc(
     k_int = (fbar - gbar) * (2.0 - fbar - gbar) * wgt
     k = float(np.sum(0.5 * (k_int[1:] + k_int[:-1]) * np.diff(x))) + 2.0 * rem
 
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    draws = base.sample(n, gen)
-    j_at = np.interp(np.maximum(draws, u), x, j, left=j[0], right=0.0)
-    vals = k - 2.0 * j_at
+    vals = base.sample(n, _as_generator(rng))
+    for block in _blocks(n):
+        d = vals[block]
+        np.maximum(d, u, out=d)
+        d[:] = np.interp(d, x, j, left=j[0], right=0.0)
+        d *= 2.0
+        np.subtract(k, d, out=d)  # k - 2 J(max(u, x))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))

@@ -22,6 +22,7 @@ from crpstail import (
     batch_cdf,
     from_family,
 )
+from crpstail import distributions
 from crpstail.distributions import _quad
 
 ALL_DISTS = [
@@ -428,3 +429,61 @@ class TestSharedInvariants:
         x = dist.sample(150_000, np.random.default_rng(11))
         se = x.std() / np.sqrt(x.size)
         assert abs(x.mean() - dist.mean()) < 4 * se + 1e-3
+
+
+def _gp_exponential_splice():
+    base = GeneralizedPareto(1.0, 0.25)
+    u = float(base.quantile(0.99))
+    return Spliced(base, Exponential(2.0 / (1.0 + 0.25 * u)), u)
+
+
+SAMPLED = ALL_DISTS + [
+    UniformMixture([(0.1, -3.0, -2.0), (0.2, 0.0, 1.0), (0.7, 4.0, 9.0)]),
+    _gp_exponential_splice(),
+]
+
+
+class TestBlockedSampling:
+    """``sample`` draws and transforms its uniforms a block at a time."""
+
+    @pytest.mark.parametrize("n", [1, 23, 64])
+    @pytest.mark.parametrize("dist", SAMPLED, ids=lambda d: type(d).__name__)
+    def test_block_size_leaves_every_draw_bit_for_bit(self, dist, n, monkeypatch):
+        ref = np.random.default_rng(n)
+        want = dist.sample(n, ref)
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)  # 23 = 3 blocks + 2
+        gen = np.random.default_rng(n)
+        got = dist.sample(n, gen)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        # and the stream is left where the default block size leaves it
+        assert gen.random() == ref.random()
+
+    @pytest.mark.parametrize("dist", SAMPLED, ids=lambda d: type(d).__name__)
+    def test_peak_memory_is_the_output_and_one_block(self, dist):
+        import tracemalloc
+
+        n = 1 << 20
+        dist.sample(10, 0)  # scipy.special loads on first use; its allocations are traced
+        tracemalloc.start()
+        try:
+            x = dist.sample(n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # drawn whole, the parent peaked at 2.0x (Normal) to 6.1x (NormalMixture2)
+        assert peak <= 1.5 * x.nbytes, peak / x.nbytes
+
+    @pytest.mark.parametrize("n", [-1, 2.0, 2.5, "3", True, None, (2, 3)])
+    def test_draw_count_must_be_a_non_negative_integer(self, n):
+        for dist in (Normal(0.0, 1.0), NormalMixture2(0.5, -1.0, 1.0, 1.5, 0.7),
+                     UniformMixture([(1.0, 0.0, 1.0)]), _gp_exponential_splice()):
+            with pytest.raises(ParameterError, match="number of draws") as exc:
+                dist.sample(n, 0)
+            assert isinstance(exc.value, ValueError)
+
+    def test_zero_and_numpy_integer_counts(self):
+        for dist in SAMPLED:
+            assert dist.sample(0, 1).shape == (0,)
+            got = dist.sample(np.int64(5), 1)
+            assert got.tobytes() == dist.sample(5, 1).tobytes()

@@ -28,7 +28,7 @@ from crpstail import (
     write_records,
 )
 from crpstail.cli import main
-from crpstail.io import format_float, table_to_string, write_table
+from crpstail.io import _ColumnRows, format_float, table_to_string, write_table
 
 
 class TestRecordRoundTrip:
@@ -595,8 +595,6 @@ class TestStreamedTable:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_column_rows_match_row_list(self, fmt):
-        from crpstail.cli import _ColumnRows
-
         rng = np.random.default_rng(5)
         n = crpstail_io._CHUNK_ROWS + 17
         columns = [np.arange(n), rng.exponential(size=n), np.repeat(["qq", "pp"], [n - 9, 9])]
@@ -612,8 +610,6 @@ class TestStreamedTable:
     def test_column_backed_table_writes_in_bounded_memory(self, fmt):
         import tracemalloc
 
-        from crpstail.cli import _ColumnRows
-
         n = 200_000
         rng = np.random.default_rng(6)
         columns = [np.arange(n), rng.exponential(size=n), rng.normal(size=n)]
@@ -627,6 +623,58 @@ class TestStreamedTable:
         assert sink.chars > 20 * n
         # built whole as a list of Python rows, this table peaks at about 37 MB
         assert peak < 8e6, peak
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_column_table_builds_each_slice_once(self, fmt):
+        slices = []
+
+        class Spy(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    slices.append(index)
+                return super().__getitem__(index)
+
+        n = 3 * crpstail_io._CHUNK_ROWS + 5
+        rng = np.random.default_rng(7)
+        columns = [np.arange(n), rng.exponential(size=n), np.repeat(["qq", "pp"], [n - 9, 9])]
+        rows = _ColumnRows(*(c.view(Spy) for c in columns))
+        got = table_to_string(["t", "x", "kind"], rows, fmt=fmt)
+        assert got == table_to_string(["t", "x", "kind"], list(zip(*map(list, columns))), fmt=fmt)
+        # one slice of each column per chunk; the width check builds none
+        assert len(slices) == len(columns) * math.ceil(n / crpstail_io._CHUNK_ROWS), len(slices)
+
+    def test_column_table_needs_equal_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            _ColumnRows(np.arange(3), np.arange(4.0))
+        with pytest.raises(ValueError, match="one or more columns"):
+            _ColumnRows()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_column_table_width_is_its_column_count(self, fmt):
+        rows = _ColumnRows(np.arange(3), np.arange(3.0))
+        for header in (["a"], ["a", "b", "c"]):
+            buf = stringio.StringIO()
+            with pytest.raises(ValueError, match="cells"):
+                write_table(header, rows, buf, fmt=fmt)
+            assert buf.getvalue() == ""
+
+
+class TestReaderMemory:
+    def test_batch_is_held_about_once(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "ge_ideal.jsonl"
+        write_records(simulate("ge", "ideal", 200_000, seed=7), str(path))
+        read_records(str(path))
+        tracemalloc.start()
+        try:
+            batch = read_records(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (batch.t, batch.y, batch.hidden, batch.params))
+        # with every chunk's arrays kept until the join, the peak was 2.09x
+        assert peak <= 1.5 * returned, peak / returned
 
 
 def _read_outcome(text_or_file):
@@ -763,7 +811,7 @@ class TestReaderPaths:
     )
     def test_layout_changes_in_a_later_chunk(self, case):
         lines = _simulated_lines(crpstail_io._CHUNK_ROWS + 400)
-        k = crpstail_io._CHUNK_ROWS + 123  # 0-based: line k + 1 > 8192
+        k = crpstail_io._CHUNK_ROWS + 123  # 0-based: line k + 1 is in the second chunk
         record = json.loads(lines[k])
         if case == "reordered-keys":
             lines[k] = json.dumps(record, sort_keys=True) + "\n"

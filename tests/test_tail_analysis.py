@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate
 
+from crpstail import distributions
 from crpstail import (
     ConstructionError,
     DomainError,
@@ -332,3 +333,35 @@ class TestExpectedScoreGap:
         exact = wcrps_gap_exact(self.base, self.spliced, QuantileIndicatorWeight(weight_q))
         se = direct.std(ddof=1) / np.sqrt(x.size)
         assert abs(direct.mean() - exact) < 4.0 * se + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 23, 100])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "indicator"])
+    def test_block_size_leaves_the_estimate_bit_for_bit(self, n, weighted, monkeypatch):
+        weight = QuantileIndicatorWeight(self.u + 1.0) if weighted else UnitWeight()
+        want = spliced_gap_mc(self.base, self.spliced, weight, n=n, rng=n)
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)  # 23 = 3 blocks + 2
+        got = spliced_gap_mc(self.base, self.spliced, weight, n=n, rng=n)
+        assert repr(got) == repr(want)
+
+    def test_peak_memory_is_the_draws_and_their_deviations(self):
+        import tracemalloc
+
+        n = 1 << 20
+        spliced_gap_mc(self.base, self.spliced, n=10, rng=0)  # loads scipy.special
+        tracemalloc.start()
+        try:
+            spliced_gap_mc(self.base, self.spliced, n=n, rng=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the draws, then std's one temporary of deviations; the parent's
+        # whole-array temporaries peaked at 4.0x
+        assert peak <= 2.25 * 8 * n, peak / (8 * n)
+
+    @pytest.mark.parametrize("n", [1, 0, -5, 2.0, 1e6, True, "10", None])
+    def test_too_few_draws_raise_before_drawing(self, n):
+        gen = np.random.default_rng(4)
+        state = gen.bit_generator.state
+        with pytest.raises(ParameterError, match="number of draws"):
+            spliced_gap_mc(self.base, self.spliced, n=n, rng=gen)
+        assert gen.bit_generator.state == state

@@ -1,4 +1,4 @@
-"""Print the sha256 of every output (and stderr) of a fixed set of CLI runs.
+"""Print the sha256 of every output (and stderr) of a fixed set of CLI and library runs.
 
 The set covers ``simulate`` for both models and all four forecasters,
 ``score`` (weighted, shuffled, JSON) on each simulated file, ``verify
@@ -12,6 +12,12 @@ stdout. Each command runs as ``python -m crpstail`` in a fresh temporary
 directory, against the package sources in ``--src``. A command's stdout is
 hashed too: it is the output file of a run without ``--out``, and is listed
 as ``<output>.stdout`` (empty when the table went to a file) otherwise.
+
+Seeded library runs follow, each as ``python -c`` whose stdout is its
+output: every family's ``sample`` at ``SAMPLE_N`` draws (the raw float64
+bytes; ``SAMPLE_N`` spans several sampling blocks and ends inside one) and
+the ``repr`` of ``tail_analysis.spliced_gap_mc`` at 2e5 draws, unweighted and
+indicator-weighted. They do not depend on ``--t``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -34,6 +40,40 @@ MODELS = ("ge", "nn")
 FORECASTERS = ("ideal", "climatological", "unfocused", "extremist")
 SEED = "7"
 NONCANONICAL = "noncanonical.jsonl"
+
+
+# the library runs' draws: several sampling blocks, ending inside one
+SAMPLE_N = 3 * 2**16 + 5
+# the library runs' preamble: the package's names, and ``spliced``, GP(1, 1/4)
+# with a dominated exponential tail above its 0.99 quantile, built as
+# bench/libstep.py builds it
+PREAMBLE = ("import sys\nfrom crpstail import *\n"
+            "base = GeneralizedPareto(1.0, 0.25)\nu = float(base.quantile(0.99))\n"
+            "spliced = splice_tail(base, Exponential(2.0 / (1.0 + 0.25 * u)), u)\n")
+# the laws sampled, as Python expressions over the preamble's names
+LAWS = {
+    "normal": "Normal(0.3, 1.2)",
+    "normal_mixture2": "NormalMixture2(0.3, -1.0, 0.5, 2.0, 1.5)",
+    "exponential": "Exponential(1.6)",
+    "gamma": "Gamma(2.5, 1.3)",
+    "generalized_pareto": "GeneralizedPareto(1.0, 0.25)",
+    "generalized_pareto_bounded": "GeneralizedPareto(1.0, -0.5)",
+    "uniform_mixture": "UniformMixture([(0.2, -3.0, -2.0), (0.3, 0.0, 1.0), (0.5, 2.0, 5.0)])",
+    "spliced": "spliced",
+}
+
+
+def library_runs() -> list[tuple[str, list[str]]]:
+    """(output file, ``python -c`` argv) pairs for the seeded library runs."""
+    runs = []
+    for seed, (name, law) in enumerate(LAWS.items(), start=1):
+        code = f"x = ({law}).sample({SAMPLE_N}, {seed})\nsys.stdout.buffer.write(x.tobytes())\n"
+        runs.append((f"sample_{name}.f64", ["-c", PREAMBLE + code]))
+    weights = {"unit": "UnitWeight()", "indicator": "QuantileIndicatorWeight(u + 1)"}
+    for name, weight in weights.items():
+        code = f"print(repr(spliced_gap_mc(base, spliced, {weight}, n=200_000, rng=7)))\n"
+        runs.append((f"gap_mc_{name}.txt", ["-c", PREAMBLE + code]))
+    return runs
 
 
 def write_noncanonical(work: Path) -> None:
@@ -61,7 +101,8 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
     """(output file, argv) pairs, in run order; later ones read earlier outputs.
 
     An argv that is a function writes the output file itself; the stdout of
-    an argv without ``--out`` is its output file.
+    an argv without ``--out`` is its output file. An argv that starts with
+    ``-c`` is a library run's, for ``python``, not ``python -m crpstail``.
     """
     t = str(t)
     runs = []
@@ -131,7 +172,7 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
     runs.append(("qqpp_stdout.json", ["verify", "qqpp", "--records", "ge_ideal.jsonl",
                                       "--shuffle-seed", "1", "--weight-quantile", "0.9",
                                       "--format", "json"]))
-    return runs
+    return runs + library_runs()
 
 
 def sha256(path: Path) -> str:
@@ -156,7 +197,8 @@ def main(argv=None) -> int:
             stdout = work / (f"{out}.stdout" if "--out" in cli_argv else out)
             stderr = work / f"{out}.stderr"
             with open(stdout, "wb") as std, open(stderr, "wb") as err:
-                code = subprocess.run([sys.executable, "-m", "crpstail", *cli_argv], cwd=work,
+                run = cli_argv if cli_argv[0] == "-c" else ["-m", "crpstail", *cli_argv]
+                code = subprocess.run([sys.executable, *run], cwd=work,
                                       env=env, stdin=subprocess.DEVNULL,
                                       stdout=std, stderr=err).returncode
             print(f"{sha256(work / out)}  {out}", flush=True)
