@@ -98,6 +98,40 @@ def _blocks(n: int):
         yield slice(start, min(start + _BLOCK_DRAWS, n))
 
 
+def _row_blocks(kernel):
+    """``kernel(params, *args)`` of the family table, run on ``_blocks(n)``
+    slices into one preallocated output, so that beside its ``n`` values a
+    call holds the temporaries of one block.
+
+    ``n`` is the broadcast length of the parameter rows and the 1-d
+    arguments: a one-row law at many ``x`` is blocked over ``x``. Scalars and
+    length-1 rows or arguments go whole to every block; with an argument of
+    more than one dimension, or at most one block of rows, the kernel runs
+    once on everything. Every value is the kernel's on the whole arrays, but
+    a kernel that warns warns once per block. ``out`` may be an argument:
+    each block's values replace its slice after the block is computed.
+    """
+
+    def run(params, *args, out=None):
+        ndims = [getattr(a, "ndim", 0) for a in args]
+        n = max([len(params)] + [len(a) for a, ndim in zip(args, ndims) if ndim == 1])
+        if n <= _BLOCK_DRAWS or max(ndims, default=0) > 1:
+            if out is None:
+                return kernel(params, *args)
+            out[...] = kernel(params, *args)
+            return out
+        if out is None:
+            out = np.empty(n)
+        for block in _blocks(n):
+            out[block] = kernel(
+                params[block] if len(params) == n else params,
+                *(a[block] if ndim == 1 and len(a) == n else a for a, ndim in zip(args, ndims)),
+            )
+        return out
+
+    return run
+
+
 def _uniform_blocks(gen: np.random.Generator, n: int):
     """(slice, uniforms) for each block of ``n`` draws from ``gen``, the
     uniforms clipped in place into (0, 1) for an inverse cdf; together the
@@ -215,12 +249,13 @@ class _TableFamily(Distribution):
         """Flat parameter vector: the dataclass fields, in table column order."""
         return [getattr(self, f.name) for f in fields(self)]
 
-    def _one_row(self, kernel, x):
-        """``kernel`` of the family table on this law's one-row batch at ``x``;
-        the result keeps the shape of ``x``, a float for a scalar."""
+    def _one_row(self, kernel, x, out=None):
+        """``kernel`` of the family table on this law's one-row batch at ``x``
+        (into ``out`` if given, see :func:`_row_blocks`); the result keeps
+        the shape of ``x``, a float for a scalar."""
         x = np.asarray(x, dtype=float)
-        out = kernel(self._row, x)
-        return float(out[0]) if x.ndim == 0 else out
+        values = kernel(self._row, x, out=out)
+        return float(values[0]) if x.ndim == 0 else values
 
     def cdf(self, x):
         return self._one_row(_FAMILIES[self.family].cdf, x)
@@ -771,21 +806,18 @@ def _upper_orthant(h, k, rho, r):
 
 
 def _mixture2_tail_sq(params, q):
-    """Batch int_q^inf survival^2 for mixture rows, in blocks of 2^16 rows that
-    bound the temporaries: w^2 T1 + (1 - w)^2 T2 + 2 w (1 - w) E(min(X1, X2) -
-    q)+ for independent Xi ~ N(mi, si), Ti the normal tails, the last term two
-    truncated bivariate-normal first moments (Tallis 1961)."""
+    """Batch int_q^inf survival^2 for mixture rows: w^2 T1 + (1 - w)^2 T2 +
+    2 w (1 - w) E(min(X1, X2) - q)+ for independent Xi ~ N(mi, si), Ti the
+    normal tails, the last term two truncated bivariate-normal first moments
+    (Tallis 1961)."""
     from scipy.special import ndtr
 
-    n = 1 << 16
-    if len(params) > n:
-        blocks = np.split(params, range(n, len(params), n))
-        return np.concatenate([_mixture2_tail_sq(block, q) for block in blocks])
     w, m1, s1, m2, s2 = params.T
     # 1 is the component with the larger mean: b >= 0 spares a reflection's digits
-    w1, m1, s1, w2, m2, s2 = np.where(
-        m1 >= m2, [w, m1, s1, 1.0 - w, m2, s2], [1.0 - w, m2, s2, w, m1, s1]
-    )
+    first = m1 >= m2
+    w1, w2 = np.where(first, w, 1.0 - w), np.where(first, 1.0 - w, w)
+    m1, m2 = np.where(first, m1, m2), np.where(first, m2, m1)
+    s1, s2 = np.where(first, s1, s2), np.where(first, s2, s1)
     a1, a2 = (q - m1) / s1, (q - m2) / s2
     d, sb1, sb2 = np.hypot(s1, s2), ndtr(-a1), ndtr(-a2)
     b = (m1 - m2) / d
@@ -875,6 +907,10 @@ class Family(NamedTuple):
     wcrps: Callable | None = None  # (params, y, q) -> weighted CRPS, w = 1{x >= q}
 
 
+# the fields that map rows to values: ``valid``, which gives booleans, is not one
+_KERNELS = ("cdf", "survival", "crps", "tail", "wcrps")
+
+
 _FAMILIES = {
     "normal": Family(
         Normal, 2, "std > 0",
@@ -925,6 +961,11 @@ _FAMILIES = {
         # chaining function v(z) = max(z, q) (Allen, Ginsbourger & Ziegel 2023)
         wcrps=lambda p, y, q: _crps_ensemble_kernel(np.maximum(p, q), np.maximum(y, q)),
     ),
+}
+# every kernel runs a block of rows at a time: see _row_blocks
+_FAMILIES = {
+    name: fam._replace(**{k: _row_blocks(getattr(fam, k)) for k in _KERNELS if getattr(fam, k)})
+    for name, fam in _FAMILIES.items()
 }
 
 

@@ -72,8 +72,10 @@ def _pwm_estimate(x: np.ndarray) -> tuple[float, float, dict]:
     n = x.size
     xs = np.sort(x)
     b0 = xs.mean()
-    # unbiased first probability-weighted moment E[X (1 - F(X))]
-    b1 = float(np.sum(xs * (n - np.arange(1, n + 1))) / (n * (n - 1)))
+    # unbiased first probability-weighted moment E[X (1 - F(X))]: each x_(i)
+    # times n - i, in place on the sorted copy
+    xs *= np.arange(n - 1.0, -1.0, -1.0)
+    b1 = float(np.sum(xs) / (n * (n - 1)))
     denom = b0 - 2.0 * b1
     if denom <= 0.0:
         raise DegenerateDataError(
@@ -241,12 +243,18 @@ def shift_scale(fit: GpFitResult | GpTail, w: float) -> GpTail:
 
 
 def threshold_grid(observations, orders) -> np.ndarray:
-    """Empirical quantiles of ``observations`` at the given sorted orders."""
+    """Empirical quantiles of ``observations`` at the given sorted orders.
+
+    A non-finite observation or order raises :class:`DomainError`.
+    """
     obs = np.asarray(observations, dtype=float)
     if obs.size == 0:
         raise InsufficientDataError("no observations")
+    if not np.isfinite(obs).all():
+        raise DomainError("observations must be finite")
     orders = np.asarray(orders, dtype=float)
-    if np.any((orders <= 0.0) | (orders >= 1.0)):
+    # NaN fails both comparisons
+    if not np.all((orders > 0.0) & (orders < 1.0)):
         raise DomainError("quantile orders must lie strictly inside (0, 1)")
     if np.any(np.diff(orders) < 0.0):
         raise DomainError("quantile orders must be non-decreasing")

@@ -56,12 +56,22 @@ class RecordBatch:
         return self.y.size
 
     def subset(self, mask_or_index) -> "RecordBatch":
-        """Rows selected by a slice, a boolean mask or an index array."""
+        """Rows selected by a slice, a boolean mask or an index array.
+
+        Parameters that broadcast one row (stride 0, as the simulated
+        climatological forecasts do) stay a read-only broadcast of that row.
+        """
+        y = self.y[mask_or_index]
+        params = self.params
+        if params.strides[0] == 0:
+            params = np.broadcast_to(params[:1], (y.size, params.shape[1]))
+        else:
+            params = params[mask_or_index]
         return RecordBatch(
             t=self.t[mask_or_index],
-            y=self.y[mask_or_index],
+            y=y,
             family=self.family,
-            params=self.params[mask_or_index],
+            params=params,
             hidden=None if self.hidden is None else self.hidden[mask_or_index],
             model=self.model,
         )

@@ -34,7 +34,6 @@ from .distributions import (
     NormalMixture2,
     Spliced,
     UniformMixture,
-    _crps_ensemble_kernel,
     _quad,
     family_entry,
 )
@@ -334,7 +333,7 @@ def crps_ensemble(members, y):
     if arr.ndim == 1:
         if arr.size == 0:
             raise ParameterError("ensemble must contain at least one member")
-        return float(_crps_ensemble_kernel(arr[None, :], np.array([float(y)]))[0])
+        return float(_FAMILIES["ensemble"].crps(arr[None, :], np.array([float(y)]))[0])
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ParameterError("ensemble batch must be a (T, m) matrix")
-    return _crps_ensemble_kernel(arr, np.asarray(y, dtype=float))
+    return _FAMILIES["ensemble"].crps(arr, np.asarray(y, dtype=float))

@@ -137,15 +137,23 @@ def _nn_focus(u):
 
 def _nn_forecast(forecaster, delta, tau):
     n = delta.size
-    if forecaster == "ideal":
-        return "normal", np.column_stack([delta, np.ones(n)])
     if forecaster == "climatological":
         return "normal", np.broadcast_to([0.0, math.sqrt(2.0)], (n, 2))
+    # the rows are filled column by column: no column is held twice
     if forecaster == "unfocused":
-        return "normal_mixture2", np.column_stack(
-            [np.full(n, 0.5), delta, np.ones(n), delta + tau, np.ones(n)]
-        )
-    return "normal", np.column_stack([delta + 2.5, np.ones(n)])  # extremist
+        params = np.empty((n, 5))
+        params[:, 0] = 0.5
+        params[:, 1] = delta
+        np.add(delta, tau, out=params[:, 3])
+        params[:, 2::2] = 1.0
+        return "normal_mixture2", params
+    params = np.empty((n, 2))
+    if forecaster == "ideal":
+        params[:, 0] = delta
+    else:
+        np.add(delta, 2.5, out=params[:, 0])  # extremist
+    params[:, 1] = 1.0
+    return "normal", params
 
 
 def _ge_stream(u):

@@ -31,6 +31,7 @@ from functools import cache
 
 import numpy as np
 
+from .distributions import _FAMILIES, _blocks
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -158,15 +159,24 @@ def qq_pp(a, b) -> QqPpResult:
     return QqPpResult(qq=qq, pp=pp, ks_distance=ks)
 
 
+def _ks_c(alpha: float, *sizes) -> float:
+    """sqrt(-log(alpha / 2) / 2), after checking that 0 < alpha < 1 and that
+    every sample size is at least 1 (:class:`ParameterError` otherwise)."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"significance level must lie in (0, 1), got {alpha}")
+    if not all(size >= 1 for size in sizes):
+        raise ParameterError(f"sample sizes must be at least 1, got {sizes}")
+    return math.sqrt(-0.5 * math.log(alpha / 2.0))
+
+
 def ks_two_sample_critical(alpha: float, n: int, m: int) -> float:
     """Asymptotic two-sample Kolmogorov-Smirnov critical distance."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
+    c = _ks_c(alpha, n, m)
     return c * math.sqrt((n + m) / (n * m))
 
 
 def ks_one_sample_critical(alpha: float, n: int) -> float:
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
-    return c / math.sqrt(n)
+    return _ks_c(alpha, n) / math.sqrt(n)
 
 
 def discrepancy(scores_f, scores_g) -> float:
@@ -206,25 +216,31 @@ def diebold_mariano(scores_a, scores_b, lag: int = 0) -> DmResult:
     Positive statistic: ``b`` scored lower (better). ``lag > 0`` switches the
     variance to a Newey-West window for serially dependent differentials;
     the default assumes independent records, which is what the simulation
-    testbeds produce.
+    testbeds produce. A non-finite differential raises
+    :class:`DomainError`, a negative or non-integer ``lag``
+    :class:`ParameterError`.
     """
     from scipy.special import ndtr
 
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 0:
+        raise ParameterError(f"lag must be a non-negative integer, got {lag!r}")
     a, b = _values(scores_a), _values(scores_b)
     if a.size != b.size:
         raise ParameterError("score series must be paired (equal length)")
     n = a.size
     if n < 2:
         raise InsufficientDataError("need at least two paired scores")
-    d = a - b
+    # the differential, centred and then squared in place: one array of n
+    d = np.subtract(a, b)
     mean = float(d.mean())
-    dc = d - mean
+    if not math.isfinite(mean):
+        raise DomainError("score differential is not finite (NaN or infinite scores)")
+    d -= mean
     # numpy's pairwise sums, not BLAS dot products, whose rounding depends on
     # the BLAS build and its thread count
-    gamma0 = float(np.sum(dc * dc)) / n
-    var = gamma0
-    for ell in range(1, min(lag, n - 1) + 1):
-        cov = float(np.sum(dc[ell:] * dc[:-ell])) / n
+    covs = [float(np.sum(d[ell:] * d[:-ell])) / n for ell in range(1, min(lag, n - 1) + 1)]
+    var = float(np.sum(np.square(d, out=d))) / n
+    for ell, cov in enumerate(covs, start=1):
         var += 2.0 * (1.0 - ell / (lag + 1.0)) * cov
     var /= n
     if var <= 0.0:
@@ -274,24 +290,43 @@ def cvm_from_probs(h) -> float:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ParameterError("need a non-empty 1-d probability vector")
-    if np.any((h < 0.0) | (h > 1.0)):
+    return _cvm_in_place(np.array(h))
+
+
+def _cvm_in_place(h: np.ndarray) -> float:
+    """:func:`cvm_from_probs` of ``h``, whose storage it reuses: each
+    ``(2i - 1) / (2m) - h_i`` is formed and squared in place, a block of
+    ranks at a time, and summed once over the whole array."""
+    # NaN fails both comparisons
+    if not np.all((h >= 0.0) & (h <= 1.0)):
         raise DomainError("probabilities must lie in [0, 1]")
     m = h.size
-    i = np.arange(1, m + 1)
-    return float(1.0 / (12.0 * m) + np.sum(((2.0 * i - 1.0) / (2.0 * m) - h) ** 2))
+    for block in _blocks(m):
+        i = np.arange(block.start + 1.0, block.stop + 1.0)
+        i *= 2.0
+        i -= 1.0
+        i /= 2.0 * m
+        np.subtract(i, h[block], out=h[block])
+    return float(1.0 / (12.0 * m) + np.sum(np.square(h, out=h)))
 
 
 def cvm_statistic(values, tail: GpTail) -> float:
     """CvM distance of sorted ``values`` from the tail law ``tail``.
 
     Values below the tail's threshold get probability 0 (they sit outside
-    the fitted law's support), which correctly penalizes mass below it.
+    the fitted law's support), which correctly penalizes mass below it. A
+    NaN value raises :class:`DomainError`.
     """
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise InsufficientDataError("no values")
-    h = np.clip(np.asarray(tail.cdf(v), dtype=float), 0.0, 1.0)
-    return cvm_from_probs(h)
+    if np.isnan(v[-1]):  # NaN sorts last
+        raise DomainError("values must not be NaN")
+    # the tail law's cdf at v - u, each block of it written over its block of v
+    v -= tail.threshold_ref
+    law = tail.excess_law
+    law._one_row(_FAMILIES[law.family].cdf, v, out=v)
+    return _cvm_in_place(np.clip(v, 0.0, 1.0, out=v))
 
 
 # frozen Monte Carlo survival table for t < 0.02 (tools/gen_cvm_table.py,
@@ -400,17 +435,19 @@ def pit_calibration(batch: RecordBatch) -> PitResult:
     n = u.size
     if n == 0:
         raise InsufficientDataError("empty batch")
-    # each side in one float array, in place: k / n - u, then u - (k - 1) / n
-    side = np.arange(1.0, n + 1.0)
-    side /= n
-    side -= u
-    d_plus = float(side.max())
-    side = np.arange(float(n))
-    side /= n
-    d_minus = float(np.subtract(u, side, out=side).max())
+    # the largest k / n - u_k and u_k - (k - 1) / n, a block of ranks at a time
+    max_dev = -math.inf
+    for block in _blocks(n):
+        side = np.arange(block.start + 1.0, block.stop + 1.0)
+        side /= n
+        side -= u[block]
+        max_dev = max(max_dev, float(side.max()))
+        side = np.arange(float(block.start), float(block.stop))
+        side /= n
+        max_dev = max(max_dev, float(np.subtract(u[block], side, out=side).max()))
     return PitResult(
         values=pit,
-        max_dev=max(d_plus, d_minus),
+        max_dev=max_dev,
         approximate=batch.family == "ensemble",
     )
 
@@ -486,7 +523,8 @@ def extremes_index(
     should not be read as extremes skill.
     """
     scores_f, scores_c = _tail_scores(batch_f, batch_clim, batch_f.y > u)
-    return _index_row(u, fit, scores_f, scores_c, pit_calibration(batch_f), pit_alpha)
+    pit = pit_calibration(batch_f)
+    return _index_row(u, fit, scores_f, scores_c, pit.max_dev, pit.band(pit_alpha))
 
 
 def _tail_scores(batch_f, batch_clim, sel):
@@ -499,8 +537,9 @@ def _tail_scores(batch_f, batch_clim, sel):
     )
 
 
-def _index_row(u, fit, scores_f, scores_c, pit, pit_alpha) -> IndexResult:
-    """The index row at threshold ``u`` from the CRPS of its exceedances."""
+def _index_row(u, fit, scores_f, scores_c, pit_max_dev, pit_band) -> IndexResult:
+    """The index row at threshold ``u`` from the CRPS of its exceedances and
+    the forecast's PIT distance from uniform with its KS band."""
     m = scores_f.size
     if m < 10:
         raise InsufficientDataError(f"only {m} observations exceed the threshold {u}")
@@ -521,8 +560,8 @@ def _index_row(u, fit, scores_f, scores_c, pit, pit_alpha) -> IndexResult:
         log_p_clim=log_pc,
         index=1.0 - ratio,
         pathological=log_pf > log_pc,
-        auto_calibrated=pit.auto_calibrated(pit_alpha),
-        pit_max_dev=pit.max_dev,
+        auto_calibrated=pit_max_dev <= pit_band,
+        pit_max_dev=pit_max_dev,
     )
 
 
@@ -564,10 +603,15 @@ def index_curve(
     y = batch_f.y
     base_order = float(orders[0] if fit_order is None else fit_order)
     u0 = float(threshold_grid(y, [base_order])[0])
-    excesses = y[y > u0] - u0
+    excesses = y[y > u0]
+    excesses -= u0
     fit = fit_gp(excesses, method=method, threshold=u0)
+    del excesses
     thresholds = threshold_grid(y, orders)
-    pit = pit_calibration(batch_f)  # one PIT serves every threshold
+    # one PIT serves every threshold; only its distance and band are kept
+    pit = pit_calibration(batch_f)
+    pit_max_dev, pit_band = pit.max_dev, pit.band(0.05)
+    del pit
     # a record's CRPS does not depend on the threshold, and the exceedances
     # of a higher threshold are among those of the lowest one
     sel = y > thresholds[0]
@@ -577,7 +621,7 @@ def index_curve(
     for order, u in zip(orders, thresholds):
         keep = y_tail > u
         try:
-            row = _index_row(float(u), fit, scores_f[keep], scores_c[keep], pit, 0.05)
+            row = _index_row(float(u), fit, scores_f[keep], scores_c[keep], pit_max_dev, pit_band)
         except (InsufficientDataError, DomainError) as exc:
             row = IndexResult(float(u), int(keep.sum()), note=str(exc), **_GAP_FIELDS)
         rows.append(replace(row, order=float(order)))

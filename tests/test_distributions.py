@@ -487,3 +487,84 @@ class TestBlockedSampling:
             assert dist.sample(0, 1).shape == (0,)
             got = dist.sample(np.int64(5), 1)
             assert got.tobytes() == dist.sample(5, 1).tobytes()
+
+
+def _family_rows(family, n, seed):
+    """n seeded parameter rows of a record family, and n observations of both
+    signs reaching into the laws' tails."""
+    g = np.random.default_rng(seed)
+    u = g.random((n, 5))
+    rows = {
+        "normal": lambda: np.column_stack([4 * u[:, 0] - 2, 0.2 + 2 * u[:, 1]]),
+        "normal_mixture2": lambda: np.column_stack(
+            [u[:, 0], 4 * u[:, 1] - 2, 0.2 + 2 * u[:, 2], 4 * u[:, 3] - 2, 0.2 + 2 * u[:, 4]]
+        ),
+        "exponential": lambda: 0.2 + 3 * u[:, :1],
+        "gamma": lambda: np.column_stack([0.5 + 9.5 * u[:, 0], 0.2 + 3 * u[:, 1]]),
+        "generalized_pareto": lambda: np.column_stack([0.2 + 3 * u[:, 0], 1.3 * u[:, 1] - 0.4]),
+        "ensemble": lambda: 2 * g.standard_normal((n, 7)),
+    }[family]()
+    return rows, 4.0 * g.standard_normal(n)
+
+
+def _kernel_calls(family, params, x):
+    """(name, values) of every kernel of the family's table entry, on the
+    rows ``params`` at ``x``; ``tail`` takes one threshold for all rows."""
+    fam = distributions.family_entry(family)
+    calls = {
+        "cdf": lambda: fam.cdf(params, x),
+        "survival": lambda: fam.survival(params, x),
+        "crps": lambda: fam.crps(params, x),
+        "tail": lambda: fam.tail(params, 0.7),
+        "wcrps": lambda: fam.wcrps(params, x, 0.7),
+    }
+    return [(name, call()) for name, call in calls.items() if getattr(fam, name) is not None]
+
+
+class TestBlockedKernels:
+    """Every family-table kernel runs a block of rows at a time."""
+
+    @pytest.mark.parametrize("one_row", [False, True], ids=["rows", "one_row"])
+    @pytest.mark.parametrize("n", [1, 23, 64])
+    @pytest.mark.parametrize("family", sorted(distributions._FAMILIES))
+    def test_block_size_leaves_every_value_bit_for_bit(self, family, n, one_row, monkeypatch):
+        params, x = _family_rows(family, n, seed=n)
+        if one_row:
+            params = params[:1]  # one law at n points
+        want = _kernel_calls(family, params, x)
+        assert {name for name, _ in want} >= {"cdf", "crps"}
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)  # 23 = 3 blocks + 2
+        got = _kernel_calls(family, params, x)
+        for (name, g), (_, w) in zip(got, want):
+            size = 1 if one_row and name == "tail" else n
+            assert g.shape == w.shape == (size,) and g.dtype == np.float64, name
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("family", ["normal", "generalized_pareto"])
+    def test_out_takes_each_block_over_its_argument(self, family, monkeypatch):
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)
+        params, x = _family_rows(family, 64, seed=3)
+        law = from_family(family, params[0])
+        want = law.cdf(x)
+        got = law._one_row(distributions.family_entry(family).cdf, x, out=x)
+        assert got is x and x.tobytes() == want.tobytes()
+
+    def test_argument_of_two_dimensions_runs_whole(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)
+        law = Normal(0.3, 1.2)
+        x = np.linspace(-5.0, 5.0, 60).reshape(6, 10)
+        assert law.cdf(x).shape == (6, 10)
+        assert_array_equal(law.cdf(x), law.cdf(x.ravel()).reshape(6, 10))
+
+    def test_kernel_runs_once_per_block(self, monkeypatch):
+        calls = []
+
+        def kernel(params, x):
+            calls.append(len(x))
+            return x * params[:, 0]
+
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)
+        run = distributions._row_blocks(kernel)
+        got = run(np.full((23, 1), 2.0), np.arange(23.0))
+        assert calls == [7, 7, 7, 2]
+        assert_array_equal(got, 2.0 * np.arange(23.0))

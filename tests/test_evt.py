@@ -62,6 +62,13 @@ class TestPwmFit:
         assert_allclose(res.diagnostics["b0"], 5.5, rtol=1e-15)
         assert_allclose(res.diagnostics["b1"], 165.0 / 90.0, rtol=1e-15)
 
+    @pytest.mark.parametrize("n", [10, 1001])
+    def test_b1_keeps_the_bits_of_the_weighted_sum(self, n):
+        x = np.random.default_rng(n).pareto(3.0, n) + 0.1
+        xs = np.sort(x)
+        want = float(np.sum(xs * (n - np.arange(1, n + 1))) / (n * (n - 1)))
+        assert fit_gp(x).diagnostics["b1"] == want
+
     def test_order_invariance(self):
         rng = np.random.default_rng(11)
         x = GeneralizedPareto(1.0, 0.2).sample(500, rng)
@@ -289,6 +296,14 @@ class TestThresholdGrid:
             threshold_grid(obs, [0.0, 0.5])
         with pytest.raises(DomainError):
             threshold_grid(obs, [0.5, 1.0])
+
+    def test_rejects_non_finite_observations_and_orders(self):
+        # a NaN observation gave [nan], a NaN order nan
+        for obs in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0], [-np.inf, 2.0]):
+            with pytest.raises(DomainError, match="finite"):
+                threshold_grid(obs, [0.5])
+        with pytest.raises(DomainError, match="inside"):
+            threshold_grid(np.arange(100.0), [0.5, np.nan])
 
     def test_rejects_decreasing_orders(self):
         obs = np.arange(100.0)

@@ -97,6 +97,15 @@ class TestSimulateForecasters:
         with pytest.raises(ValueError):
             params[0, 0] = 1.0
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_subset_of_climatological_rows_stays_a_read_only_row(self, model):
+        batch = simulate(model, "climatological", 30, seed=2)
+        for index in (slice(3, 20), batch.y > np.median(batch.y), np.array([4, 0, 29, 7])):
+            params = batch.subset(index).params
+            assert params.shape == (batch.y[index].size, 2) and params.strides[0] == 0
+            assert not params.flags.writeable
+            assert_array_equal(params, batch.params[index])
+
     def test_uniforms_are_drawn_in_blocks(self):
         import tracemalloc
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import crpstail
 from crpstail import (
@@ -32,6 +32,7 @@ from crpstail import (
     qq_pp,
     score_series,
     shuffled_score_series,
+    simulate_forecasters,
     tail_shape_of_scores,
     threshold_grid,
 )
@@ -186,6 +187,23 @@ class TestKsCritical:
             rtol=1e-5,
         )
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.5, -0.1, math.nan])
+    def test_level_must_lie_inside_the_unit_interval(self, alpha):
+        # 1 <= alpha < 2 gave a distance, alpha >= 2 a bare math domain error
+        with pytest.raises(ParameterError, match="significance level"):
+            ks_one_sample_critical(alpha, 10)
+        with pytest.raises(ParameterError, match="significance level"):
+            ks_two_sample_critical(alpha, 10, 20)
+
+    @pytest.mark.parametrize("size", [0, -3, 0.5, math.nan])
+    def test_sample_sizes_must_be_at_least_one(self, size):
+        # a size of 0 raised ZeroDivisionError
+        for call in (lambda: ks_one_sample_critical(0.05, size),
+                     lambda: ks_two_sample_critical(0.05, size, 5),
+                     lambda: ks_two_sample_critical(0.05, 5, size)):
+            with pytest.raises(ParameterError, match="sample sizes"):
+                call()
+
     def test_two_sample_symmetric(self):
         assert ks_two_sample_critical(0.05, 30, 70) == ks_two_sample_critical(
             0.05, 70, 30
@@ -268,6 +286,32 @@ class TestDieboldMariano:
             diebold_mariano([1.0, 2.0], [1.0])
         with pytest.raises(InsufficientDataError):
             diebold_mariano([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_raises(self, bad):
+        # a NaN score gave statistic=nan, p_value=nan
+        with pytest.raises(DomainError, match="not finite"):
+            diebold_mariano([1.0, bad, 2.0], [0.5, 0.5, 0.5])
+        with pytest.raises(DomainError, match="not finite"):
+            diebold_mariano([1.0, 1.5, 2.0], [0.5, bad, 0.5], lag=1)
+
+    @pytest.mark.parametrize("lag", [-1, 1.5, 2.0, True, None])
+    def test_lag_must_be_a_non_negative_integer(self, lag):
+        # lag=-1 ran as lag 0
+        with pytest.raises(ParameterError, match="lag"):
+            diebold_mariano([1.0, 3.0, 2.0], [0.5, 0.5, 0.5], lag=lag)
+
+    @pytest.mark.parametrize("lag", [0, 1, 3, np.int64(2)])
+    def test_keeps_the_bits_of_the_whole_array_form(self, lag):
+        a, b = np.random.default_rng(4).exponential(size=(2, 1001))
+        n, d = a.size, a - b
+        mean = float(d.mean())
+        dc = d - mean
+        var = float(np.sum(dc * dc)) / n
+        for ell in range(1, lag + 1):
+            var += 2.0 * (1.0 - ell / (lag + 1.0)) * float(np.sum(dc[ell:] * dc[:-ell])) / n
+        res = diebold_mariano(a, b, lag=lag)
+        assert res.mean_diff == mean and res.statistic == mean / math.sqrt(var / n)
 
 
 class TestNoBlas:
@@ -367,6 +411,28 @@ class TestCvmStatistic:
             cvm_from_probs(np.ones((2, 2)))
         with pytest.raises(InsufficientDataError):
             cvm_statistic([], GpTail(1.0, 0.1))
+
+    def test_nan_raises(self):
+        # the [0, 1] range check let NaN through: both returned nan
+        with pytest.raises(DomainError):
+            cvm_from_probs([0.2, math.nan])
+        with pytest.raises(DomainError, match="NaN"):
+            cvm_statistic([1.5, math.nan, 2.0], GpTail(1.0, 0.1, 1.0))
+
+    @pytest.mark.parametrize("m", [1, 23, 64, 1001])
+    def test_keeps_the_bits_of_the_whole_array_form(self, m, monkeypatch):
+        import crpstail.distributions as distributions
+
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)  # 23 = 3 blocks + 2
+        tail = GpTail(sigma=1.3, gamma=0.2, threshold_ref=0.5)
+        v = tail.quantile(np.random.default_rng(m).random(m)) - 0.05
+        h = np.clip(tail.cdf(np.sort(v)), 0.0, 1.0)
+        i = np.arange(1, m + 1)
+        want = float(1.0 / (12.0 * m) + np.sum(((2.0 * i - 1.0) / (2.0 * m) - h) ** 2))
+        assert cvm_from_probs(h) == want
+        assert cvm_statistic(v, tail) == want
+        # the caller's probabilities are left as they were
+        assert_array_equal(h, np.clip(tail.cdf(np.sort(v)), 0.0, 1.0))
 
 
 class TestCvmPvalue:
@@ -687,6 +753,48 @@ class TestIndexCurve:
             index_curve(ideal, clim, [])
         with pytest.raises(DomainError):
             index_curve(ideal, clim, [0.9, 0.8])
+
+
+class TestPeakMemory:
+    """Each step holds its full-length columns once; a kernel's temporaries
+    are bounded by one block of rows."""
+
+    @staticmethod
+    def _peak(call) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cvm_statistic_sorts_into_one_array(self):
+        m = 1 << 18
+        tail = GpTail(sigma=1.0, gamma=0.25, threshold_ref=0.5)
+        v = tail.quantile(np.random.default_rng(1).random(m))
+        peak = self._peak(lambda: cvm_statistic(v, tail))
+        # whole-array temporaries peaked at 7.1 columns
+        assert peak <= 2.5 * v.nbytes, peak / v.nbytes
+
+    def test_diebold_mariano_holds_one_differential(self):
+        a, b = np.random.default_rng(2).exponential(size=(2, 1 << 18))
+        diebold_mariano(a[:10], b[:10])  # scipy.special loads on first use
+        peak = self._peak(lambda: diebold_mariano(a, b))
+        # the centred differential and its square were 3.0 columns
+        assert peak <= 2.5 * a.nbytes, peak / a.nbytes
+
+    def test_index_curve_holds_each_column_once(self, ge_small):
+        n = 1 << 18
+        batches = simulate_forecasters("ge", ("ideal", "climatological"), n, seed=5)
+        orders = [0.75, 0.8, 0.85, 0.9, 0.95, 0.99]
+        index_curve(ge_small["ideal"], ge_small["climatological"], orders)  # warm
+        peak = self._peak(
+            lambda: index_curve(batches["ideal"], batches["climatological"], orders)
+        )
+        # 5.1 columns of n floats with whole-array kernels and a held PIT; 3.4 now
+        assert peak <= 4.0 * 8 * n, peak / (8 * n)
 
 
 class TestTailShapeOfScores:

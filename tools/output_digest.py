@@ -17,7 +17,10 @@ Seeded library runs follow, each as ``python -c`` whose stdout is its
 output: every family's ``sample`` at ``SAMPLE_N`` draws (the raw float64
 bytes; ``SAMPLE_N`` spans several sampling blocks and ends inside one) and
 the ``repr`` of ``tail_analysis.spliced_gap_mc`` at 2e5 draws, unweighted and
-indicator-weighted. They do not depend on ``--t``.
+indicator-weighted, and, for every record family, ``batch_cdf``,
+``crps_closed_batch`` and ``wcrps_quantile_batch`` on ``SAMPLE_N`` seeded rows
+(the raw float64 bytes; the rows span several kernel blocks too). They do not
+depend on ``--t``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -62,6 +65,29 @@ LAWS = {
     "spliced": "spliced",
 }
 
+# seeded record columns for the kernel runs: ``u`` holds five uniforms a row,
+# ``y`` the observations (both signs, into each law's tails)
+ROWS = ("import numpy as np\nfrom crpstail.records import batch_cdf\n"
+        "from crpstail.scoring import crps_closed_batch, wcrps_quantile_batch\n"
+        "g = np.random.default_rng({seed})\nu = g.random(({n}, 5))\n"
+        "y = 4.0 * g.standard_normal({n})\n")
+# each record family's parameter rows, as Python expressions over ``u`` and ``g``
+FAMILY_ROWS = {
+    "normal": "np.column_stack([4 * u[:, 0] - 2, 0.2 + 2 * u[:, 1]])",
+    "normal_mixture2": "np.column_stack([u[:, 0], 4 * u[:, 1] - 2, 0.2 + 2 * u[:, 2], "
+                       "4 * u[:, 3] - 2, 0.2 + 2 * u[:, 4]])",
+    "exponential": "0.2 + 3 * u[:, :1]",
+    "gamma": "np.column_stack([0.5 + 9.5 * u[:, 0], 0.2 + 3 * u[:, 1]])",
+    "generalized_pareto": "np.column_stack([0.2 + 3 * u[:, 0], 1.3 * u[:, 1] - 0.4])",
+    "ensemble": "2 * g.standard_normal(({n}, 11))",
+}
+# the batch kernels run on each family's rows, as calls over ``family``, ``p`` and ``y``
+KERNEL_CALLS = {
+    "batch_cdf": "batch_cdf(family, p, y)",
+    "crps_closed_batch": "crps_closed_batch(family, p, y)",
+    "wcrps_quantile_batch": "wcrps_quantile_batch(family, p, y, 1.5)",
+}
+
 
 def library_runs() -> list[tuple[str, list[str]]]:
     """(output file, ``python -c`` argv) pairs for the seeded library runs."""
@@ -73,6 +99,12 @@ def library_runs() -> list[tuple[str, list[str]]]:
     for name, weight in weights.items():
         code = f"print(repr(spliced_gap_mc(base, spliced, {weight}, n=200_000, rng=7)))\n"
         runs.append((f"gap_mc_{name}.txt", ["-c", PREAMBLE + code]))
+    for seed, (family, rows) in enumerate(FAMILY_ROWS.items(), start=1):
+        setup = ROWS.format(seed=seed, n=SAMPLE_N) + f"family = {family!r}\n"
+        setup += f"p = {rows.format(n=SAMPLE_N)}\n"
+        for kernel, call in KERNEL_CALLS.items():
+            code = f"sys.stdout.buffer.write(({call}).tobytes())\n"
+            runs.append((f"{kernel}_{family}.f64", ["-c", "import sys\n" + setup + code]))
     return runs
 
 
