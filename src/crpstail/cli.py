@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -155,6 +156,13 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _simulate_without_hidden(args, forecasters) -> dict:
+    """The simulated batches of ``forecasters``, without the hidden state that
+    the verification reports never read."""
+    batches = simulate_forecasters(args.model, forecasters, args.t, seed=args.seed)
+    return {name: replace(b, hidden=None) for name, b in batches.items()}
+
+
 def _verify_batches(args):
     """Forecast + climatology batches from files or from the simulator."""
     if args.records is not None:
@@ -164,9 +172,7 @@ def _verify_batches(args):
             )
         return read_records(args.records), read_records(args.records_clim)
     _require(args, ["model", "forecaster", "t", "seed"])
-    batches = simulate_forecasters(
-        args.model, (args.forecaster, "climatological"), args.t, seed=args.seed
-    )
+    batches = _simulate_without_hidden(args, (args.forecaster, "climatological"))
     return batches[args.forecaster], batches["climatological"]
 
 
@@ -216,17 +222,33 @@ def cmd_verify_index_curve(args) -> int:
 
 def cmd_verify_dm(args) -> int:
     _require(args, ["model", "t", "seed"])
-    batches = simulate_forecasters(args.model, FORECASTERS, args.t, seed=args.seed)
+    batches = _simulate_without_hidden(args, FORECASTERS)
     obs = batches["ideal"].y
+    thresholds = [float(threshold_grid(obs, [order])[0]) for order in args.quantiles]
+    last = len(thresholds) - 1
+    widest_first = sorted(batches, key=lambda name: -batches[name].params.shape[1])
+    # scores[name][k]: a forecaster's scores at order k. A batch is released
+    # once it is scored at every order, the widest parameter rows first. Rows
+    # wider than the number of orders take more room than their scores at
+    # every order, so such a batch is scored at all of them first; the others
+    # are scored one order at a time, and each order's scores are released
+    # after its DM matrix.
+    scores = {name: [None] * len(thresholds) for name in FORECASTERS}
+    for name in widest_first:
+        if batches[name].params.shape[1] > len(thresholds):
+            batch = batches.pop(name)
+            scores[name] = [score_series(batch, weight_threshold=u).values for u in thresholds]
+            del batch
     rows = []
-    for order in args.quantiles:
-        threshold = float(threshold_grid(obs, [order])[0])
-        scores = {
-            name: score_series(b, weight_threshold=threshold).values
-            for name, b in batches.items()
-        }
-        mat = dm_matrix(scores)
-        del scores  # one quantile's scores at a time
+    for k, (order, threshold) in enumerate(zip(args.quantiles, thresholds)):
+        for name in widest_first:
+            if name in batches:
+                batch = batches.pop(name) if k == last else batches[name]
+                scores[name][k] = score_series(batch, weight_threshold=threshold).values
+                del batch
+        mat = dm_matrix({name: values[k] for name, values in scores.items()})
+        for values in scores.values():
+            values[k] = None
         for i, row_name in enumerate(mat.names):
             for j, col_name in enumerate(mat.names):
                 if i == j:

@@ -79,9 +79,11 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-# draws transformed at a time by the samplers: bounds what a sampler holds
-# beside its output, whatever the number of draws
-_BLOCK_DRAWS = 1 << 16
+# rows (draws, records) transformed at a time by the samplers, the simulator
+# and the family kernels: bounds what a call holds beside its output,
+# whatever the number of rows. At 2^13 rows the about 27 temporaries of a
+# two-component mixture's weighted-tail block fit a 2 MB L2 cache.
+_BLOCK_DRAWS = 1 << 13
 
 
 def _draw_count(n, least: int = 0) -> int:

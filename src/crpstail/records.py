@@ -62,16 +62,11 @@ class RecordBatch:
         climatological forecasts do) stay a read-only broadcast of that row.
         """
         y = self.y[mask_or_index]
-        params = self.params
-        if params.strides[0] == 0:
-            params = np.broadcast_to(params[:1], (y.size, params.shape[1]))
-        else:
-            params = params[mask_or_index]
         return RecordBatch(
             t=self.t[mask_or_index],
             y=y,
             family=self.family,
-            params=params,
+            params=_param_rows(self.params, mask_or_index, y.size),
             hidden=None if self.hidden is None else self.hidden[mask_or_index],
             model=self.model,
         )
@@ -79,6 +74,14 @@ class RecordBatch:
     def cdf_at_obs(self) -> np.ndarray:
         """F_t(y_t) for every record (rank-based surrogate for ensembles)."""
         return batch_cdf(self.family, self.params, self.y)
+
+
+def _param_rows(params: np.ndarray, index, n: int) -> np.ndarray:
+    """``params[index]``, whose ``n`` rows ``index`` selects; parameters that
+    broadcast one row (stride 0) stay a read-only broadcast of that row."""
+    if params.strides[0] == 0:
+        return np.broadcast_to(params[:1], (n, params.shape[1]))
+    return params[index]
 
 
 def batch_cdf(family: str, params: np.ndarray, x) -> np.ndarray:

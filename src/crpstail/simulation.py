@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .distributions import _blocks
 from .errors import DomainError, ParameterError
 from .evt import threshold_grid
 from .records import RecordBatch
@@ -50,14 +51,13 @@ MODELS = ("nn", "ge")
 FORECASTERS = ("ideal", "climatological", "unfocused", "extremist")
 
 _UNIFORMS_PER_RECORD = 4
-# records drawn and transformed at a time: the uniforms of a whole stream
-# are never held at once
-_BLOCK_RECORDS = 2**16
 
 
 def _uniforms(t: int, seed: int, t0: int):
-    """(start, block) pairs: the stream's (t, 4) uniforms from the
-    counter-indexed substream of ``seed``, ``_BLOCK_RECORDS`` rows at a time.
+    """(rows, block) pairs: the stream's (t, 4) uniforms from the
+    counter-indexed substream of ``seed``, one block of
+    :func:`~crpstail.distributions._blocks` rows at a time, so the uniforms of
+    a whole stream are never held at once.
 
     Philox.advance moves one 4-word counter block per unit — exactly one
     record's worth of draws — so advancing by t0 lands on record t0, and
@@ -66,9 +66,9 @@ def _uniforms(t: int, seed: int, t0: int):
     gen = Generator(Philox(key=seed))
     if t0:
         gen.bit_generator.advance(t0)
-    for start in range(0, t, _BLOCK_RECORDS):
-        u = gen.random((min(_BLOCK_RECORDS, t - start), _UNIFORMS_PER_RECORD))
-        yield start, np.clip(u, 1e-17, 1.0 - 1e-16, out=u)
+    for rows in _blocks(t):
+        u = gen.random((rows.stop - rows.start, _UNIFORMS_PER_RECORD))
+        yield rows, np.clip(u, 1e-17, 1.0 - 1e-16, out=u)
 
 
 def simulate(
@@ -109,8 +109,7 @@ def simulate_forecasters(
     stream, focus, forecast = _STREAMS[model]
     delta, y = np.empty(t), np.empty(t)
     tau = np.empty(t) if "unfocused" in forecasters else None
-    for start, u in _uniforms(t, seed, t0):
-        rows = slice(start, start + len(u))
+    for rows, u in _uniforms(t, seed, t0):
         delta[rows], y[rows] = stream(u)
         if tau is not None:
             tau[rows] = focus(u)

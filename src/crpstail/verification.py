@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .evt import GpFitResult, GpTail, fit_gp, shift_scale, threshold_grid
-from .records import RecordBatch, batch_cdf
+from .records import RecordBatch, _param_rows, batch_cdf
 from .scoring import crps_closed_batch, wcrps_quantile_batch
 
 __all__ = [
@@ -102,9 +102,14 @@ def _score_batch(batch: RecordBatch, y: np.ndarray, weight_threshold) -> np.ndar
 
 
 def score_series(batch: RecordBatch, weight_threshold: float | None = None) -> ScoreSeries:
-    """CRPS (or quantile-weighted CRPS above ``weight_threshold``) per record."""
+    """CRPS (or quantile-weighted CRPS above ``weight_threshold``) per record.
+
+    ``obs`` is a read-only view of ``batch.y``, not a copy.
+    """
     vals = _score_batch(batch, batch.y, weight_threshold)
-    return ScoreSeries(values=vals, pairing="paired", obs=batch.y.copy())
+    obs = batch.y.view()
+    obs.flags.writeable = False
+    return ScoreSeries(values=vals, pairing="paired", obs=obs)
 
 
 def shuffled_score_series(
@@ -431,11 +436,19 @@ def pit_calibration(batch: RecordBatch) -> PitResult:
     Ensemble rows use the mid-rank surrogate and are flagged approximate.
     """
     pit = batch.cdf_at_obs()
-    u = np.sort(pit)
+    return PitResult(
+        values=pit,
+        max_dev=_ks_distance(np.sort(pit)),
+        approximate=batch.family == "ensemble",
+    )
+
+
+def _ks_distance(u: np.ndarray) -> float:
+    """Kolmogorov distance of the sorted sample ``u`` from uniform: the
+    largest k / n - u_k and u_k - (k - 1) / n, a block of ranks at a time."""
     n = u.size
     if n == 0:
         raise InsufficientDataError("empty batch")
-    # the largest k / n - u_k and u_k - (k - 1) / n, a block of ranks at a time
     max_dev = -math.inf
     for block in _blocks(n):
         side = np.arange(block.start + 1.0, block.stop + 1.0)
@@ -445,11 +458,7 @@ def pit_calibration(batch: RecordBatch) -> PitResult:
         side = np.arange(float(block.start), float(block.stop))
         side /= n
         max_dev = max(max_dev, float(np.subtract(u[block], side, out=side).max()))
-    return PitResult(
-        values=pit,
-        max_dev=max_dev,
-        approximate=batch.family == "ensemble",
-    )
+    return max_dev
 
 
 def exceedance_calibration(batch: RecordBatch, x_grid) -> np.ndarray:
@@ -522,19 +531,19 @@ def extremes_index(
     failing the PIT screen arrives with ``auto_calibrated=False`` and
     should not be read as extremes skill.
     """
-    scores_f, scores_c = _tail_scores(batch_f, batch_clim, batch_f.y > u)
+    _, scores_f, scores_c = _tail_scores(batch_f, batch_clim, batch_f.y > u)
     pit = pit_calibration(batch_f)
     return _index_row(u, fit, scores_f, scores_c, pit.max_dev, pit.band(pit_alpha))
 
 
-def _tail_scores(batch_f, batch_clim, sel):
-    """CRPS of the forecast and the climatology on the rows ``sel`` picks."""
+def _tail_scores(batch_f, batch_clim, rows):
+    """The observations that ``rows`` (a mask or an index array) picks, and
+    the CRPS of the forecast and of the climatology there, in that order."""
     if len(batch_f) != len(batch_clim) or not np.array_equal(batch_f.y, batch_clim.y):
         raise ParameterError("forecast and climatology batches must share observations")
-    return (
-        _score_batch(batch_f.subset(sel), batch_f.y[sel], None),
-        _score_batch(batch_clim.subset(sel), batch_clim.y[sel], None),
-    )
+    y = batch_f.y[rows]
+    return (y, *(crps_closed_batch(b.family, _param_rows(b.params, rows, y.size), y)
+                 for b in (batch_f, batch_clim)))
 
 
 def _index_row(u, fit, scores_f, scores_c, pit_max_dev, pit_band) -> IndexResult:
@@ -601,29 +610,35 @@ def index_curve(
     if np.any(np.diff(orders) < 0.0):
         raise DomainError("quantile orders must be non-decreasing")
     y = batch_f.y
-    base_order = float(orders[0] if fit_order is None else fit_order)
-    u0 = float(threshold_grid(y, [base_order])[0])
+    # the grid's thresholds and then the fit's, from one partition of y
+    grid = np.append(orders, orders[0] if fit_order is None else fit_order)
+    rank = np.argsort(grid, kind="stable")
+    thresholds = np.empty(grid.size)
+    thresholds[rank] = threshold_grid(y, grid[rank])
+    thresholds, u0 = thresholds[:-1], float(thresholds[-1])
     excesses = y[y > u0]
     excesses -= u0
     fit = fit_gp(excesses, method=method, threshold=u0)
     del excesses
-    thresholds = threshold_grid(y, orders)
     # one PIT serves every threshold; only its distance and band are kept
-    pit = pit_calibration(batch_f)
-    pit_max_dev, pit_band = pit.max_dev, pit.band(0.05)
+    pit = batch_f.cdf_at_obs()
+    pit.sort()
+    pit_max_dev, pit_band = _ks_distance(pit), ks_one_sample_critical(0.05, pit.size)
     del pit
     # a record's CRPS does not depend on the threshold, and the exceedances
-    # of a higher threshold are among those of the lowest one
-    sel = y > thresholds[0]
-    scores_f, scores_c = _tail_scores(batch_f, batch_clim, sel)
-    y_tail = y[sel]
+    # of a higher threshold are among those of the lowest one: scored once,
+    # in observation order, each threshold's are a suffix
+    tail = np.flatnonzero(y > thresholds[0])
+    tail = tail[np.argsort(y[tail])]
+    y_tail, scores_f, scores_c = _tail_scores(batch_f, batch_clim, tail)
+    del tail
     rows = []
     for order, u in zip(orders, thresholds):
-        keep = y_tail > u
+        keep = slice(int(np.searchsorted(y_tail, u, side="right")), None)
         try:
             row = _index_row(float(u), fit, scores_f[keep], scores_c[keep], pit_max_dev, pit_band)
         except (InsufficientDataError, DomainError) as exc:
-            row = IndexResult(float(u), int(keep.sum()), note=str(exc), **_GAP_FIELDS)
+            row = IndexResult(float(u), y_tail[keep].size, note=str(exc), **_GAP_FIELDS)
         rows.append(replace(row, order=float(order)))
     return IndexCurve(rows=rows, fit=fit)
 

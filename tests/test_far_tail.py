@@ -84,7 +84,7 @@ def test_mixture_scalar_tail_is_the_batch_kernel():
 
 
 def test_mixture_tail_rows_do_not_depend_on_the_batch():
-    # past 2^16 rows the kernel works block by block
+    # the kernel works block by block; 65,536 rows is a block boundary
     params = simulate("nn", "unfocused", 70_000, seed=7).params
     tail = _FAMILIES["normal_mixture2"].tail
     whole = tail(params, 1.5)

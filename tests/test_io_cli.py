@@ -1127,6 +1127,27 @@ class TestCliVerifyDm:
         assert len(ideal_rows) == 3
         assert all(float(r[3]) > 1.96 for r in ideal_rows)
 
+    @pytest.mark.parametrize("quantiles", ["0.9", "0.5,0.875", "0.5,0.6,0.7,0.8,0.9,0.95"])
+    def test_table_is_the_library_dm_matrix(self, tmp_path, quantiles):
+        # the mixture's batch is scored at every order at once where its five
+        # columns outnumber the orders, and one order at a time where not
+        from crpstail import FORECASTERS, dm_matrix, simulate_forecasters, threshold_grid
+
+        out = tmp_path / "dm.csv"
+        assert _run(["verify", "dm", "--model", "nn", "--t", "2000", "--seed", "3",
+                     "--quantiles", quantiles, "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        batches = simulate_forecasters("nn", FORECASTERS, 2000, seed=3)
+        want = []
+        for order in map(float, quantiles.split(",")):
+            u = float(threshold_grid(batches["ideal"].y, [order])[0])
+            mat = dm_matrix({name: score_series(b, u).values for name, b in batches.items()})
+            want += [[order, a, b, mat.statistics[i, j], mat.p_values[i, j]]
+                     for i, a in enumerate(FORECASTERS) for j, b in enumerate(FORECASTERS)
+                     if i != j]
+        got = [[float(q), a, b, float(s), float(p)] for q, a, b, s, p in rows]
+        assert got == want
+
     def test_needs_sim_flags(self):
         assert _run(["verify", "dm", "--model", "ge"]) == 1
 

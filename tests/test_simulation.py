@@ -124,10 +124,10 @@ class TestSimulateForecasters:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_block_size_leaves_the_stream_bit_for_bit(self, model, monkeypatch):
-        from crpstail import simulation
+        from crpstail import distributions
 
         whole = simulate_forecasters(model, FORECASTERS, 100, seed=9, t0=5)
-        monkeypatch.setattr(simulation, "_BLOCK_RECORDS", 7)
+        monkeypatch.setattr(distributions, "_BLOCK_DRAWS", 7)
         blocks = simulate_forecasters(model, FORECASTERS, 100, seed=9, t0=5)
         for name in FORECASTERS:
             for column in ("t", "y", "params", "hidden"):

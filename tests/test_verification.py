@@ -113,6 +113,25 @@ class TestScoreSeries:
         s3 = shuffled_score_series(batch, shuffle_seed=8)
         assert not np.array_equal(s3.obs, s1.obs)
 
+    @pytest.mark.parametrize("weight_threshold", [None, 0.5])
+    def test_obs_is_a_read_only_view(self, weight_threshold):
+        from crpstail.scoring import crps_closed_batch, wcrps_quantile_batch
+
+        rng = np.random.default_rng(4)
+        mus = rng.normal(size=40)
+        batch = _normal_batch(mus, 1.0, mus + rng.normal(size=40))
+        series = score_series(batch, weight_threshold=weight_threshold)
+        assert np.shares_memory(series.obs, batch.y)
+        assert not series.obs.flags.writeable
+        assert_array_equal(series.obs, batch.y)
+        if weight_threshold is None:
+            want = crps_closed_batch(batch.family, batch.params, batch.y.copy())
+        else:
+            want = wcrps_quantile_batch(
+                batch.family, batch.params, batch.y.copy(), weight_threshold
+            )
+        assert series.values.tobytes() == want.tobytes()
+
     def test_negative_shuffle_seed(self):
         batch = _normal_batch(np.zeros(5), 1.0, np.arange(5.0))
         with pytest.raises(ParameterError, match="shuffle seed"):
@@ -679,15 +698,14 @@ class TestIndexCurve:
         assert not curve.rows[0].auto_calibrated
 
     def test_one_pit_per_curve(self, ge_small, monkeypatch):
-        import crpstail.verification as verification
-
         calls = []
+        cdf_at_obs = RecordBatch.cdf_at_obs
 
         def counted(batch):
             calls.append(batch)
-            return pit_calibration(batch)
+            return cdf_at_obs(batch)
 
-        monkeypatch.setattr(verification, "pit_calibration", counted)
+        monkeypatch.setattr(RecordBatch, "cdf_at_obs", counted)
         unf, clim = ge_small["unfocused"], ge_small["climatological"]
         orders = [0.75, 0.8, 0.85, 0.9, 0.95, 0.99]
         curve = index_curve(unf, clim, orders)
@@ -697,39 +715,47 @@ class TestIndexCurve:
             alone = extremes_index(unf, clim, row.threshold, curve.fit)
             assert replace(alone, order=row.order) == row
 
+    @staticmethod
+    def _count_scored_rows(monkeypatch, calls):
+        """Append (family, rows) to ``calls`` for each CRPS batch that
+        verification scores; returns the unpatched function."""
+        import crpstail.verification as verification
+
+        crps_closed_batch = verification.crps_closed_batch
+
+        def counted(family, params, y):
+            calls.append((family, len(y)))
+            return crps_closed_batch(family, params, y)
+
+        monkeypatch.setattr(verification, "crps_closed_batch", counted)
+        return crps_closed_batch
+
     def test_each_batch_scored_once_per_curve(self, ge_small, monkeypatch):
+        import crpstail.verification as verification
+
         calls = []
-        subset = RecordBatch.subset
-
-        def counted(batch, index):
-            calls.append(int(np.count_nonzero(index)))
-            return subset(batch, index)
-
-        monkeypatch.setattr(RecordBatch, "subset", counted)
+        crps_closed_batch = self._count_scored_rows(monkeypatch, calls)
         ext, clim = ge_small["extremist"], ge_small["climatological"]
         orders = [0.75, 0.8, 0.85, 0.9, 0.95, 0.99]
         curve = index_curve(ext, clim, orders)
         # the exceedances of the lowest threshold, once per batch
-        assert calls == [curve.rows[0].n_tail] * 2
-        monkeypatch.setattr(RecordBatch, "subset", subset)
+        assert [rows for _, rows in calls] == [curve.rows[0].n_tail] * 2
+        monkeypatch.setattr(verification, "crps_closed_batch", crps_closed_batch)
         for row in curve.rows:
             alone = extremes_index(ext, clim, row.threshold, curve.fit)
             assert replace(alone, order=row.order) == row
 
     def test_curve_opens_and_closes_with_gaps(self, ge_small, monkeypatch):
+        import crpstail.verification as verification
+
         calls = []
-        subset = RecordBatch.subset
-
-        def counted(batch, index):
-            calls.append(batch)
-            return subset(batch, index)
-
-        monkeypatch.setattr(RecordBatch, "subset", counted)
+        crps_closed_batch = self._count_scored_rows(monkeypatch, calls)
         ext, clim = ge_small["extremist"], ge_small["climatological"]
         orders = [0.75, 0.9, 0.95, 0.9999]
         curve = index_curve(ext, clim, orders, fit_order=0.9)
-        assert len(calls) == 2 and calls[0] is ext and calls[1] is clim
-        monkeypatch.setattr(RecordBatch, "subset", subset)
+        # the forecast's rows, then the climatology's (the families differ)
+        assert [family for family, _ in calls] == [ext.family, clim.family]
+        monkeypatch.setattr(verification, "crps_closed_batch", crps_closed_batch)
         below, *good, few = curve.rows
         assert [r.order for r in curve.rows] == orders
         # the lowest threshold lies below the fit threshold
@@ -793,8 +819,40 @@ class TestPeakMemory:
         peak = self._peak(
             lambda: index_curve(batches["ideal"], batches["climatological"], orders)
         )
-        # 5.1 columns of n floats with whole-array kernels and a held PIT; 3.4 now
-        assert peak <= 4.0 * 8 * n, peak / (8 * n)
+        # 5.1 columns of n floats with whole-array kernels and a held PIT,
+        # 3.4 with the exceedances copied by RecordBatch.subset; 1.25 now
+        assert peak <= 1.5 * 8 * n, peak / (8 * n)
+
+    def test_mixture_weighted_score_holds_one_block(self):
+        from crpstail import simulate
+        from crpstail.scoring import wcrps_quantile_batch
+
+        n = 1 << 18
+        params = simulate("nn", "unfocused", n, seed=3).params
+        y = np.random.default_rng(1).normal(size=n)
+        wcrps_quantile_batch("normal_mixture2", params[:10], y[:10], 1.5)  # imports
+        peak = self._peak(lambda: wcrps_quantile_batch("normal_mixture2", params, y, 1.5))
+        # beyond the n scores: 13.7 MB on blocks of 2^16 rows, 2.1 MB on 2^13
+        assert peak - 8 * n <= 2.5e6, peak - 8 * n
+
+    @pytest.mark.parametrize(
+        "quantiles, columns",
+        # at two orders the mixture's five-column rows are scored at both at
+        # once and released; at six every batch is held to the last order
+        [("0.875,0.975", 14.5), ("0.875,0.9,0.925,0.95,0.975,0.99", 16.5)],
+    )
+    def test_verify_dm_releases_each_batch(self, quantiles, columns, tmp_path, capsys):
+        from crpstail import cli
+
+        n = 1 << 18
+        out = str(tmp_path / "dm.csv")
+        argv = ["verify", "dm", "--model", "nn", "--seed", "7", "--quantiles", quantiles,
+                "--out", out, "--t"]
+        assert cli.main(argv + ["200"]) == 0  # imports
+        peak = self._peak(lambda: cli.main(argv + [str(n)]))
+        # 21.6 columns of n floats with the hidden state kept and every batch
+        # held to the end; 14.0 and 16.0 now
+        assert peak <= columns * 8 * n, peak / (8 * n)
 
 
 class TestTailShapeOfScores:
