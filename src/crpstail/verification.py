@@ -12,10 +12,16 @@ them through a fitted GP tail law anchored at the threshold, and form
     T = 1/(12 m) + sum_i ( (2i-1)/(2m) - H(v_(i)) )^2.
 
 Under a perfect match T follows the limiting Cramer-von Mises law, whose
-survival function is evaluated from the classical Bessel-K_{1/4} series, a
-smallest-eigenvalue asymptotic for large statistics, and a frozen Monte
-Carlo table below t = 0.02 (see tools/gen_cvm_table.py). The extremes-skill
-index of a forecast F against a climatological reference is
+log survival function is log1p(-cdf) with the cdf from the Anderson-Darling
+Bessel-K_{1/4} series up to t = 2, and a smallest-eigenvalue asymptotic
+above. Its log p against mpmath:
+
+    t               reference                      |error in log p|
+    0.0025 - 1.5    the series at 40 digits        1e-12 relative
+    1.9 - 2         the series at 40 digits        2e-11 relative
+    2.0001 - 1000   Smirnov's integral, 30 digits  0.04 / t
+
+The extremes-skill index of a forecast F against a climatological reference is
 
     index = 1 - p_F / p_clim,
 
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
@@ -334,60 +339,33 @@ def cvm_statistic(values, tail: GpTail) -> float:
     return _cvm_in_place(np.clip(v, 0.0, 1.0, out=v))
 
 
-# frozen Monte Carlo survival table for t < 0.02 (tools/gen_cvm_table.py,
-# 2e7 replications of the truncated spectral sum, K = 500 + mean correction);
-# the right edge comes from the series, see _cvm_table_surv
-_CVM_TABLE_T = np.array(
-    [0.0, 0.0025, 0.005, 0.0075, 0.01, 0.0125, 0.015, 0.0175, 0.02]
-)
-_CVM_TABLE_SURV = (1.0, 1.0, 1.0, 0.9999999, 0.99999375, 0.9999319, 0.99962655, 0.99876475)
-
-_SERIES_MAX_T = 2.0
-_TABLE_MAX_T = 0.02
-
-
-def _cvm_series_cdf(t: np.ndarray, kmax: int = 60) -> np.ndarray:
-    """Limiting CvM cdf by the classical Bessel-K_{1/4} series (t > 0)."""
-    from scipy.special import gammaln, kv
-
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for k in range(kmax):
-        logc = gammaln(k + 0.5) - gammaln(0.5) - gammaln(k + 1.0)
-        z = (4.0 * k + 1.0) ** 2 / (16.0 * t)
-        with np.errstate(over="ignore", under="ignore"):
-            term = np.exp(logc) * np.sqrt(4.0 * k + 1.0) * np.exp(-z) * kv(0.25, z)
-        term = np.where(np.isfinite(term), term, 0.0)
-        out += term
-        if np.all(term < 1e-18):
-            break
-    return out / (np.pi * np.sqrt(t))
-
-
-@cache
-def _cvm_table_surv() -> tuple[float, ...]:
-    """The survival table, its right edge pinned to the series so the
-    regimes join continuously; computed on first use, not at import."""
-    return _CVM_TABLE_SURV + (1.0 - float(_cvm_series_cdf(np.array([_TABLE_MAX_T]))[0]),)
-
-
 def _cvm_log_survival(t: np.ndarray) -> np.ndarray:
-    from scipy.special import log_ndtr
+    """log P(W^2 > t) of the limiting Cramer-von Mises law, elementwise.
 
-    t = np.asarray(t, dtype=float)
+    Up to t = 2, log1p(-cdf) with Anderson and Darling's (1952) series
+    cdf = sum_k c_k sqrt(4k + 1) e^(-z) K_{1/4}(z) / (pi sqrt(t)), where
+    c_k = Gamma(k + 1/2) / (Gamma(1/2) k!) and z = (4k + 1)^2 / (16 t); above 2
+    the asymptotic 2 sqrt(2) Phi_bar(pi sqrt(t)), whose p is 1.44 % low at
+    t = 2.5 and 0.038 % low at t = 100. A NaN raises :class:`DomainError`.
+    """
+    from scipy.special import kve, log_ndtr
+
+    if np.isnan(t).any():
+        raise DomainError("CvM statistic must not be NaN")
     out = np.empty_like(t)
-    small = t <= _TABLE_MAX_T
-    mid = (t > _TABLE_MAX_T) & (t <= _SERIES_MAX_T)
-    big = t > _SERIES_MAX_T
-    if np.any(small):
-        surv = np.interp(t[small], _CVM_TABLE_T, _cvm_table_surv())
-        out[small] = np.log(np.where(t[small] <= 0.0, 1.0, surv))
-    if np.any(mid):
-        out[mid] = np.log(np.maximum(1.0 - _cvm_series_cdf(t[mid]), 1e-300))
-    if np.any(big):
-        # smallest-eigenvalue asymptotic: 2*sqrt(2)*Phi_bar(pi*sqrt(t));
-        # sits slightly below the series at the seam, preserving monotonicity
-        out[big] = 1.5 * math.log(2.0) + log_ndtr(-math.pi * np.sqrt(t[big]))
+    big = t > 2.0
+    # sits slightly below the series at the seam, preserving monotonicity
+    out[big] = 1.5 * math.log(2.0) + log_ndtr(-math.pi * np.sqrt(t[big]))
+    # below t = 1e-4 (t <= 0 too) each term is 0, and kve is NaN past z ~ 1e10
+    s = np.maximum(t[~big], 1e-4)
+    cdf = np.zeros_like(s)
+    for k in range(7):  # at t = 2 the term k = 6 is below 1e-18 of the sum
+        z = (4.0 * k + 1.0) ** 2 / (16.0 * s)
+        log_c = (math.lgamma(k + 0.5) - math.lgamma(0.5) - math.lgamma(k + 1.0)
+                 + 0.5 * math.log(4.0 * k + 1.0))
+        # e^(-z) K_{1/4}(z) = e^(-2z) kve(1/4, z): no factor under- or overflows
+        cdf += np.exp(log_c - 2.0 * z) * kve(0.25, z)
+    out[~big] = np.log1p(-cdf / (np.pi * np.sqrt(s)))
     return out
 
 
@@ -396,20 +374,17 @@ def cvm_pvalue(t_stat):
 
     Vectorized over ``t_stat``; underflows to 0.0 for large statistics —
     use :func:`cvm_log_pvalue` when ratios of tiny p-values are needed.
+    A NaN statistic raises :class:`DomainError`.
     """
-    t = np.asarray(t_stat, dtype=float)
-    scalar = t.ndim == 0
-    out = np.exp(_cvm_log_survival(np.atleast_1d(t)))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(t.shape)
+    p = np.exp(cvm_log_pvalue(t_stat))
+    return float(p) if p.ndim == 0 else p
 
 
 def cvm_log_pvalue(t_stat):
     """log of :func:`cvm_pvalue`, finite far beyond float underflow."""
     t = np.asarray(t_stat, dtype=float)
-    scalar = t.ndim == 0
-    out = np.minimum(_cvm_log_survival(np.atleast_1d(t)), 0.0)
-    return float(out[0]) if scalar else out.reshape(t.shape)
+    out = _cvm_log_survival(np.atleast_1d(t))
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +530,16 @@ def _index_row(u, fit, scores_f, scores_c, pit_max_dev, pit_band) -> IndexResult
     tail_u = shift_scale(fit, float(u))
     t_f = cvm_statistic(scores_f, tail_u)
     t_c = cvm_statistic(scores_c, tail_u)
-    log_pf = float(cvm_log_pvalue(t_f))
-    log_pc = float(cvm_log_pvalue(t_c))
+    log_pf = cvm_log_pvalue(t_f)
+    log_pc = cvm_log_pvalue(t_c)
     ratio = math.exp(min(log_pf - log_pc, 500.0))
     return IndexResult(
         threshold=float(u),
         n_tail=m,
         t_forecast=t_f,
         t_clim=t_c,
-        p_forecast=float(cvm_pvalue(t_f)),
-        p_clim=float(cvm_pvalue(t_c)),
+        p_forecast=float(np.exp(log_pf)),
+        p_clim=float(np.exp(log_pc)),
         log_p_forecast=log_pf,
         log_p_clim=log_pc,
         index=1.0 - ratio,

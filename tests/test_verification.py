@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -454,6 +455,36 @@ class TestCvmStatistic:
         assert_array_equal(h, np.clip(tail.cdf(np.sort(v)), 0.0, 1.0))
 
 
+def _mp_cvm_log_sf(t):
+    """log P(W^2 > t) from Anderson and Darling's (1952) Bessel-K_{1/4}
+    series of the limiting Cramer-von Mises cdf, at 40 digits."""
+    with mp.workdps(40):
+        t, half = mp.mpf(t), mp.mpf(1) / 2
+        cdf, k = mp.mpf(0), 0
+        while True:
+            z = (4 * k + 1) ** 2 / (16 * t)
+            term = (mp.gamma(k + half) / (mp.gamma(half) * mp.factorial(k)) * mp.sqrt(4 * k + 1)
+                    * mp.exp(-z) * mp.besselk(half / 2, z))
+            cdf += term
+            if term < mp.mpf(10) ** -45 * cdf:
+                return float(mp.log1p(-cdf / (mp.pi * mp.sqrt(t))))
+            k += 1
+
+
+def _mp_smirnov_log_sf(t):
+    """log P(W^2 > t) from the first three terms of Smirnov's integral, in
+    y = s^2 and with e^(-t pi^2 / 2) factored out, at 30 digits."""
+    with mp.workdps(30):
+        t = mp.mpf(t)
+
+        def f(s):
+            return 2 * mp.sqrt(s / abs(mp.sin(s))) * mp.exp(-t * (s * s - mp.pi**2) / 2) / s
+
+        total = sum((-1) ** (k + 1) * mp.quad(f, [(2 * k - 1) * mp.pi, 2 * k * mp.pi])
+                    for k in (1, 2, 3))
+        return float(mp.log(total / mp.pi) - t * mp.pi**2 / 2)
+
+
 class TestCvmPvalue:
     def test_known_quantiles_of_limiting_law(self):
         # classical upper-tail critical values of the limiting distribution
@@ -467,37 +498,49 @@ class TestCvmPvalue:
     def test_monotone_across_all_regimes(self):
         t = np.concatenate(
             [
+                [-1.0, 0.0, 5e-324, 1e-310, 1e-300, 1e-10],
                 np.linspace(1e-4, 0.02, 40),
                 np.linspace(0.0201, 2.0, 200),
                 np.linspace(2.001, 6.0, 100),
+                np.geomspace(6.5, 1e4, 50),
             ]
         )
         p = cvm_pvalue(t)
         assert np.all(np.diff(p) <= 0.0)
         assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.diff(cvm_log_pvalue(t)) <= 0.0)
 
     def test_regime_seams_are_small(self):
         eps = 1e-9
         lo, hi = cvm_log_pvalue(0.02 - eps), cvm_log_pvalue(0.02 + eps)
-        assert abs(lo - hi) < 1e-4
+        assert abs(lo - hi) <= 1e-8
         lo, hi = cvm_log_pvalue(2.0 - eps), cvm_log_pvalue(2.0 + eps)
         assert abs(lo - hi) < 0.05
 
-    def test_table_edge_is_the_same_on_first_use(self, python_stdout):
-        # the table's right edge comes from the series on first use: p-values
-        # asked for first in a fresh interpreter carry the same bits as those
-        # after a mid-range call has run the series
-        ts = [0.001, 0.0125, 0.02, 0.021, 0.5, 3.0]
-        calls = f"print([(cvm_pvalue(t).hex(), cvm_log_pvalue(t).hex()) for t in {ts!r}])"
-        imports = "from crpstail.verification import cvm_log_pvalue, cvm_pvalue"
-        first = python_stdout(f"{imports}; {calls}")
-        assert first == python_stdout(f"{imports}; cvm_pvalue(0.5); {calls}")
-        cvm_pvalue(0.5)
-        assert first == str([(cvm_pvalue(t).hex(), cvm_log_pvalue(t).hex()) for t in ts])
-
+    @pytest.mark.filterwarnings("error")
     def test_tiny_statistic_saturates_at_one(self):
-        assert cvm_pvalue(0.0) == 1.0
-        assert cvm_pvalue(0.001) == 1.0
+        t = [-1.0, 0.0, 5e-324, 1e-300, 1e-10, 1e-4, 1e-3]
+        assert [cvm_pvalue(x) for x in t] == [1.0] * len(t)
+        assert_array_equal(cvm_pvalue(np.array(t)), 1.0)
+        lp = np.array([cvm_log_pvalue(x) for x in t])
+        assert_array_equal(cvm_log_pvalue(np.array(t)), lp)
+        assert np.all(np.isfinite(lp) & (lp <= 0.0))
+
+    @pytest.mark.parametrize("law", [cvm_pvalue, cvm_log_pvalue])
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan, 3.0])])
+    def test_nan_statistic_raises(self, law, t):
+        with pytest.raises(DomainError):
+            law(t)
+
+    def test_log_pvalue_matches_mpmath(self):
+        # the Bessel-K series up to t = 2; near 2, 1 - cdf ~ 1e-5 keeps only
+        # the bits that the cdf's rounding leaves
+        series = [0.0025 * k for k in range(1, 9)] + [0.05, 0.1, 0.5, 1.0, 1.5]
+        for t, rtol in [*((t, 1e-12) for t in series), (1.9, 2e-11), (2.0, 2e-11)]:
+            assert_allclose(cvm_log_pvalue(t), _mp_cvm_log_sf(t), rtol=rtol, atol=0.0)
+        # the asymptotic above 2 is low in log p by 0.036-0.038 / t
+        for t in [2.0001, 2.5, 5.0, 20.0, 100.0, 1000.0]:
+            assert abs(cvm_log_pvalue(t) - _mp_smirnov_log_sf(t)) <= 0.04 / t
 
     def test_log_pvalue_far_past_underflow(self):
         t = 1e4
@@ -691,6 +734,18 @@ class TestIndexCurve:
         assert curve.fit.tail.threshold_ref == pytest.approx(
             float(np.quantile(ideal.y, 0.8))
         )
+
+    def test_p_values_are_the_laws(self):
+        # 1,000 records: the rows' statistics fall on both sides of t = 2
+        batches = simulate_forecasters("ge", ["ideal", "climatological"], 1000, seed=3)
+        curve = index_curve(batches["ideal"], batches["climatological"], [0.9, 0.95, 0.99])
+        ts = [t for r in curve.rows for t in (r.t_forecast, r.t_clim)]
+        assert min(ts) < 2.0 < max(ts)
+        for row in curve.rows:
+            assert row.p_forecast == cvm_pvalue(row.t_forecast)
+            assert row.p_clim == cvm_pvalue(row.t_clim)
+            assert row.log_p_forecast == cvm_log_pvalue(row.t_forecast)
+            assert row.log_p_clim == cvm_log_pvalue(row.t_clim)
 
     def test_extremist_not_auto_calibrated(self, ge_small):
         ext, clim = ge_small["extremist"], ge_small["climatological"]

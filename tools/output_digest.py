@@ -19,8 +19,10 @@ bytes; ``SAMPLE_N`` spans several sampling blocks and ends inside one) and
 the ``repr`` of ``tail_analysis.spliced_gap_mc`` at 2e5 draws, unweighted and
 indicator-weighted, and, for every record family, ``batch_cdf``,
 ``crps_closed_batch`` and ``wcrps_quantile_batch`` on ``SAMPLE_N`` seeded rows
-(the raw float64 bytes; the rows span several kernel blocks too). They do not
-depend on ``--t``.
+(the raw float64 bytes; the rows span several kernel blocks too), and the
+``.hex()`` of ``cvm_log_pvalue`` and ``cvm_pvalue`` on a fixed grid of
+statistics from 0 to 1e4 (at the default ``--t`` every index row lies above 10).
+They do not depend on ``--t``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -87,6 +89,11 @@ KERNEL_CALLS = {
     "crps_closed_batch": "crps_closed_batch(family, p, y)",
     "wcrps_quantile_batch": "wcrps_quantile_batch(family, p, y, 1.5)",
 }
+# the Cramer-von Mises law on both sides of its t = 2 seam, one line per statistic
+CVM_LAW = ("import numpy as np\nfrom crpstail import cvm_log_pvalue, cvm_pvalue\n"
+           "t = np.concatenate([np.linspace(0.0, 2.0, 801), np.geomspace(2.0, 1e4, 201)[1:]])\n"
+           "for x, lp, p in zip(t, cvm_log_pvalue(t), cvm_pvalue(t)):\n"
+           "    print(x.hex(), lp.hex(), p.hex())\n")
 
 
 def library_runs() -> list[tuple[str, list[str]]]:
@@ -105,6 +112,7 @@ def library_runs() -> list[tuple[str, list[str]]]:
         for kernel, call in KERNEL_CALLS.items():
             code = f"sys.stdout.buffer.write(({call}).tobytes())\n"
             runs.append((f"{kernel}_{family}.f64", ["-c", "import sys\n" + setup + code]))
+    runs.append(("cvm_law.txt", ["-c", CVM_LAW]))
     return runs
 
 
