@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "distributions": (
         "Distribution", "Normal", "NormalMixture2", "Exponential", "Gamma",
-        "GeneralizedPareto", "UniformMixture", "Spliced", "from_family",
+        "GeneralizedPareto", "Spliced", "from_family",
     ),
     "scoring": (
         "WeightFunction", "UnitWeight", "QuantileIndicatorWeight", "TabulatedWeight",
@@ -40,11 +40,10 @@ _EXPORTS = {
     ),
     "verification": (
         "ScoreSeries", "score_series", "shuffled_score_series", "QqPpResult", "qq_pp",
-        "ks_one_sample_critical", "ks_two_sample_critical", "discrepancy", "DmResult",
+        "ks_one_sample_critical", "ks_two_sample_critical", "DmResult",
         "DmMatrix", "diebold_mariano", "dm_matrix", "cvm_from_probs", "cvm_statistic",
-        "cvm_pvalue", "cvm_log_pvalue", "PitResult", "pit_calibration",
-        "exceedance_calibration", "IndexResult", "IndexCurve", "extremes_index",
-        "index_curve", "tail_shape_of_scores",
+        "cvm_pvalue", "cvm_log_pvalue", "PitResult", "pit_calibration", "IndexResult",
+        "IndexCurve", "extremes_index", "index_curve", "tail_shape_of_scores",
     ),
     "errors": (
         "CrpstailError", "ParameterError", "DomainError", "UnsupportedFamilyError",

@@ -3,8 +3,8 @@
 Every family exposes the same small surface: ``cdf``, ``survival``,
 ``quantile``, ``sample``, ``mean``, ``mean_excess`` and ``support``. All
 point-wise methods accept scalars or numpy arrays and return the matching
-shape (a float for a scalar). The record families compute ``survival``
-natively (not as ``1 - cdf``), so tail probabilities keep relative precision.
+shape (a float for a scalar). Every family computes ``survival`` natively
+(not as ``1 - cdf``), so tail probabilities keep relative precision.
 
 Families
 --------
@@ -13,7 +13,6 @@ NormalMixture2(w, mean1, std1, mean2, std2)      two-component normal mixture
 Exponential(rate)
 Gamma(shape, rate)
 GeneralizedPareto(scale, shape)                  shape >= 0 heavy tail, < 0 bounded
-UniformMixture((w, a, b), ...)                   mixture of uniform components
 Spliced(base, replacement, splice_point)         base below u, rescaled tail above
 
 The record families (the first five, and raw ensemble members) are described
@@ -50,7 +49,6 @@ __all__ = [
     "Exponential",
     "Gamma",
     "GeneralizedPareto",
-    "UniformMixture",
     "Spliced",
     "from_family",
 ]
@@ -191,9 +189,8 @@ class Distribution(ABC):
     @abstractmethod
     def cdf(self, x): ...
 
-    def survival(self, x):
-        x, scalar = _prepare(x)
-        return _finish(1.0 - self.cdf(x), scalar)
+    @abstractmethod
+    def survival(self, x): ...
 
     @abstractmethod
     def quantile(self, p): ...
@@ -463,94 +460,6 @@ class GeneralizedPareto(_TableFamily):
             raise ConditioningError(f"conditional mean undefined at u = {u}")
         uu = max(u, 0.0)
         return (self.scale + self.shape * uu) / (1.0 - self.shape)
-
-
-# ---------------------------------------------------------------------------
-# Uniform mixture
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniformMixture(Distribution):
-    """Mixture of uniform components given as (weight, low, high) triples."""
-
-    components: tuple[tuple[float, float, float], ...]
-
-    family: ClassVar[str] = "uniform_mixture"
-
-    def __post_init__(self):
-        comps = tuple(tuple(map(float, c)) for c in self.components)
-        object.__setattr__(self, "components", comps)
-        if not comps:
-            raise ParameterError("uniform mixture needs at least one component")
-        for w, a, b in comps:
-            if not (w >= 0.0 and b > a):
-                raise ParameterError(f"bad uniform component (w={w}, a={a}, b={b})")
-        total = sum(w for w, _, _ in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ParameterError(f"component weights must sum to 1, got {total}")
-
-    @property
-    def params(self):
-        return [v for comp in self.components for v in comp]
-
-    def cdf(self, x):
-        x, scalar = _prepare(x)
-        out = np.zeros_like(x, dtype=float)
-        for w, a, b in self.components:
-            out = out + w * np.clip((x - a) / (b - a), 0.0, 1.0)
-        return _finish(out, scalar)
-
-    def quantile(self, p):
-        p, scalar = _check_prob(p)
-        knots = np.unique(
-            np.concatenate([[a, b] for _, a, b in self.components])
-        )
-        cdfk = np.asarray(self.cdf(knots))
-        flat = np.atleast_1d(p).ravel()
-        out = np.empty_like(flat)
-        for i, pi in enumerate(flat):
-            j = int(np.searchsorted(cdfk, pi, side="left"))
-            if j == 0:
-                out[i] = knots[0]
-                continue
-            x0, x1 = knots[j - 1], knots[j]
-            c0, c1 = cdfk[j - 1], cdfk[j]
-            out[i] = x0 if c1 == c0 else x0 + (pi - c0) * (x1 - x0) / (c1 - c0)
-        out = out.reshape(np.shape(p))
-        return _finish(out, scalar)
-
-    def sample(self, n, rng):
-        """All ``n`` component picks, then ``n`` uniforms, from ``rng``, as
-        one ``gen.random(n)`` each; a pick is held as the smallest integer
-        that indexes the components and the uniforms are transformed a block
-        at a time (see :meth:`Distribution.sample`)."""
-        n = _draw_count(n)
-        gen = _as_generator(rng)
-        last = len(self.components) - 1
-        edges = np.cumsum([w for w, _, _ in self.components])
-        pick = np.empty(n, dtype=np.min_scalar_type(last))
-        for block in _blocks(n):
-            at = np.searchsorted(edges, gen.random(block.stop - block.start), side="right")
-            pick[block] = np.minimum(at, last)
-        lows = np.array([a for _, a, _ in self.components])
-        highs = np.array([b for _, _, b in self.components])
-        out = np.empty(n)
-        for block in _blocks(n):
-            x = gen.random(out=out[block])
-            a = lows[pick[block]]
-            x *= highs[pick[block]] - a
-            x += a  # a + u (b - a)
-        return out
-
-    def support(self):
-        return (
-            min(a for _, a, _ in self.components),
-            max(b for _, _, b in self.components),
-        )
-
-    def mean(self):
-        return sum(w * 0.5 * (a + b) for w, a, b in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -999,14 +908,6 @@ def check_params(family: str, params) -> None:
 
 def from_family(family: str, params: Sequence[float]) -> Distribution:
     """Build a distribution from its family tag and flat parameter vector."""
-    if family == "uniform_mixture":
-        vals = list(map(float, params))
-        if len(vals) % 3 != 0 or not vals:
-            raise ParameterError(
-                "uniform_mixture params must be (weight, low, high) triples"
-            )
-        comps = tuple(tuple(vals[i : i + 3]) for i in range(0, len(vals), 3))
-        return UniformMixture(comps)
     fam = family_entry(family)
     if fam.cls is None:
         raise UnsupportedFamilyError(f"{family} rows have no parametric form")

@@ -34,7 +34,6 @@ class RecordBatch:
     family: str
     params: np.ndarray
     hidden: np.ndarray | None = None
-    model: str | None = None  # data-generating process tag ("nn"/"ge") if simulated
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.int64)
@@ -68,7 +67,6 @@ class RecordBatch:
             family=self.family,
             params=_param_rows(self.params, mask_or_index, y.size),
             hidden=None if self.hidden is None else self.hidden[mask_or_index],
-            model=self.model,
         )
 
     def cdf_at_obs(self) -> np.ndarray:

@@ -33,7 +33,6 @@ from .distributions import (
     Distribution,
     NormalMixture2,
     Spliced,
-    UniformMixture,
     _quad,
     family_entry,
 )
@@ -192,8 +191,6 @@ def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndar
 
 
 def _pdf_knots(dist: Distribution) -> list[float]:
-    if isinstance(dist, UniformMixture):
-        return [x for _, a, b in dist.components for x in (a, b)]
     if isinstance(dist, Spliced):
         return _pdf_knots(dist.base) + [dist.splice_point]
     if isinstance(dist, NormalMixture2):

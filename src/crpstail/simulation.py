@@ -117,9 +117,7 @@ def simulate_forecasters(
     batches = {}
     for name in forecasters:
         family, params = forecast(name, delta, tau)
-        batches[name] = RecordBatch(
-            t=ts, y=y, family=family, params=params, hidden=delta, model=model
-        )
+        batches[name] = RecordBatch(t=ts, y=y, family=family, params=params, hidden=delta)
     return batches
 
 

@@ -1,10 +1,10 @@
 """Score-distribution verification tools.
 
-Beyond mean scores: paired/shuffled score series, qq/pp comparison, the
-exact sample discrepancy, Diebold-Mariano equal-performance tests, and a
-Cramer-von Mises index that scores how far a forecaster's extreme-event CRPS
-values sit from the generalized-Pareto shape that climatological scores obey
-above a high threshold.
+Beyond mean scores: paired/shuffled score series, qq/pp comparison,
+Diebold-Mariano equal-performance tests, and a Cramer-von Mises index that
+scores how far a forecaster's extreme-event CRPS values sit from the
+generalized-Pareto shape that climatological scores obey above a high
+threshold.
 
 The CvM machinery: order the m scores of threshold-exceedance records, map
 them through a fitted GP tail law anchored at the threshold, and form
@@ -41,10 +41,9 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     ParameterError,
-    UnsupportedFamilyError,
 )
 from .evt import GpFitResult, GpTail, fit_gp, shift_scale, threshold_grid
-from .records import RecordBatch, _param_rows, batch_cdf
+from .records import RecordBatch, _param_rows
 from .scoring import crps_closed_batch, wcrps_quantile_batch
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "qq_pp",
     "ks_two_sample_critical",
     "ks_one_sample_critical",
-    "discrepancy",
     "DmResult",
     "diebold_mariano",
     "DmMatrix",
@@ -66,7 +64,6 @@ __all__ = [
     "cvm_log_pvalue",
     "PitResult",
     "pit_calibration",
-    "exceedance_calibration",
     "IndexResult",
     "extremes_index",
     "IndexCurve",
@@ -151,21 +148,27 @@ def _values(x):
 
 
 def qq_pp(a, b) -> QqPpResult:
-    """Quantile-quantile and probability-probability comparison of two samples."""
-    xa, xb = _values(a), _values(b)
+    """Quantile-quantile and probability-probability comparison of two samples.
+
+    Each sample is sorted once; ``qq``, the pooled support and both edfs are
+    taken from those two sorts, and the edfs are written into ``pp`` in place.
+    """
+    xa, xb = np.sort(_values(a)), np.sort(_values(b))
     if xa.size == 0 or xb.size == 0:
         raise InsufficientDataError("need non-empty samples to compare")
     if xa.size == xb.size:
-        qq = np.column_stack([np.sort(xa), np.sort(xb)])
+        qq = np.column_stack([xa, xb])
     else:
         m = min(xa.size, xb.size)
         probs = (np.arange(1, m + 1) - 0.5) / m
         qq = np.column_stack([np.quantile(xa, probs), np.quantile(xb, probs)])
     pooled = np.unique(np.concatenate([xa, xb]))
-    edf_a = np.searchsorted(np.sort(xa), pooled, side="right") / xa.size
-    edf_b = np.searchsorted(np.sort(xb), pooled, side="right") / xb.size
-    pp = np.column_stack([edf_a, edf_b])
-    ks = float(np.max(np.abs(edf_a - edf_b)))
+    pp = np.empty((pooled.size, 2))
+    for j, x in enumerate((xa, xb)):
+        np.divide(np.searchsorted(x, pooled, side="right"), x.size, out=pp[:, j])
+    del pooled
+    gap = np.subtract(pp[:, 0], pp[:, 1])
+    ks = float(np.max(np.abs(gap, out=gap)))
     return QqPpResult(qq=qq, pp=pp, ks_distance=ks)
 
 
@@ -187,23 +190,6 @@ def ks_two_sample_critical(alpha: float, n: int, m: int) -> float:
 
 def ks_one_sample_critical(alpha: float, n: int) -> float:
     return _ks_c(alpha, n) / math.sqrt(n)
-
-
-def discrepancy(scores_f, scores_g) -> float:
-    """int_0^inf (edf_f - edf_g) dt, integrated exactly over the pooled steps.
-
-    For non-negative score samples this equals mean(scores_g) - mean(scores_f)
-    identically; the piecewise form is kept because it is the definition and
-    costs one sort.
-    """
-    f = np.sort(_values(scores_f))
-    g = np.sort(_values(scores_g))
-    pooled = np.unique(np.concatenate([f, g]))
-    if pooled.size < 2:
-        return 0.0
-    edf_f = np.searchsorted(f, pooled, side="right") / f.size
-    edf_g = np.searchsorted(g, pooled, side="right") / g.size
-    return float(np.sum((edf_f[:-1] - edf_g[:-1]) * np.diff(pooled)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,32 +420,6 @@ def _ks_distance(u: np.ndarray) -> float:
         side /= n
         max_dev = max(max_dev, float(np.subtract(u[block], side, out=side).max()))
     return max_dev
-
-
-def exceedance_calibration(batch: RecordBatch, x_grid) -> np.ndarray:
-    """Mean of G_t^{-1}(F_t(x)) - x on a grid: 0 everywhere iff the forecast
-    cdfs agree with the true conditional laws in the exceedance sense.
-
-    Needs simulated batches (known data-generating process and hidden
-    state); raises otherwise.
-    """
-    from scipy.special import ndtri
-
-    if batch.model not in ("nn", "ge") or batch.hidden is None:
-        raise UnsupportedFamilyError(
-            "exceedance calibration needs a simulated batch with known truth"
-        )
-    xs = np.asarray(x_grid, dtype=float)
-    delta = batch.hidden
-    out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        p = np.clip(batch_cdf(batch.family, batch.params, float(x)), 1e-16, 1 - 1e-16)
-        if batch.model == "nn":
-            inv = delta + ndtri(p)
-        else:
-            inv = -np.log1p(-p) / delta
-        out[i] = float(inv.mean()) - float(x)
-    return out
 
 
 # ---------------------------------------------------------------------------

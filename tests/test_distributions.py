@@ -17,13 +17,19 @@ from crpstail import (
     NormalMixture2,
     ParameterError,
     Spliced,
-    UniformMixture,
     UnsupportedFamilyError,
     batch_cdf,
     from_family,
 )
 from crpstail import distributions
 from crpstail.distributions import _quad
+
+
+def _gp_exponential_splice():
+    base = GeneralizedPareto(1.0, 0.25)
+    u = float(base.quantile(0.99))
+    return Spliced(base, Exponential(2.0 / (1.0 + 0.25 * u)), u)
+
 
 ALL_DISTS = [
     Normal(0.3, 1.2),
@@ -34,7 +40,11 @@ ALL_DISTS = [
     GeneralizedPareto(1.0, 0.25),
     GeneralizedPareto(2.0, 0.0),
     GeneralizedPareto(1.5, -0.3),
-    UniformMixture([(0.25, 0.0, 1.0), (0.75, 2.0, 5.0)]),
+    # a rare, narrow far mode: the quantile must cross the empty gap before it
+    NormalMixture2(0.9, 0.0, 1.0, 6.0, 0.3),
+    # the heaviest tail that still has a finite variance to test the mean with
+    GeneralizedPareto(0.5, 0.4),
+    _gp_exponential_splice(),
 ]
 
 
@@ -185,29 +195,6 @@ class TestGeneralizedPareto:
             GeneralizedPareto(0.0, 0.25)
 
 
-class TestUniformMixture:
-    def test_cdf_piecewise(self):
-        d = UniformMixture([(0.25, 0.0, 1.0), (0.75, 2.0, 5.0)])
-        assert d.cdf(-1.0) == 0.0
-        assert_allclose(d.cdf(0.5), 0.125, rtol=1e-14)
-        assert_allclose(d.cdf(1.5), 0.25, rtol=1e-14)  # gap between components
-        assert_allclose(d.cdf(3.5), 0.25 + 0.75 * 0.5, rtol=1e-14)
-        assert d.cdf(6.0) == 1.0
-
-    def test_quantile_roundtrip(self):
-        d = UniformMixture([(0.5, 0.0, 1.0), (0.5, 1.0, 3.0)])
-        p = np.linspace(0.01, 0.99, 23)
-        assert_allclose(d.cdf(d.quantile(p)), p, atol=1e-12)
-
-    def test_mean(self):
-        d = UniformMixture([(0.25, 0.0, 1.0), (0.75, 2.0, 5.0)])
-        assert_allclose(d.mean(), 0.25 * 0.5 + 0.75 * 3.5, rtol=1e-14)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ParameterError):
-            UniformMixture([(0.5, 0.0, 1.0), (0.4, 1.0, 2.0)])
-
-
 class TestSpliced:
     def setup_method(self):
         self.base = GeneralizedPareto(1.0, 0.25)
@@ -345,7 +332,6 @@ class TestFamilyRegistry:
             ("exponential", [0.7], Exponential),
             ("gamma", [4.0, 4.0], Gamma),
             ("generalized_pareto", [1.0, 0.25], GeneralizedPareto),
-            ("uniform_mixture", [0.5, 0.0, 1.0, 0.5, 1.0, 2.0], UniformMixture),
         ],
     )
     def test_round_trip(self, family, params, cls):
@@ -356,6 +342,10 @@ class TestFamilyRegistry:
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamilyError):
             from_family("cauchy", [0.0, 1.0])
+
+    def test_uniform_mixture_is_not_a_family(self):
+        with pytest.raises(UnsupportedFamilyError):
+            from_family("uniform_mixture", [0.5, 0.0, 1.0, 0.5, 1.0, 2.0])
 
     def test_wrong_param_count(self):
         with pytest.raises(ParameterError):
@@ -382,6 +372,10 @@ class TestFamilyRegistry:
 
 
 class TestSharedInvariants:
+    def test_every_family_writes_its_own_survival(self):
+        # no ``1 - cdf`` default, which loses the tail's relative precision
+        assert "survival" in distributions.Distribution.__abstractmethods__
+
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
     def test_cdf_plus_survival_is_one(self, dist):
         lo, hi = dist.support()
@@ -420,34 +414,18 @@ class TestSharedInvariants:
         b = dist.sample(64, np.random.default_rng(7))
         assert_allclose(a, b, rtol=0, atol=0)
 
-    @pytest.mark.parametrize(
-        "dist",
-        [d for d in ALL_DISTS if not isinstance(d, UniformMixture)],
-        ids=lambda d: type(d).__name__,
-    )
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
     def test_sample_mean_close(self, dist):
         x = dist.sample(150_000, np.random.default_rng(11))
         se = x.std() / np.sqrt(x.size)
         assert abs(x.mean() - dist.mean()) < 4 * se + 1e-3
 
 
-def _gp_exponential_splice():
-    base = GeneralizedPareto(1.0, 0.25)
-    u = float(base.quantile(0.99))
-    return Spliced(base, Exponential(2.0 / (1.0 + 0.25 * u)), u)
-
-
-SAMPLED = ALL_DISTS + [
-    UniformMixture([(0.1, -3.0, -2.0), (0.2, 0.0, 1.0), (0.7, 4.0, 9.0)]),
-    _gp_exponential_splice(),
-]
-
-
 class TestBlockedSampling:
     """``sample`` draws and transforms its uniforms a block at a time."""
 
     @pytest.mark.parametrize("n", [1, 23, 64])
-    @pytest.mark.parametrize("dist", SAMPLED, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
     def test_block_size_leaves_every_draw_bit_for_bit(self, dist, n, monkeypatch):
         ref = np.random.default_rng(n)
         want = dist.sample(n, ref)
@@ -459,7 +437,7 @@ class TestBlockedSampling:
         # and the stream is left where the default block size leaves it
         assert gen.random() == ref.random()
 
-    @pytest.mark.parametrize("dist", SAMPLED, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
     def test_peak_memory_is_the_output_and_one_block(self, dist):
         import tracemalloc
 
@@ -477,13 +455,13 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("n", [-1, 2.0, 2.5, "3", True, None, (2, 3)])
     def test_draw_count_must_be_a_non_negative_integer(self, n):
         for dist in (Normal(0.0, 1.0), NormalMixture2(0.5, -1.0, 1.0, 1.5, 0.7),
-                     UniformMixture([(1.0, 0.0, 1.0)]), _gp_exponential_splice()):
+                     _gp_exponential_splice()):
             with pytest.raises(ParameterError, match="number of draws") as exc:
                 dist.sample(n, 0)
             assert isinstance(exc.value, ValueError)
 
     def test_zero_and_numpy_integer_counts(self):
-        for dist in SAMPLED:
+        for dist in ALL_DISTS:
             assert dist.sample(0, 1).shape == (0,)
             got = dist.sample(np.int64(5), 1)
             assert got.tobytes() == dist.sample(5, 1).tobytes()

@@ -239,7 +239,7 @@ class TestRecordBatch:
         assert_array_equal(sub.y, batch.y[index])
         assert_array_equal(sub.params, batch.params[index])
         assert_array_equal(sub.hidden, batch.hidden[index])
-        assert sub.model == batch.model and sub.family == batch.family
+        assert sub.family == batch.family
 
     @pytest.mark.parametrize(
         "family, row",
@@ -1301,7 +1301,7 @@ class TestPackageNamespace:
             "        wrong.append(name)\n"
             "print(crpstail.__all__[0], len(crpstail.__all__), wrong)"
         )
-        assert python_stdout(code) == "__version__ 81 []"
+        assert python_stdout(code) == "__version__ 78 []"
 
     def test_dir_and_unknown_names(self, python_stdout):
         code = (
@@ -1468,3 +1468,20 @@ class TestInstalledEntryPoint:
         r2 = subprocess.run(cmd, capture_output=True, text=True)
         assert r2.returncode == 0
         assert out.read_bytes() == first
+
+
+class TestBenchTracer:
+    def test_traced_command_runs(self, tmp_path):
+        # bench/tracer.py looks up every function and method it times by name
+        # before the command starts, so deleting one of them kills each traced
+        # benchmark run
+        root = Path(crpstail.__file__).parents[2]
+        spans = tmp_path / "spans.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        cmd = [sys.executable, str(root / "bench" / "tracer.py"), str(spans), "0", "cli",
+               "verify", "cup", "--gamma", "0.2", "--grid", "5", "--out", str(tmp_path / "cup.csv")]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+        assert "cli.cmd_verify_cup" in names

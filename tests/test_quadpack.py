@@ -17,7 +17,6 @@ from crpstail.distributions import (
     GeneralizedPareto,
     Normal,
     NormalMixture2,
-    UniformMixture,
 )
 from crpstail.errors import IntegrationWarning
 from crpstail.scoring import QuantileIndicatorWeight, TabulatedWeight
@@ -141,8 +140,6 @@ PACKAGE_RUNS = {
     "exponential": lambda: scoring.crps_quadrature(Exponential(1.7), 2.0, _TAB),
     "gamma": lambda: scoring.crps_quadrature(Gamma(4.0, 4.0), 3.0, QuantileIndicatorWeight(1.2)),
     "generalized_pareto": lambda: scoring.crps_quadrature(GeneralizedPareto(1.0, 0.4), 0.7),
-    "uniform_mixture": lambda: scoring.crps_quadrature(
-        UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 5.0))), 1.5, _TAB),
     "spliced": lambda: scoring.crps_quadrature(_SPLICED, 9.0),
     "mean_excess": lambda: Gamma(2.0, 0.5).mean_excess(3.0),
     "weight_excess": lambda: tail_analysis.wcrps_gap_bound(Normal(0.0, 1.0), 0.5, _TAB),

@@ -54,7 +54,7 @@ class TestStreamContract:
     def test_time_column_and_tags(self):
         b = simulate("nn", "climatological", 25, seed=0)
         assert_array_equal(b.t, np.arange(25))
-        assert b.model == "nn"
+        assert b.family == "normal"
         assert len(b) == 25
 
     def test_validation(self):
@@ -77,7 +77,6 @@ class TestSimulateForecasters:
         for name, batch in batches.items():
             alone = simulate(model, name, 400, seed=8, t0=t0)
             assert batch.family == alone.family
-            assert batch.model == alone.model == model
             for column in ("t", "y", "params", "hidden"):
                 got, want = getattr(batch, column), getattr(alone, column)
                 assert got.dtype == want.dtype and got.shape == want.shape

@@ -55,16 +55,16 @@ SAMPLE_N = 3 * 2**16 + 5
 PREAMBLE = ("import sys\nfrom crpstail import *\n"
             "base = GeneralizedPareto(1.0, 0.25)\nu = float(base.quantile(0.99))\n"
             "spliced = splice_tail(base, Exponential(2.0 / (1.0 + 0.25 * u)), u)\n")
-# the laws sampled, as Python expressions over the preamble's names
+# the laws sampled, as (seed, Python expression over the preamble's names);
+# a law's seed is its own, so adding or deleting a law moves no other listing
 LAWS = {
-    "normal": "Normal(0.3, 1.2)",
-    "normal_mixture2": "NormalMixture2(0.3, -1.0, 0.5, 2.0, 1.5)",
-    "exponential": "Exponential(1.6)",
-    "gamma": "Gamma(2.5, 1.3)",
-    "generalized_pareto": "GeneralizedPareto(1.0, 0.25)",
-    "generalized_pareto_bounded": "GeneralizedPareto(1.0, -0.5)",
-    "uniform_mixture": "UniformMixture([(0.2, -3.0, -2.0), (0.3, 0.0, 1.0), (0.5, 2.0, 5.0)])",
-    "spliced": "spliced",
+    "normal": (1, "Normal(0.3, 1.2)"),
+    "normal_mixture2": (2, "NormalMixture2(0.3, -1.0, 0.5, 2.0, 1.5)"),
+    "exponential": (3, "Exponential(1.6)"),
+    "gamma": (4, "Gamma(2.5, 1.3)"),
+    "generalized_pareto": (5, "GeneralizedPareto(1.0, 0.25)"),
+    "generalized_pareto_bounded": (6, "GeneralizedPareto(1.0, -0.5)"),
+    "spliced": (8, "spliced"),
 }
 
 # seeded record columns for the kernel runs: ``u`` holds five uniforms a row,
@@ -99,7 +99,7 @@ CVM_LAW = ("import numpy as np\nfrom crpstail import cvm_log_pvalue, cvm_pvalue\
 def library_runs() -> list[tuple[str, list[str]]]:
     """(output file, ``python -c`` argv) pairs for the seeded library runs."""
     runs = []
-    for seed, (name, law) in enumerate(LAWS.items(), start=1):
+    for name, (seed, law) in LAWS.items():
         code = f"x = ({law}).sample({SAMPLE_N}, {seed})\nsys.stdout.buffer.write(x.tobytes())\n"
         runs.append((f"sample_{name}.f64", ["-c", PREAMBLE + code]))
     weights = {"unit": "UnitWeight()", "indicator": "QuantileIndicatorWeight(u + 1)"}
