@@ -17,9 +17,10 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .evt import fit_gp, threshold_grid
-from .io import _ColumnRows, read_records, write_records, write_table
+from .io import _CHUNK_ROWS, _Chain, _ColumnRows, read_records, write_records, write_table
 from .simulation import FORECASTERS, MODELS, simulate, simulate_forecasters
 from .tail_analysis import ambiguity_region, expected_crps_pareto
 from .verification import (
@@ -115,16 +116,26 @@ def _simulate_args(args, forecaster: str):
 
 
 def cmd_simulate(args) -> int:
-    batch = _simulate_args(args, args.forecaster)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_records(batch, fh)
-    else:
-        write_records(batch, sys.stdout)
+    # windows of one seed are the stream's records bit for bit, so the stream
+    # is written a window at a time and only ``y`` is kept, for the summary.
+    # The first window is drawn, and every argument checked, before the
+    # output is opened: a bad argument leaves no file.
+    starts = range(0, args.t, _CHUNK_ROWS)
+    windows = (
+        simulate(args.model, args.forecaster, min(_CHUNK_ROWS, args.t - start),
+                 seed=args.seed, t0=start)
+        for start in starts
+    )
+    first = next(windows)
+    y = np.empty(args.t)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for start, window in zip(starts, chain([first], windows)):
+            write_records(window, fh)
+            y[start : start + len(window)] = window.y
     _note(
-        f"simulate: {len(batch)} records, model={args.model} "
+        f"simulate: {args.t} records, model={args.model} "
         f"forecaster={args.forecaster} seed={args.seed} "
-        f"mean_y={batch.y.mean():.6g} max_y={batch.y.max():.6g}"
+        f"mean_y={y.mean():.6g} max_y={y.max():.6g}"
     )
     return EXIT_OK
 
@@ -278,11 +289,15 @@ def cmd_verify_qqpp(args) -> int:
     threshold = None
     if args.weight_quantile is not None:
         threshold = float(np.quantile(batch.y, args.weight_quantile))
-    s1 = score_series(batch, weight_threshold=threshold)
-    s2 = shuffled_score_series(batch, args.shuffle_seed, weight_threshold=threshold)
+    # only the scores go on: not the shuffled observations, nor the batch
+    s1 = score_series(batch, weight_threshold=threshold).values
+    s2 = shuffled_score_series(batch, args.shuffle_seed, weight_threshold=threshold).values
+    del batch
     res = qq_pp(s1, s2)
-    kinds = np.repeat(["qq", "pp"], [len(res.qq), len(res.pp)])
-    rows = _ColumnRows(kinds, *np.concatenate([res.qq, res.pp]).T)
+    # the qq part then the pp part, each kind a constant over its part
+    parts = [(np.broadcast_to(np.array(kind), len(part)), *part.T)
+             for kind, part in (("qq", res.qq), ("pp", res.pp))]
+    rows = _ColumnRows(*map(_Chain, *parts))
     n, m = len(s1), len(s2)
     meta = {
         "ks_distance": res.ks_distance,

@@ -21,7 +21,7 @@ import math
 import re
 import sys
 from collections.abc import Sequence
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -189,28 +189,51 @@ def _match_lines(pattern, lines, n_line: int, hidden: bool) -> _Chunk | None:
         text += "\n"
     # each match is one whole line: as many matches as lines tile the text
     matches = pattern.findall(text)
+    del text
     if len(matches) != len(lines):
         return None
-    t, *numbers = zip(*matches)
-    if any("-0" in column for column in numbers):
+    # the strings of each field, released as soon as the field is converted:
+    # the chunk's transient objects bound what the allocator keeps after a read
+    fields = list(zip(*matches))
+    del matches
+    if any("-0" in column for column in fields[1:]):
         return None
     try:
-        t = np.array(list(map(int, t)), dtype=np.int64)
+        t = np.array(list(map(int, fields.pop(0))), dtype=np.int64)
     except (OverflowError, ValueError):  # past int64, or Python's digit limit
         return None
-    numbers = np.array([list(map(float, column)) for column in numbers])
+    numbers = np.empty((len(fields), len(lines)))
+    for i in range(len(fields)):
+        numbers[i] = list(map(float, fields[i]))
+        fields[i] = None
     if not np.isfinite(numbers).all():
         return None
     k = 2 if hidden else 1
-    # a copy per field, so read_records can free each field on its own
     return _Chunk(
         t,
-        numbers[0].copy(),
-        numbers[1].copy() if hidden else None,
-        np.array(numbers[k:].T, order="C"),
+        numbers[0],
+        numbers[1] if hidden else None,
+        numbers[k:].T,
         range(n_line + 1, n_line + 1 + len(lines)),
         None if hidden else n_line + 1,
     )
+
+
+def _append(column: np.ndarray | None, rows: int, values: np.ndarray) -> np.ndarray:
+    """``column`` with ``values`` written after its first ``rows`` rows.
+
+    A full column grows in place by at least an eighth (``ndarray.resize``
+    reallocates its buffer), so the rows it holds are never copied into a
+    second one. The caller holds no view of ``column``.
+    """
+    end = rows + len(values)
+    if column is None:
+        column = np.empty((end,) + values.shape[1:], dtype=values.dtype)
+    elif end > len(column):
+        grown = max(end, len(column) + len(column) // 8)
+        column.resize((grown,) + column.shape[1:], refcheck=False)
+    column[rows:end] = values
+    return column
 
 
 def read_records(path_or_file) -> RecordBatch:
@@ -227,7 +250,9 @@ def read_records(path_or_file) -> RecordBatch:
     Any JSON layout of the records is read, with the same result. Chunks of
     lines in the layout :func:`write_records` emits, matched against the
     first record's family, parameter count and ``hidden``, are parsed column
-    by column; every other chunk line by line.
+    by column; every other chunk line by line. Each chunk's values go
+    straight into one array per field, grown in place as the records
+    come, so the records are held about once and never copied.
     """
     if hasattr(path_or_file, "read"):
         fh = path_or_file
@@ -236,10 +261,16 @@ def read_records(path_or_file) -> RecordBatch:
         fh = open(path_or_file, "r", encoding="utf-8")
         close = True
     try:
-        chunks = []
-        family = n_params = pattern = None
-        has_hidden = False
-        n_line = 0
+        # each chunk is written into its field's column, then released. The
+        # first error of a field is raised after every line is parsed, in
+        # the order below, as when the columns were joined at the end
+        fields = {"t": np.int64, "y": float, "hidden": float, "params": float}
+        columns = dict.fromkeys(fields)
+        errors = {}
+        line_ofs = []  # each chunk's lines, to name the line of a row
+        family = n_params = pattern = gap = None
+        has_hidden = any_hidden = False
+        n_line = rows = 0
         while lines := list(islice(fh, _CHUNK_ROWS)):
             if family is None:
                 # the first record fixes the layout later lines are matched to
@@ -254,33 +285,42 @@ def read_records(path_or_file) -> RecordBatch:
             chunk = pattern and _match_lines(pattern, lines, n_line, has_hidden)
             if chunk is None:
                 family, n_params, chunk = _parse_lines(lines, n_line, family, n_params)
-            if chunk.line_of:  # not a chunk of blank lines
-                chunks.append(chunk)
             n_line += len(lines)
+            if not chunk.line_of:  # a chunk of blank lines
+                continue
+            line_ofs.append(chunk.line_of)
+            any_hidden |= chunk.hidden is not None
+            gap = chunk.gap if gap is None else gap
+            for field, dtype in fields.items():
+                values = getattr(chunk, field)
+                # a chunk with a gap and hidden values fails the read: its
+                # hidden values are never read
+                gapped = field == "hidden" and chunk.gap is not None
+                if values is None or field in errors or gapped:
+                    continue
+                try:
+                    values = _column(values, dtype, field, chunk.line_of)
+                except DataFormatError as exc:
+                    errors[field] = exc
+                else:
+                    columns[field] = _append(columns[field], rows, values)
+            rows += len(chunk.line_of)
         if family is None:
             raise DataFormatError("no records found")
-
-        gaps = [c.gap for c in chunks if c.gap is not None]
-        any_hidden = any(c.hidden is not None for c in chunks)
-        if any_hidden and gaps:
-            raise DataFormatError(
-                "'hidden' must be present on all records or none", line=gaps[0]
-            )
-
-        def column(field: str, dtype) -> np.ndarray:
-            # the chunks give up their copies of the field before it is
-            # joined, so the batch is held about once, not twice
-            parts = [_column(getattr(c, field), dtype, field, c.line_of) for c in chunks]
-            chunks[:] = [c._replace(**{field: None}) for c in chunks]
-            return np.concatenate(parts)
+        if any_hidden and gap is not None:
+            raise DataFormatError("'hidden' must be present on all records or none", line=gap)
+        for field in fields:
+            if field in errors:
+                raise errors[field]
+        for column in columns.values():
+            if column is not None:
+                # no view of the column exists yet: resize trims it in place
+                column.resize((rows,) + column.shape[1:], refcheck=False)
 
         def line_of(row: int) -> int:
-            return list(chain.from_iterable(c.line_of for c in chunks))[row]
+            return list(chain.from_iterable(line_ofs))[row]
 
-        t = column("t", np.int64)
-        y = column("y", float)
-        hidden = column("hidden", float) if any_hidden else None
-        params = column("params", float)
+        t, y, hidden, params = columns.values()
         for name, values in (("y", y), ("hidden", hidden)):
             if values is not None and not np.isfinite(values).all():
                 first_bad = line_of(int(np.argmin(np.isfinite(values))))
@@ -422,6 +462,31 @@ class _ColumnRows(Sequence):
     def __getitem__(self, index):
         cells = [c[index].tolist() for c in self.columns]
         return list(zip(*cells)) if isinstance(index, slice) else tuple(cells)
+
+
+class _Chain(Sequence):
+    """One table column read from arrays laid end to end.
+
+    It is read by slices of step 1, as :func:`write_table` reads its chunks:
+    a slice joins only the pieces of the parts that it covers, so the parts
+    are never copied whole. A row is read as the one-row slice that holds it.
+    """
+
+    def __init__(self, *parts: np.ndarray):
+        self.parts = parts
+        self.starts = list(accumulate(map(len, parts), initial=0))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self[rows : rows + 1][0]
+        return np.concatenate([
+            part[max(rows.start - start, 0) : max(rows.stop - start, 0)]
+            for part, start in zip(self.parts, self.starts)
+        ])
 
 
 def _chunk_columns(rows):

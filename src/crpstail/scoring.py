@@ -33,6 +33,7 @@ from .distributions import (
     Distribution,
     NormalMixture2,
     Spliced,
+    _blocks,
     _quad,
     family_entry,
 )
@@ -202,24 +203,36 @@ def _pdf_knots(dist: Distribution) -> list[float]:
 # levels of the law's own quantiles: break points that give the bulk and each decade
 # of tail mass subintervals of their own, and map an infinite end on its last decade
 _LEVELS = np.concatenate([10.0 ** -np.arange(12, 0, -1), [0.5], 1.0 - 10.0 ** -np.arange(1, 13)])
+_Q10, _Q90 = np.searchsorted(_LEVELS, [0.1, 0.9])  # where 0.1 and 0.9 lie in _LEVELS
 
 
 def _sq_integral(dist, a, b, weight: WeightFunction = UNIT, survival=False) -> float:
     """int_a^b F(x)^2 w(x) dx, or (1 - F(x))^2 w(x) dx with ``survival``, in x
-    space, each piece between break points to 1e-12 (absolute and relative)
-    in at most 400 subintervals.
+    space, each piece between break points to 1e-12 relative and 1e-12 s
+    absolute in at most 400 subintervals.
+
+    s is the largest power of two, at most 1, not above the law's spread
+    Q(0.9) - Q(0.1). The unit-weight score is at least 0.01 of that spread
+    (F^2 and (1 - F)^2 are both >= 0.01 between the two quantiles), so each
+    piece's absolute floor stays below 1e-10 of the score however narrow the
+    law. The integrand is divided by s and the sum multiplied back, both
+    exact, so a law of spread >= 1 integrates as with s = 1.
 
     Break points: the weight's knots, the law's kinks and steps, the finite
     ends of its support and its quantiles at ``_LEVELS``.
     """
     sq = dist.survival if survival else dist.cdf
-    points = [*weight.knots(), *_pdf_knots(dist), *dist.support(), *dist.quantile(_LEVELS)]
-    return _quad(lambda x: float(sq(x)) ** 2 * float(weight.w(x)), a, b, points, 1e-12, 400)
+    quantiles = dist.quantile(_LEVELS)
+    points = [*weight.knots(), *_pdf_knots(dist), *dist.support(), *quantiles]
+    spread = float(quantiles[_Q90] - quantiles[_Q10])
+    s = math.ldexp(1.0, max(-512, min(0, math.frexp(spread)[1] - 1))) if spread > 0.0 else 1.0
+    return s * _quad(lambda x: float(sq(x)) ** 2 * float(weight.w(x)) / s, a, b, points, 1e-12, 400)
 
 
 def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> float:
-    """Weighted CRPS by adaptive quadrature in x space (tolerance 1e-12,
-    absolute and relative).
+    """Weighted CRPS by adaptive quadrature in x space (tolerance 1e-12
+    relative, with an absolute floor that scales with narrow laws; see
+    ``_sq_integral``).
 
     Works for every family: int_lo^y F^2 w + int_y^hi (1 - F)^2 w over the
     support [lo, hi], plus the weight's mass between y and the support when y
@@ -301,15 +314,18 @@ def wcrps_quantile_batch(family: str, params: np.ndarray, y: np.ndarray, q: floa
     q = float(q)
     if fam.wcrps is not None:
         return fam.wcrps(params, y, q)
-    # CRPS(y) - CRPS(q) enters only where y >= q: score just those rows, in
-    # place on the fresh array the tail kernel returns. The score there is
-    # CRPS(y) - int_-inf^q F^2 <= CRPS(y), which the rounding of the sum
-    # breaks where that integral is below the last digit of CRPS(q).
+    # CRPS(y) - CRPS(q) enters only where y >= q: score just those rows, a
+    # block at a time, in place on the fresh array the tail kernel returns.
+    # The score there is CRPS(y) - int_-inf^q F^2 <= CRPS(y), which the
+    # rounding of the sum breaks where that integral is below the last digit
+    # of CRPS(q).
     y = np.broadcast_to(y, (len(params),))
-    above = y >= q
     out = fam.tail(params, q)
-    crps_y = fam.crps(params[above], y[above])
-    out[above] = np.minimum(out[above] + (crps_y - fam.crps(params[above], q)), crps_y)
+    for rows in _blocks(len(params)):
+        above = y[rows] >= q
+        p, o = params[rows][above], out[rows]
+        crps_y = fam.crps(p, y[rows][above])
+        o[above] = np.minimum(o[above] + (crps_y - fam.crps(p, q)), crps_y)
     return out
 
 

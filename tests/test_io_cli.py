@@ -605,6 +605,17 @@ class TestStreamedTable:
         assert rows[5:9] == want[5:9]
         header = ["t", "x", "kind"]
         assert table_to_string(header, rows, fmt=fmt) == table_to_string(header, want, fmt=fmt)
+        # the same table chained from two parts, as the qq/pp report writes
+        # it: the first part ends inside the second chunk, and the kind
+        # column is a constant over each part, not the repeat above
+        cut = n - 9
+        parts = [(columns[0][part], columns[1][part], np.broadcast_to(np.array(kind), size))
+                 for kind, part, size in (("qq", slice(cut), cut), ("pp", slice(cut, n), 9))]
+        chained = _ColumnRows(*map(crpstail_io._Chain, *parts))
+        assert len(chained) == n and chained[:] == want
+        assert chained[cut - 2 : cut + 2] == want[cut - 2 : cut + 2]
+        assert chained[-1] == want[-1]
+        assert table_to_string(header, chained, fmt=fmt) == table_to_string(header, want, fmt=fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_column_backed_table_writes_in_bounded_memory(self, fmt):
@@ -926,6 +937,56 @@ class TestCliSimulate:
             _run(["simulate", "--model", "ge", "--forecaster", "ideal",
                   "--t", "0", "--seed", "1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("t", [1, crpstail_io._CHUNK_ROWS, 2 * crpstail_io._CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_streams_the_whole_batch_a_window_at_a_time(self, t, to_file, tmp_path, capsys):
+        from crpstail import cli
+
+        batch = simulate("nn", "unfocused", t, seed=11)
+        want = stringio.StringIO()
+        write_records(batch, want)
+        summary = (f"simulate: {t} records, model=nn forecaster=unfocused seed=11 "
+                   f"mean_y={batch.y.mean():.6g} max_y={batch.y.max():.6g}\n")
+        sizes = []
+
+        def spy(*args, **kwargs):
+            window = simulate(*args, **kwargs)
+            sizes.append(len(window))
+            return window
+
+        out = tmp_path / "sim.jsonl"
+        argv = ["simulate", "--model", "nn", "--forecaster", "unfocused", "--t", str(t),
+                "--seed", "11"] + (["--out", str(out)] if to_file else [])
+        with mock.patch.object(cli, "simulate", spy):
+            assert _run(argv) == 0
+        captured = capsys.readouterr()
+        assert (out.read_text() if to_file else captured.out) == want.getvalue()
+        assert captured.err == summary
+        # drawn one window at a time, each at most one write chunk long
+        assert sum(sizes) == t and max(sizes) <= crpstail_io._CHUNK_ROWS, sizes
+
+    @pytest.mark.parametrize("model, forecaster", [("ge", "ideal"), ("nn", "unfocused")])
+    def test_holds_the_observations_and_one_window(self, model, forecaster, tmp_path):
+        import tracemalloc
+
+        def peak(t):
+            tracemalloc.start()
+            try:
+                assert _run(argv + [str(t)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 1 << 18
+        argv = ["simulate", "--model", model, "--forecaster", forecaster, "--seed", "7",
+                "--out", str(tmp_path / "sim.jsonl"), "--t"]
+        assert _run(argv + ["100"]) == 0  # imports
+        window = peak(crpstail_io._CHUNK_ROWS)
+        # the whole batch held before the first line was written peaked at
+        # 4.5 (ge/ideal) and 9.9 (nn/unfocused) y columns
+        held = peak(n)
+        assert held <= 1.5 * 8 * n + window, (held - window) / (8 * n)
 
 
 class TestCliSeedRange:

@@ -617,6 +617,9 @@ def test_batch_kernel_invariants(family, data, y, q):
 @example(data=_Pinned("generalized_pareto", (1.0, 1e-9)), y=1.0)
 # near the endpoint of a subnormal negative shape log1p(z) / shape overflows
 @example(data=_Pinned("generalized_pareto", (1.0, -1.1125369292536007e-308)), y=0.0)
+# a narrow law: a score of 3.8e-4 against a fixed 1e-12 absolute tolerance per
+# piece put the two 1.3e-9 relative apart
+@example(data=_Pinned("gamma", (0.109375, 36.0)), y=0.0)
 def test_quadrature_matches_closed_forms(family, data, y):
     """The x-space quadrature is >= 0 and agrees with every closed form,
     however far y lies from the forecast's bulk."""

@@ -905,7 +905,8 @@ class TestPeakMemory:
         # 3.4 with the exceedances copied by RecordBatch.subset; 1.25 now
         assert peak <= 1.5 * 8 * n, peak / (8 * n)
 
-    def test_mixture_weighted_score_holds_one_block(self):
+    @pytest.mark.parametrize("q", [-3.0, 1.5, 3.0])
+    def test_mixture_weighted_score_holds_one_block(self, q):
         from crpstail import simulate
         from crpstail.scoring import wcrps_quantile_batch
 
@@ -913,8 +914,10 @@ class TestPeakMemory:
         params = simulate("nn", "unfocused", n, seed=3).params
         y = np.random.default_rng(1).normal(size=n)
         wcrps_quantile_batch("normal_mixture2", params[:10], y[:10], 1.5)  # imports
-        peak = self._peak(lambda: wcrps_quantile_batch("normal_mixture2", params, y, 1.5))
+        peak = self._peak(lambda: wcrps_quantile_batch("normal_mixture2", params, y, q))
         # beyond the n scores: 13.7 MB on blocks of 2^16 rows, 2.1 MB on 2^13
+        # at q = 1.5; with the rows at or above q scored whole, 17.7 MB at
+        # q = -3, where nearly every row lies above q
         assert peak - 8 * n <= 2.5e6, peak - 8 * n
 
     @pytest.mark.parametrize(

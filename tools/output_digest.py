@@ -8,10 +8,11 @@ area of a small shape's cup is a quadrature) and ``fit-gp``, and
 ``score`` and ``fit-gp`` on a record file that this tool rewrites from a
 simulated one in another JSON layout (see :func:`write_noncanonical`), and
 ``score`` and ``verify qqpp`` with no ``--out``, which write their tables to
-stdout. Each command runs as ``python -m crpstail`` in a fresh temporary
-directory, against the package sources in ``--src``. A command's stdout is
-hashed too: it is the output file of a run without ``--out``, and is listed
-as ``<output>.stdout`` (empty when the table went to a file) otherwise.
+stdout, and ``simulate`` with no ``--out``, which writes its records there.
+Each command runs as ``python -m crpstail`` in a fresh temporary directory,
+against the package sources in ``--src``. A command's stdout is hashed too:
+it is the output file of a run without ``--out``, and is listed as
+``<output>.stdout`` (empty when the output went to a file) otherwise.
 
 Seeded library runs follow, each as ``python -c`` whose stdout is its
 output: every family's ``sample`` at ``SAMPLE_N`` draws (the raw float64
@@ -212,6 +213,10 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
     runs.append(("qqpp_stdout.json", ["verify", "qqpp", "--records", "ge_ideal.jsonl",
                                       "--shuffle-seed", "1", "--weight-quantile", "0.9",
                                       "--format", "json"]))
+    # the widest records; a --t that is not a multiple of the 2,048-record
+    # windows simulate writes at a time ends inside one
+    runs.append(("simulate_stdout.jsonl", ["simulate", "--model", "nn", "--forecaster",
+                                           "unfocused", "--t", t, "--seed", SEED]))
     return runs + library_runs()
 
 

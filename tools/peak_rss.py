@@ -9,19 +9,26 @@ workloads, at ``--t`` records and seed 7: ``simulate`` (``ge``/``ideal``),
 1e6), and ``verify cup``. The gamma record file and the library step of
 ``quadrature_tail`` are left out: building them takes numpy.
 
-Each command runs in one fresh temporary directory, in order, against the
-package sources in ``--src``. For each the tool prints the child's own
-``ru_maxrss`` in MB of 2^20 bytes (the unit of the benchmark's
-``peak_rss_mb``), its user plus system CPU seconds, and its exit code, all
-from ``os.wait4``. Linux carries the peak RSS a process had before
-``exec`` into the ``ru_maxrss`` of its child; this tool imports no numpy,
-so its own RSS stays below every child's.
+One run of a source tree runs every command in order, in one fresh
+temporary directory, against the package sources of that tree. For each
+command the tool reads the child's own ``ru_maxrss`` in MB of 2^20 bytes
+(the unit of the benchmark's ``peak_rss_mb``), its user plus system CPU
+seconds, and its exit code, all from ``os.wait4``. Linux carries the peak
+RSS a process had before ``exec`` into the ``ru_maxrss`` of its child; this
+tool imports no numpy, so its own RSS stays below every child's.
 
-Run:  python3 tools/peak_rss.py [--src DIR] [--t N]
+With ``--baseline DIR``, a second source tree (say, a parent commit's
+``src``) runs beside ``--src``: each of the ``--pairs`` pairs runs both
+trees once, and the tree that runs first alternates from pair to pair. For
+each command and tree the tool prints the median of the runs with their
+quartiles in brackets, and every exit code the runs gave.
+
+Run:  python3 tools/peak_rss.py [--src DIR] [--baseline DIR] [--pairs N] [--t N]
 """
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -64,19 +71,49 @@ def run(argv: list[str], cwd: Path, env: dict) -> tuple[int, float, int]:
     return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss
 
 
+def run_tree(src: Path, t: int) -> dict[str, tuple[int, float, int]]:
+    """Every command, in order, against the package in ``src``: the command's
+    name -> (exit code, CPU seconds, ru_maxrss in KiB)."""
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: run(cli_argv, Path(tmp), env) for name, cli_argv in commands(t)}
+
+
+def spread(values: list[float]) -> str:
+    """The median of ``values`` and, in brackets, their quartiles."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return f"{median:.2f} ({q1:.2f}-{q3:.2f})"
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parents[1]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=here / "src",
                         help="directory holding the crpstail package (default: this checkout's)")
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="a second package directory, run beside --src")
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="runs of each tree; with --baseline, alternated pairs")
     parser.add_argument("--t", type=int, default=1_000_000, help="records per simulated stream")
     args = parser.parse_args(argv)
-    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
-    print(f"{'command':<20} {'peak_rss_mb':>11} {'cpu_s':>7}  exit")
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, cli_argv in commands(args.t):
-            code, cpu, maxrss_kb = run(cli_argv, Path(tmp), env)
-            print(f"{name:<20} {maxrss_kb / 1024:>11.1f} {cpu:>7.2f}  {code}", flush=True)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    trees = {"src": args.src} | ({"baseline": args.baseline} if args.baseline else {})
+    runs = {tree: [] for tree in trees}
+    for pair in range(args.pairs):
+        order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
+        for tree in order:
+            runs[tree].append(run_tree(trees[tree], args.t))
+            print(f"pair {pair + 1}/{args.pairs}: {tree} done", file=sys.stderr, flush=True)
+    print(f"{'command':<20} {'tree':<9} {'peak_rss_mb (quartiles)':>26} "
+          f"{'cpu_s (quartiles)':>20}  exit")
+    for name, _ in commands(args.t):
+        for tree, tree_runs in runs.items():
+            codes, cpus, maxrss_kb = zip(*(r[name] for r in tree_runs))
+            rss = spread([kb / 1024 for kb in maxrss_kb])
+            exits = ",".join(map(str, sorted(set(codes))))
+            print(f"{name:<20} {tree:<9} {rss:>26} {spread(list(cpus)):>20}  {exits}")
     return 0
 
 
