@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain
 
@@ -33,7 +32,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .evt import fit_gp, threshold_grid
-from .io import _CHUNK_ROWS, _Chain, _ColumnRows, read_records, write_records, write_table
+from .io import _CHUNK_ROWS, _ColumnRows, _opened, read_records, write_records, write_table
 from .simulation import FORECASTERS, MODELS, simulate, simulate_forecasters
 from .tail_analysis import ambiguity_region, expected_crps_pareto
 from .verification import (
@@ -106,10 +105,6 @@ def _require(args, names: list[str]) -> None:
         raise ParameterError(f"{args.command}: missing required flags: {flags}")
 
 
-def _simulate_args(args, forecaster: str):
-    return simulate(args.model, forecaster, args.t, seed=args.seed)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def cmd_simulate(args) -> int:
     )
     first = next(windows)
     y = np.empty(args.t)
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+    with _opened(args.out or sys.stdout, "w") as fh:
         for start, window in zip(starts, chain([first], windows)):
             write_records(window, fh)
             y[start : start + len(window)] = window.y
@@ -162,7 +157,7 @@ def cmd_score(args) -> int:
         header.append("crps_shuffled")
         columns.append(s2.values)
         meta["shuffle_seed"] = args.shuffle_seed
-    write_table(header, _ColumnRows(*columns), args.out, fmt=args.format, meta=meta)
+    write_table(header, _ColumnRows(columns), args.out, fmt=args.format, meta=meta)
     _note(f"score: {len(batch)} records, mean crps {s1.values.mean():.6g}")
     return EXIT_OK
 
@@ -284,7 +279,7 @@ def cmd_verify_qqpp(args) -> int:
         batch = read_records(args.records)
     else:
         _require(args, ["model", "forecaster", "t", "seed"])
-        batch = _simulate_args(args, args.forecaster)
+        batch = simulate(args.model, args.forecaster, args.t, seed=args.seed)
     _require(args, ["shuffle-seed"])
     threshold = None
     if args.weight_quantile is not None:
@@ -295,9 +290,8 @@ def cmd_verify_qqpp(args) -> int:
     del batch
     res = qq_pp(s1, s2)
     # the qq part then the pp part, each kind a constant over its part
-    parts = [(np.broadcast_to(np.array(kind), len(part)), *part.T)
-             for kind, part in (("qq", res.qq), ("pp", res.pp))]
-    rows = _ColumnRows(*map(_Chain, *parts))
+    rows = _ColumnRows(*([np.broadcast_to(np.array(kind), len(part)), *part.T]
+                         for kind, part in (("qq", res.qq), ("pp", res.pp))))
     n, m = len(s1), len(s2)
     meta = {
         "ks_distance": res.ks_distance,

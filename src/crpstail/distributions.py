@@ -147,9 +147,10 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     package's only integration path. The defaults are scipy's; ``tol`` and
     ``limit`` apply to each piece.
 
-    Break points outside (a, b), or within 1e-12 (relative) of the node before
-    them or of b, are dropped: QUADPACK bisects its smallest subintervals to
-    extrapolate, and one a few ulps wide cannot be bisected. Each piece between
+    Break points outside (a, b), or within 1e-12 (relative, and at least
+    1e-292) of the node before them or of b, are dropped: QUADPACK bisects its
+    smallest subintervals to extrapolate, and one a few ulps wide, or a
+    subnormal width, cannot be bisected. Each piece between
     two consecutive finite nodes is integrated on its own, and the pieces are
     summed left to right. An infinite end is integrated beyond the outermost
     node p after the map x = p +- L s / (1 - s), s in [0, 1), where L is the
@@ -165,7 +166,7 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
         return 0.0
     nodes = [a]
     for p in sorted({p for p in points if a < p < b}):
-        if min(p - nodes[-1], b - p) > 1e-12 * abs(p):
+        if min(p - nodes[-1], b - p) > 1e-12 * max(abs(p), 1e-280):
             nodes.append(p)
     # the finite nodes; 0 when both ends are infinite and nothing lies between
     nodes = [x for x in (*nodes, b) if math.isfinite(x)] or [0.0]

@@ -21,7 +21,10 @@ import math
 import re
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
+from functools import partial
 from itertools import accumulate, chain, islice
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -254,13 +257,7 @@ def read_records(path_or_file) -> RecordBatch:
     straight into one array per field, grown in place as the records
     come, so the records are held about once and never copied.
     """
-    if hasattr(path_or_file, "read"):
-        fh = path_or_file
-        close = False
-    else:
-        fh = open(path_or_file, "r", encoding="utf-8")
-        close = True
-    try:
+    with _opened(path_or_file, "r") as fh:
         # each chunk is written into its field's column, then released. The
         # first error of a field is raised after every line is parsed, in
         # the order below, as when the columns were joined at the end
@@ -330,24 +327,6 @@ def read_records(path_or_file) -> RecordBatch:
         except ParameterError as exc:
             line = None if exc.row is None else line_of(exc.row)
             raise DataFormatError(str(exc), line=line) from exc
-    finally:
-        if close:
-            fh.close()
-
-
-# how json spells the floats that have no JSON number form
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_numbers(column: np.ndarray) -> list:
-    """A float column as Python floats, whose ``%s`` form is the shortest repr
-    that ``json.dumps`` also writes; non-finite values become json's spelling."""
-    values = column.tolist()
-    bad = ~np.isfinite(column)
-    if bad.any():
-        for i in np.flatnonzero(bad).tolist():
-            values[i] = _JSON_NONFINITE[repr(values[i])]
-    return values
 
 
 def write_records(batch: RecordBatch, path_or_file) -> None:
@@ -357,25 +336,11 @@ def write_records(batch: RecordBatch, path_or_file) -> None:
     record; the lines are filled from one template per batch, column by
     column, a bounded chunk of rows at a time.
     """
-    float_columns = [batch.y] + ([] if batch.hidden is None else [batch.hidden])
-    float_columns += list(batch.params.T)
+    columns = [batch.t, batch.y] + ([] if batch.hidden is None else [batch.hidden])
+    rows = _ColumnRows(columns + list(batch.params.T))
     layout = _record_layout(batch.family, batch.params.shape[1], batch.hidden is not None)
-    template = "%s".join(layout)
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-        close = False
-    else:
-        fh = open(path_or_file, "w", encoding="utf-8")
-        close = True
-    try:
-        for start in range(0, len(batch), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            columns = [batch.t[rows].tolist()]
-            columns += [_json_numbers(c[rows]) for c in float_columns]
-            fh.write("".join(map(template.__mod__, zip(*columns))))
-    finally:
-        if close:
-            fh.close()
+    with _opened(path_or_file, "w") as fh:
+        _write_rows(fh, rows, "%s".join(layout), "", _json_column)
 
 
 def format_float(x) -> str:
@@ -394,110 +359,117 @@ def _jsonable(v):
     return v
 
 
-def _csv_rows(rows):
-    """``rows`` with every float cell in :func:`format_float` form under ``csv``.
+# a csv writer whose "file" hands each row's text back: writerow returns it
+_CSV_ROW = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
 
-    ``csv`` writes a float cell by its repr: that is format_float's form for
-    a Python float, but ``np.float64(0.5)`` for a numpy float. Only rows
-    holding such float subclasses are rebuilt, cell by cell.
+
+def _csv_column(column, width: int) -> list:
+    """A column's cells (a list, or a numpy slice) as csv writes them in a
+    row ``width`` cells wide, each float in :func:`format_float` form.
+
+    csv writes a float by its repr, which is ``np.float64(0.5)`` for a numpy
+    float, and any other cell by ``str`` (``None`` as nothing); it decides
+    the quoting of each distinct text once. The texts of a numpy int or
+    float slice's ``tolist``, or of a column of Python ints and floats, are
+    never quoted.
     """
-    cell_types = set(map(type, chain.from_iterable(rows)))
-    if all(t is float or not issubclass(t, float) for t in cell_types):
-        return rows
-    return [[format_float(v) if isinstance(v, float) else v for v in row] for row in rows]
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iuf":
+            return column.tolist()
+        column = column.tolist()
+    if set(map(type, column)) <= {int, float}:
+        return column  # %s of each is the text csv writes
+    texts = [format_float(v) if isinstance(v, float) else "" if v is None else str(v)
+             for v in column]
+    quoted = {}
+    for text in set(texts):
+        row = _CSV_ROW([text] * width)  # width cells, width - 1 commas and "\n"
+        quoted[text] = row[: len(row) // width - 1]
+    return list(map(quoted.__getitem__, texts))
 
 
-def _csv_writes_as_is(columns) -> bool:
-    """Whether ``csv`` writes every cell of ``columns`` as its ``%s`` form:
-    Python ints and floats, and strings it leaves unquoted."""
-    strings = set()
-    for column in columns:
+def _json_column(column) -> list:
+    """A column's cells (a list, or a numpy slice) as the JSON text
+    ``json.dump(..., indent=1, sort_keys=True)`` writes for them in a table:
+    numpy scalars as their Python numbers, non-finite floats as ``NaN``,
+    ``Infinity`` and ``-Infinity``."""
+    if not isinstance(column, np.ndarray):
         types = set(map(type, column))
-        if not types <= {int, float, str}:
-            return False
-        if str in types:
-            strings.update(v for v in set(column) if type(v) is str)
-    # csv's own quoting rules decide, in rows as wide as the table's
-    rows = [[s] * len(columns) for s in strings]
-    buf = _io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue() == "".join(",".join(row) + "\n" for row in rows)
-
-
-def _json_cell(value) -> str:
-    """One cell as ``json.dump(..., indent=1, sort_keys=True)`` writes it at
-    a table cell's depth (numpy scalars as their Python numbers)."""
-    text = json.dumps(_jsonable(value), indent=1, sort_keys=True)
-    return text.replace("\n", "\n   ")
-
-
-def _json_column(column) -> Sequence:
-    """A table column as the JSON text of its cells."""
-    types = set(map(type, column))
-    if types <= {int} or (types == {float} and all(map(math.isfinite, column))):
-        return column  # %s is the repr json writes
-    if types == {str}:
-        return list(map(json.dumps, column))
-    return list(map(_json_cell, column))
+        if types <= {int} or (types == {float} and all(map(math.isfinite, column))):
+            return column
+        return [json.dumps(_jsonable(v), indent=1, sort_keys=True).replace("\n", "\n   ")
+                for v in column]
+    cells = column.tolist()
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[i] = json.dumps(cells[i])
+    elif column.dtype.kind == "U":
+        cells = list(map(json.dumps, cells))
+    elif column.dtype.kind not in "iu":
+        cells = _json_column(cells)
+    return cells  # %s of a Python int or finite float is the repr json writes
 
 
 class _ColumnRows(Sequence):
-    """The rows of a table held as equal-length numpy columns (``ValueError``
-    when their lengths differ).
+    """The rows of a table held as numpy columns, in one or more parts laid
+    end to end: each part a list of equal-length columns, every part as
+    wide as the first (else ``ValueError``).
 
     :func:`write_table` takes the table's width from the column count and
-    formats each chunk from that slice of each column, so it never holds a
-    Python object per cell of the table; indexing builds rows, tuples of
-    Python scalars, from the indexed part of each column only.
+    formats each chunk from the slices of the columns that it covers, so it
+    never holds a Python object per cell of the table, nor a part copied
+    whole. Indexing builds rows, tuples of Python scalars, the same way.
     """
 
-    def __init__(self, *columns: np.ndarray):
-        if not columns or len(set(map(len, columns))) > 1:
-            raise ValueError("a column table needs one or more columns of one length")
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, index):
-        cells = [c[index].tolist() for c in self.columns]
-        return list(zip(*cells)) if isinstance(index, slice) else tuple(cells)
-
-
-class _Chain(Sequence):
-    """One table column read from arrays laid end to end.
-
-    It is read by slices of step 1, as :func:`write_table` reads its chunks:
-    a slice joins only the pieces of the parts that it covers, so the parts
-    are never copied whole. A row is read as the one-row slice that holds it.
-    """
-
-    def __init__(self, *parts: np.ndarray):
+    def __init__(self, *parts: list):
+        widths = set(map(len, parts))
+        if len(widths) != 1 or 0 in widths or any(len(set(map(len, p))) > 1 for p in parts):
+            raise ValueError("a column table needs parts of one width, each of one or "
+                             "more columns of one length")
         self.parts = parts
-        self.starts = list(accumulate(map(len, parts), initial=0))
+        self.width = len(parts[0])
+        self.starts = list(accumulate((len(part[0]) for part in parts), initial=0))
 
     def __len__(self) -> int:
         return self.starts[-1]
+
+    def columns(self, start: int, stop: int) -> list:
+        """Each column's rows ``start:stop``, joined from the parts that hold them."""
+        pieces = [[c[max(start - s, 0) : max(stop - s, 0)] for c in part]
+                  for part, s, end in zip(self.parts, self.starts, self.starts[1:])
+                  if start < end and s < stop]
+        return pieces[0] if len(pieces) == 1 else [np.concatenate(c) for c in zip(*pieces)]
 
     def __getitem__(self, index):
         rows = range(len(self))[index]
         if isinstance(rows, int):
             return self[rows : rows + 1][0]
-        return np.concatenate([
-            part[max(rows.start - start, 0) : max(rows.stop - start, 0)]
-            for part, start in zip(self.parts, self.starts)
-        ])
+        if rows.step != 1:
+            return [self[i] for i in rows]
+        return list(zip(*(c.tolist() for c in self.columns(rows.start, rows.stop))))
 
 
-def _chunk_columns(rows):
-    """The columns of ``rows``, ``_CHUNK_ROWS`` rows at a time: one sequence
-    of cells per column for each consecutive chunk."""
+def _opened(path_or_file, mode: str, newline: str | None = None):
+    """A context of an open text file as it is (one with the ``read`` or
+    ``write`` that ``mode`` needs), else of the path opened in ``mode``,
+    which closes it on leaving."""
+    if hasattr(path_or_file, "read" if mode == "r" else "write"):
+        return nullcontext(path_or_file)
+    return open(path_or_file, mode, encoding="utf-8", newline=newline)
+
+
+def _write_rows(fh, rows, template: str, separator: str, column_text) -> None:
+    """Write ``rows`` ``_CHUNK_ROWS`` at a time: each chunk's columns become
+    text by ``column_text``, its rows fill ``template`` and ``separator``
+    goes between them, across chunks too."""
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
+        stop = start + _CHUNK_ROWS
         if isinstance(rows, _ColumnRows):
-            yield [c[chunk].tolist() for c in rows.columns]
+            columns = rows.columns(start, stop)
         else:
-            yield list(zip(*rows[chunk]))
+            columns = zip(*rows[start:stop])
+        text = separator.join(map(template.__mod__, zip(*map(column_text, columns))))
+        fh.write(separator + text if start else text)
 
 
 def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | None = None):
@@ -527,7 +499,7 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
     if not isinstance(rows, Sequence):
         raise TypeError(f"rows must be a sequence of rows, not {type(rows).__name__}")
     if isinstance(rows, _ColumnRows):
-        ragged = len(rows.columns) != width
+        ragged = rows.width != width
     else:
         ragged = any(
             not set(map(len, rows[start : start + _CHUNK_ROWS])) <= {width}
@@ -535,43 +507,24 @@ def write_table(header, rows, path_or_file=None, fmt: str = "csv", meta: dict | 
         )
     if ragged:
         raise ValueError(f"every row needs {width} cells, one per column")
-    if path_or_file is None:
-        fh, close = sys.stdout, False
-    elif hasattr(path_or_file, "write"):
-        fh, close = path_or_file, False
+    if fmt == "csv":
+        head, tail = _CSV_ROW(header), ""
+        template, separator = ",".join(["%s"] * width) + "\n", ""
+        column_text = partial(_csv_column, width=width)
     else:
-        fh, close = open(path_or_file, "w", encoding="utf-8", newline=""), True
-    try:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            template = ",".join(["%s"] * width) + "\n"
-            for columns in _chunk_columns(rows):
-                if _csv_writes_as_is(columns):
-                    fh.write("".join(map(template.__mod__, zip(*columns))))
-                else:
-                    writer.writerows(_csv_rows(list(zip(*columns))))
+        # "rows" sorts last: the head is json's text up to its empty list
+        head = json.dumps({"columns": list(header), "meta": meta or {}, "rows": []},
+                          indent=1, sort_keys=True)
+        if rows:
+            head, tail = head[: -len("[]\n}")] + "[\n", "\n ]\n}\n"
         else:
-            # "rows" sorts last: the head is json's text up to its empty list
-            head = json.dumps(
-                {"columns": list(header), "meta": meta or {}, "rows": []},
-                indent=1,
-                sort_keys=True,
-            )
-            if not rows:
-                fh.write(head + "\n")
-            else:
-                fh.write(head[: -len("[]\n}")] + "[\n")
-                template = "  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]"
-                separator = ""
-                for columns in _chunk_columns(rows):
-                    columns = [_json_column(c) for c in columns]
-                    fh.write(separator + ",\n".join(map(template.__mod__, zip(*columns))))
-                    separator = ",\n"
-                fh.write("\n ]\n}\n")
-    finally:
-        if close:
-            fh.close()
+            head, tail = head + "\n", ""
+        template, separator = "  [\n   " + ",\n   ".join(["%s"] * width) + "\n  ]", ",\n"
+        column_text = _json_column
+    with _opened(sys.stdout if path_or_file is None else path_or_file, "w", newline="") as fh:
+        fh.write(head)
+        _write_rows(fh, rows, template, separator, column_text)
+        fh.write(tail)
 
 
 def table_to_string(header, rows, fmt: str = "csv", meta: dict | None = None) -> str:

@@ -440,9 +440,13 @@ class TestEmitterReference:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), width=st.integers(1, 4), n=st.integers(0, 30))
     def test_csv_property_matches_rowwise(self, data, width, n):
+        # cells that compare equal but differ in text (True == 1, -0.0 == 0.0,
+        # np.float64(1.0) == 1) must each keep their own text
         cell = st.one_of(
             st.floats(), st.integers(-(2**70), 2**70), st.text(max_size=4),
-            st.sampled_from(["qq", "pp", "", ","]),
+            st.sampled_from(["qq", "pp", "", ","]), st.booleans(), st.none(),
+            st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+            st.integers(-5, 5).map(np.int64),
         )
         rows = [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
                 for _ in range(n)]
@@ -599,7 +603,7 @@ class TestStreamedTable:
         n = crpstail_io._CHUNK_ROWS + 17
         columns = [np.arange(n), rng.exponential(size=n), np.repeat(["qq", "pp"], [n - 9, 9])]
         columns[1][[3, n - 1]] = [-np.inf, np.inf]
-        rows = _ColumnRows(*columns)
+        rows = _ColumnRows(columns)
         want = list(zip(*[c.tolist() for c in columns]))
         assert len(rows) == n and list(rows) == want and rows[-1] == want[-1]
         assert rows[5:9] == want[5:9]
@@ -609,12 +613,18 @@ class TestStreamedTable:
         # it: the first part ends inside the second chunk, and the kind
         # column is a constant over each part, not the repeat above
         cut = n - 9
-        parts = [(columns[0][part], columns[1][part], np.broadcast_to(np.array(kind), size))
+        parts = [[columns[0][part], columns[1][part], np.broadcast_to(np.array(kind), size)]
                  for kind, part, size in (("qq", slice(cut), cut), ("pp", slice(cut, n), 9))]
-        chained = _ColumnRows(*map(crpstail_io._Chain, *parts))
+        chained = _ColumnRows(*parts)
         assert len(chained) == n and chained[:] == want
         assert chained[cut - 2 : cut + 2] == want[cut - 2 : cut + 2]
-        assert chained[-1] == want[-1]
+        assert chained[-1] == want[-1] and chained[cut - 1 :: 3] == want[cut - 1 :: 3]
+        assert table_to_string(header, chained, fmt=fmt) == table_to_string(header, want, fmt=fmt)
+        # three parts, the middle one empty, whose boundaries fall on a chunk's
+        chunk = crpstail_io._CHUNK_ROWS
+        cuts = [(0, chunk), (chunk, chunk), (chunk, n)]
+        chained = _ColumnRows(*([c[lo:hi] for c in columns] for lo, hi in cuts))
+        assert chained[:] == want and chained[chunk - 1 : chunk + 1] == want[chunk - 1 : chunk + 1]
         assert table_to_string(header, chained, fmt=fmt) == table_to_string(header, want, fmt=fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -627,7 +637,7 @@ class TestStreamedTable:
         sink = _Sink()
         tracemalloc.start()
         try:
-            write_table(["t", "a", "b"], _ColumnRows(*columns), sink, fmt=fmt)
+            write_table(["t", "a", "b"], _ColumnRows(columns), sink, fmt=fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -648,7 +658,7 @@ class TestStreamedTable:
         n = 3 * crpstail_io._CHUNK_ROWS + 5
         rng = np.random.default_rng(7)
         columns = [np.arange(n), rng.exponential(size=n), np.repeat(["qq", "pp"], [n - 9, 9])]
-        rows = _ColumnRows(*(c.view(Spy) for c in columns))
+        rows = _ColumnRows([c.view(Spy) for c in columns])
         got = table_to_string(["t", "x", "kind"], rows, fmt=fmt)
         assert got == table_to_string(["t", "x", "kind"], list(zip(*map(list, columns))), fmt=fmt)
         # one slice of each column per chunk; the width check builds none
@@ -656,13 +666,22 @@ class TestStreamedTable:
 
     def test_column_table_needs_equal_lengths(self):
         with pytest.raises(ValueError, match="one length"):
-            _ColumnRows(np.arange(3), np.arange(4.0))
+            _ColumnRows([np.arange(3), np.arange(4.0)])
         with pytest.raises(ValueError, match="one or more columns"):
             _ColumnRows()
+        with pytest.raises(ValueError, match="one or more columns"):
+            _ColumnRows([])
+        # every part as wide as the others, each of one length, in either order
+        first = [np.arange(3), np.arange(3.0)]
+        wide = [np.arange(2), np.arange(2.0), np.arange(2.0)]
+        for part in (wide, [np.arange(2), np.arange(4.0)]):
+            for parts in ((first, part), (part, first)):
+                with pytest.raises(ValueError, match="one width|one length"):
+                    _ColumnRows(*parts)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_column_table_width_is_its_column_count(self, fmt):
-        rows = _ColumnRows(np.arange(3), np.arange(3.0))
+        rows = _ColumnRows([np.arange(3), np.arange(3.0)])
         for header in (["a"], ["a", "b", "c"]):
             buf = stringio.StringIO()
             with pytest.raises(ValueError, match="cells"):

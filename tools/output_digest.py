@@ -22,8 +22,9 @@ indicator-weighted, and, for every record family, ``batch_cdf``,
 ``crps_closed_batch`` and ``wcrps_quantile_batch`` on ``SAMPLE_N`` seeded rows
 (the raw float64 bytes; the rows span several kernel blocks too), and the
 ``.hex()`` of ``cvm_log_pvalue`` and ``cvm_pvalue`` on a fixed grid of
-statistics from 0 to 1e4 (at the default ``--t`` every index row lies above 10).
-They do not depend on ``--t``.
+statistics from 0 to 1e4 (at the default ``--t`` every index row lies above 10),
+and ``table_to_string`` of a seeded table of mixed cells (see ``MIXED_TABLE``),
+as CSV and JSON. They do not depend on ``--t``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -95,6 +96,24 @@ CVM_LAW = ("import numpy as np\nfrom crpstail import cvm_log_pvalue, cvm_pvalue\
            "t = np.concatenate([np.linspace(0.0, 2.0, 801), np.geomspace(2.0, 1e4, 201)[1:]])\n"
            "for x, lp, p in zip(t, cvm_log_pvalue(t), cvm_pvalue(t)):\n"
            "    print(x.hex(), lp.hex(), p.hex())\n")
+# report tables of mixed cells, which no command writes: numpy scalars,
+# booleans, None, non-finite floats, cells that compare equal but print
+# differently, and strings csv must quote; as CSV and JSON, over several
+# chunks of rows, and as CSV one column wide, where an empty cell is quoted
+MIXED_TABLE = (
+    "import numpy as np\nfrom crpstail.io import table_to_string\n"
+    "g = np.random.default_rng(9)\n"
+    "cells = [True, 1, 1.0, np.float64(1.0), np.int64(1), np.float32(0.1), -0.0, 0.0,\n"
+    "         np.float64(-0.0), None, '', ' pad ', 'a,b', 'q\"t', 'line\\nbreak', 'cr\\rx',\n"
+    "         float('nan'), np.float64(np.inf), -float('inf'), 2**70, False, 'plain']\n"
+    "rows = [(np.int64(i), g.standard_normal(), np.float64(g.exponential()),\n"
+    "         np.float32(g.random()), cells[i % len(cells)], cells[(7 * i) % len(cells)])\n"
+    "        for i in range(2 * 2048 + 5)]\n"
+    "header = ['i', 'x', 'e', 'u', 'a', 'b']\n"
+    "print(table_to_string(header, rows), end='')\n"
+    "print(table_to_string(header, rows, fmt='json', meta={'seed': 9}), end='')\n"
+    "print(table_to_string(['a'], [row[4:5] for row in rows]), end='')\n"
+)
 
 
 def library_runs() -> list[tuple[str, list[str]]]:
@@ -114,6 +133,7 @@ def library_runs() -> list[tuple[str, list[str]]]:
             code = f"sys.stdout.buffer.write(({call}).tobytes())\n"
             runs.append((f"{kernel}_{family}.f64", ["-c", "import sys\n" + setup + code]))
     runs.append(("cvm_law.txt", ["-c", CVM_LAW]))
+    runs.append(("table_mixed.txt", ["-c", MIXED_TABLE]))
     return runs
 
 
