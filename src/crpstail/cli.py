@@ -275,12 +275,12 @@ def cmd_verify_dm(args) -> int:
 
 
 def cmd_verify_qqpp(args) -> int:
+    _require(args, ["shuffle-seed"])  # before any record is read or drawn
     if args.records is not None:
         batch = read_records(args.records)
     else:
         _require(args, ["model", "forecaster", "t", "seed"])
         batch = simulate(args.model, args.forecaster, args.t, seed=args.seed)
-    _require(args, ["shuffle-seed"])
     threshold = None
     if args.weight_quantile is not None:
         threshold = float(np.quantile(batch.y, args.weight_quantile))

@@ -23,13 +23,13 @@ import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _FAMILIES
+from .distributions import _FAMILIES, check_params
 from .errors import DataFormatError, ParameterError
 from .records import RecordBatch
 
@@ -53,21 +53,12 @@ def _forecast_params(obj, line: int) -> tuple[str, list]:
     return family, params
 
 
-def _column(values, dtype, name: str, line_of) -> np.ndarray:
-    """``values`` (one entry per record) as an array of ``dtype``; a number
-    too large for ``dtype`` raises :class:`DataFormatError` with its line."""
+def _float(value, name: str, line: int) -> float:
+    """``value`` as a float; :class:`DataFormatError` if it is too large for one."""
     try:
-        return np.asarray(values, dtype=dtype)
+        return float(value)
     except OverflowError:
-        # the per-record search is slow: only on failure
-        for value, line in zip(values, line_of):
-            try:
-                np.asarray(value, dtype=dtype)
-            except OverflowError:
-                raise DataFormatError(
-                    f"'{name}' is out of range for {np.dtype(dtype)}", line=line
-                ) from None
-        raise
+        raise DataFormatError(f"'{name}' is out of range for float64", line=line) from None
 
 
 # lines per chunk: bounds the text held in memory at once, read and write.
@@ -111,25 +102,24 @@ def _record_pattern(family: str, n_params: int, hidden: bool) -> re.Pattern:
 
 
 class _Chunk(NamedTuple):
-    """One chunk of records: arrays from the column path, lists from the
-    per-line path."""
+    """One chunk of records, an array per field, checked but for the family's rule."""
 
-    t: Sequence
-    y: Sequence
-    hidden: Sequence | None  # None when no record of the chunk has 'hidden'
-    params: Sequence
+    t: np.ndarray
+    y: np.ndarray
+    hidden: np.ndarray | None  # None when the records carry no 'hidden'
+    params: np.ndarray
     line_of: Sequence[int]  # 1-based line of each record
-    gap: int | None  # line of the first record without 'hidden'
 
 
-def _parse_lines(lines, n_line: int, family, n_params):
+def _parse_lines(lines, n_line: int, family, n_params, has_hidden):
     """The per-line parser: one ``json.loads`` per line, ``n_line`` lines
-    before ``lines``. Returns the family, its parameter count and the chunk.
-
-    It reads any JSON layout of the records and raises every per-line
-    :class:`DataFormatError`; the tests hold the column path to its results.
+    before ``lines``. Returns the family, its parameter count, whether the
+    records carry ``hidden`` (a ``family`` of None takes all three from the
+    first record) and the chunk. It reads any JSON layout of the records and
+    raises each :class:`DataFormatError` but the family's rule at its line;
+    the tests hold the column path to its results.
     """
-    t, y, hidden, params, line_of = [], [], [], [], []
+    records, line_of = [], []
     for n_line, raw in enumerate(lines, start=n_line + 1):
         raw = raw.strip()
         if not raw:
@@ -139,44 +129,45 @@ def _parse_lines(lines, n_line: int, family, n_params):
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"invalid JSON ({exc.msg})", line=n_line) from exc
         except ValueError as exc:  # the only other parse failure
-            raise DataFormatError(
-                "integer literal longer than Python's digit limit", line=n_line
-            ) from exc
+            raise DataFormatError("integer literal longer than Python's digit limit",
+                                  line=n_line) from exc
         if not isinstance(obj, dict):
             raise DataFormatError("record line must be a JSON object", line=n_line)
         if "t" not in obj or "y" not in obj:
             raise DataFormatError("record needs 't' and 'y'", line=n_line)
         fam, par = _forecast_params(obj, n_line)
+        t_i, y_i, h_i = obj["t"], obj["y"], obj.get("hidden")
         if family is None:
-            family = fam
-            n_params = len(par)
+            family, n_params, has_hidden = fam, len(par), h_i is not None
             if fam not in _FAMILIES:
                 raise DataFormatError(f"unknown family {fam!r}", line=n_line)
         elif fam != family:
-            raise DataFormatError(
-                f"mixed families: {fam!r} after {family!r}", line=n_line
-            )
+            raise DataFormatError(f"mixed families: {fam!r} after {family!r}", line=n_line)
         elif len(par) != n_params:
-            raise DataFormatError(
-                f"parameter length {len(par)} != {n_params}", line=n_line
-            )
-        t_i, y_i, h_i = obj["t"], obj["y"], obj.get("hidden")
+            raise DataFormatError(f"parameter length {len(par)} != {n_params}", line=n_line)
         if type(t_i) is not int:
             raise DataFormatError("'t' must be a JSON integer", line=n_line)
         if type(y_i) not in _NUMBER:
             raise DataFormatError("'y' must be a JSON number", line=n_line)
         if h_i is not None and type(h_i) not in _NUMBER:
             raise DataFormatError("'hidden' must be a JSON number", line=n_line)
-        t.append(t_i)
-        y.append(y_i)
-        hidden.append(h_i)
-        params.append(par)
+        if (h_i is not None) != has_hidden:
+            raise DataFormatError("'hidden' must be present on all records or none", line=n_line)
+        if not -(2**63) <= t_i < 2**63:
+            raise DataFormatError("'t' is out of range for int64", line=n_line)
+        y_i = _float(y_i, "y", n_line)
+        h_i = _float(h_i, "hidden", n_line) if has_hidden else None
+        par = [_float(p, "params", n_line) for p in par]
+        if not math.isfinite(y_i):
+            raise DataFormatError("'y' must be finite", line=n_line)
+        if has_hidden and not math.isfinite(h_i):
+            raise DataFormatError("'hidden' must be finite", line=n_line)
+        records.append((t_i, y_i, h_i, par))
         line_of.append(n_line)
-    missing = [line for line, h in zip(line_of, hidden) if h is None]
-    if len(missing) == len(line_of):
-        hidden = None
-    gap = missing[0] if missing else None
-    return family, n_params, _Chunk(t, y, hidden, params, line_of, gap)
+    t, y, hidden, params = zip(*records) if records else ((),) * 4
+    hidden = np.array(hidden) if has_hidden else None
+    chunk = _Chunk(np.array(t, dtype=np.int64), np.array(y), hidden, np.array(params), line_of)
+    return family, n_params, has_hidden, chunk
 
 
 def _match_lines(pattern, lines, n_line: int, hidden: bool) -> _Chunk | None:
@@ -218,7 +209,6 @@ def _match_lines(pattern, lines, n_line: int, hidden: bool) -> _Chunk | None:
         numbers[1] if hidden else None,
         numbers[k:].T,
         range(n_line + 1, n_line + 1 + len(lines)),
-        None if hidden else n_line + 1,
     )
 
 
@@ -243,12 +233,17 @@ def read_records(path_or_file) -> RecordBatch:
     """Parse a JSON-lines record file into a :class:`RecordBatch`.
 
     All records must share one forecast family (and parameter length), and
-    either all or none carry ``hidden``. ``t`` must be a JSON integer; ``y``,
-    ``hidden`` and the parameters must be JSON numbers (not strings or
-    booleans), and ``y`` and ``hidden`` must be finite (``NaN`` and
-    ``Infinity`` are rejected). ``t`` must fit an int64 and the other numbers
-    a float. Violations, malformed lines and parameters outside the family's
-    rule raise :class:`DataFormatError` tagged with the 1-based line number.
+    either all or none carry ``hidden`` (``"hidden": null`` counts as none).
+    ``t`` must be a JSON integer that fits an int64; ``y``, ``hidden`` and
+    the parameters JSON numbers (not strings or booleans) that fit a float,
+    and ``y`` and ``hidden`` finite (``NaN`` and ``Infinity`` are rejected).
+    Violations, malformed lines and parameters outside the family's rule
+    raise :class:`DataFormatError` tagged with the 1-based line number.
+
+    The lines are read ``_CHUNK_ROWS`` at a time, and each chunk is checked
+    whole before the next is read: the error raised is the first of the
+    first chunk that holds one (its lines in order, then the family's rule,
+    first bad row first), and no later line is read.
 
     Any JSON layout of the records is read, with the same result. Chunks of
     lines in the layout :func:`write_records` emits, matched against the
@@ -258,75 +253,42 @@ def read_records(path_or_file) -> RecordBatch:
     come, so the records are held about once and never copied.
     """
     with _opened(path_or_file, "r") as fh:
-        # each chunk is written into its field's column, then released. The
-        # first error of a field is raised after every line is parsed, in
-        # the order below, as when the columns were joined at the end
-        fields = {"t": np.int64, "y": float, "hidden": float, "params": float}
-        columns = dict.fromkeys(fields)
-        errors = {}
-        line_ofs = []  # each chunk's lines, to name the line of a row
-        family = n_params = pattern = gap = None
-        has_hidden = any_hidden = False
+        # each chunk is checked whole, then written into its field's column
+        # and released: the first chunk that holds an error ends the read
+        columns = dict.fromkeys(["t", "y", "hidden", "params"])
+        family = n_params = has_hidden = pattern = None
         n_line = rows = 0
         while lines := list(islice(fh, _CHUNK_ROWS)):
             if family is None:
                 # the first record fixes the layout later lines are matched to
                 first = next((i for i, raw in enumerate(lines) if raw.strip()), None)
                 if first is not None:
-                    family, n_params, head = _parse_lines(
-                        lines[first : first + 1], n_line + first, None, None
-                    )
-                    has_hidden = head.hidden is not None
+                    family, n_params, has_hidden, _ = _parse_lines(
+                        lines[first : first + 1], n_line + first, None, None, None)
                     if isinstance(lines[first], str):  # not a binary stream
                         pattern = _record_pattern(family, n_params, has_hidden)
             chunk = pattern and _match_lines(pattern, lines, n_line, has_hidden)
             if chunk is None:
-                family, n_params, chunk = _parse_lines(lines, n_line, family, n_params)
+                family, n_params, has_hidden, chunk = _parse_lines(
+                    lines, n_line, family, n_params, has_hidden)
             n_line += len(lines)
             if not chunk.line_of:  # a chunk of blank lines
                 continue
-            line_ofs.append(chunk.line_of)
-            any_hidden |= chunk.hidden is not None
-            gap = chunk.gap if gap is None else gap
-            for field, dtype in fields.items():
-                values = getattr(chunk, field)
-                # a chunk with a gap and hidden values fails the read: its
-                # hidden values are never read
-                gapped = field == "hidden" and chunk.gap is not None
-                if values is None or field in errors or gapped:
-                    continue
-                try:
-                    values = _column(values, dtype, field, chunk.line_of)
-                except DataFormatError as exc:
-                    errors[field] = exc
-                else:
+            try:
+                check_params(family, chunk.params)
+            except ParameterError as exc:
+                raise DataFormatError(str(exc), line=chunk.line_of[exc.row]) from exc
+            for field, values in zip(columns, chunk):
+                if values is not None:
                     columns[field] = _append(columns[field], rows, values)
             rows += len(chunk.line_of)
         if family is None:
             raise DataFormatError("no records found")
-        if any_hidden and gap is not None:
-            raise DataFormatError("'hidden' must be present on all records or none", line=gap)
-        for field in fields:
-            if field in errors:
-                raise errors[field]
         for column in columns.values():
             if column is not None:
                 # no view of the column exists yet: resize trims it in place
                 column.resize((rows,) + column.shape[1:], refcheck=False)
-
-        def line_of(row: int) -> int:
-            return list(chain.from_iterable(line_ofs))[row]
-
-        t, y, hidden, params = columns.values()
-        for name, values in (("y", y), ("hidden", hidden)):
-            if values is not None and not np.isfinite(values).all():
-                first_bad = line_of(int(np.argmin(np.isfinite(values))))
-                raise DataFormatError(f"'{name}' must be finite", line=first_bad)
-        try:
-            return RecordBatch(t=t, y=y, family=family, params=params, hidden=hidden)
-        except ParameterError as exc:
-            line = None if exc.row is None else line_of(exc.row)
-            raise DataFormatError(str(exc), line=line) from exc
+        return RecordBatch(family=family, **columns)
 
 
 def write_records(batch: RecordBatch, path_or_file) -> None:

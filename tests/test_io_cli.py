@@ -907,6 +907,56 @@ class TestReaderPaths:
         assert got == want
 
 
+class _CountingLines(stringio.StringIO):
+    """A text stream that counts the lines taken from it."""
+
+    taken = 0
+
+    def __next__(self):
+        line = super().__next__()
+        self.taken += 1
+        return line
+
+
+def _exponential_lines(n, hidden="0.5"):
+    return [_canonical_line(i, "1.5", ["2.0"], "exponential", hidden) for i in range(n)]
+
+
+class TestChunkOrder:
+    """read_records raises the first error of the first chunk that holds one."""
+
+    def test_earlier_chunk_error_wins(self):
+        lines = _exponential_lines(crpstail_io._CHUNK_ROWS + 10)
+        lines[2] = _canonical_line(2, "NaN", ["2.0"], "exponential", "0.5")
+        lines[crpstail_io._CHUNK_ROWS + 1] = "{not json\n"  # line 2,050
+        with pytest.raises(DataFormatError) as exc:
+            read_records(stringio.StringIO("".join(lines)))
+        assert str(exc.value) == "line 3: 'y' must be finite"
+
+    def test_hidden_after_a_record_without_it(self):
+        lines = _exponential_lines(3, hidden=None)
+        lines[1] = _canonical_line(1, "1.5", ["2.0"], "exponential", "0.5")
+        with pytest.raises(DataFormatError) as exc:
+            read_records(stringio.StringIO("".join(lines)))
+        assert str(exc.value) == "line 2: 'hidden' must be present on all records or none"
+
+    @pytest.mark.parametrize("bad, message", [
+        (_canonical_line(9, "NaN", ["2.0"], "exponential", "0.5"), "'y' must be finite"),
+        (_canonical_line(2**63, "1.5", ["2.0"], "exponential", "0.5"),
+         "'t' is out of range for int64"),
+        (_canonical_line(9, "1.5", ["-2.0"], "exponential", "0.5"),
+         "exponential requires finite parameters"),
+    ], ids=["y-nan", "t-past-int64", "negative-rate"])
+    def test_reads_no_chunk_after_the_error(self, bad, message):
+        lines = _exponential_lines(3 * crpstail_io._CHUNK_ROWS)
+        lines[9] = bad
+        stream = _CountingLines("".join(lines))
+        with pytest.raises(DataFormatError) as exc:
+            read_records(stream)
+        assert exc.value.line == 10 and message in str(exc.value)
+        assert stream.taken == crpstail_io._CHUNK_ROWS
+
+
 def _run(argv):
     return main(argv)
 
@@ -1259,6 +1309,13 @@ class TestCliVerifyQqpp:
     def test_shuffle_seed_required(self):
         assert _run(["verify", "qqpp", "--model", "ge", "--forecaster",
                      "ideal", "--t", "100", "--seed", "3"]) == 1
+
+    def test_shuffle_seed_checked_before_the_records(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert _run(["verify", "qqpp", "--records", str(missing)]) == 1
+        assert "usage error: verify: missing required flags: --shuffle-seed" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCliVerifyCup:

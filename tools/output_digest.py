@@ -6,7 +6,10 @@ index-curve`` in simulator and file mode and with gap rows at both ends of
 a curve, ``verify dm``, ``verify qqpp``, ``verify cup`` (in JSON too, where the
 area of a small shape's cup is a quadrature) and ``fit-gp``, and
 ``score`` and ``fit-gp`` on a record file that this tool rewrites from a
-simulated one in another JSON layout (see :func:`write_noncanonical`), and
+simulated one in another JSON layout (see :func:`write_noncanonical`),
+``score`` on record files that it rewrites with one bad line each (see
+:func:`write_malformed`; at a ``--t`` that reaches that line), whose error
+message and exit code are listed, and
 ``score`` and ``verify qqpp`` with no ``--out``, which write their tables to
 stdout, and ``simulate`` with no ``--out``, which writes its records there.
 Each command runs as ``python -m crpstail`` in a fresh temporary directory,
@@ -41,12 +44,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 MODELS = ("ge", "nn")
 FORECASTERS = ("ideal", "climatological", "unfocused", "extremist")
 SEED = "7"
 NONCANONICAL = "noncanonical.jsonl"
+# the bad line of each malformed file: in the reader's second 2,048-line chunk
+BAD_LINE = 2048 + 101
 
 
 # the library runs' draws: several sampling blocks, ending inside one
@@ -158,6 +164,29 @@ def write_noncanonical(work: Path) -> None:
     (work / NONCANONICAL).write_text("".join(out), encoding="utf-8")
 
 
+# a record's one fault, as a function of the record giving its rewritten line,
+# by the malformed file's name: a JSON syntax error, a NaN observation, a time
+# past int64 and a negative exponential rate
+MALFORMED = {
+    "malformed_json.jsonl": lambda r: json.dumps(r)[:40],
+    "malformed_y_nan.jsonl": lambda r: json.dumps({**r, "y": float("nan")}),
+    "malformed_t_int64.jsonl": lambda r: json.dumps({**r, "t": 2**63}),
+    "malformed_rate.jsonl": lambda r: json.dumps(
+        {**r, "forecast": {**r["forecast"], "params": [-p for p in r["forecast"]["params"]]}}),
+}
+
+
+def write_malformed(work: Path, name: str) -> None:
+    """Rewrite ``ge_ideal.jsonl`` as the malformed file ``name``: line
+    BAD_LINE rewritten by ``MALFORMED[name]``, the other lines as ``simulate``
+    wrote them. Each file holds one error, so every reader version reports
+    the same message and line for it.
+    """
+    lines = (work / "ge_ideal.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[BAD_LINE - 1] = MALFORMED[name](json.loads(lines[BAD_LINE - 1])) + "\n"
+    (work / name).write_text("".join(lines), encoding="utf-8")
+
+
 def commands(t: int) -> list[tuple[str, list[str]]]:
     """(output file, argv) pairs, in run order; later ones read earlier outputs.
 
@@ -227,6 +256,11 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
     runs.append(("fit_noncanonical.json", ["fit-gp", "--records", NONCANONICAL, "--method",
                                           "mle", "--format", "json", "--out",
                                           "fit_noncanonical.json"]))
+    if int(t) >= BAD_LINE:
+        for name in MALFORMED:
+            runs.append((name, partial(write_malformed, name=name)))
+            out = f"score_{name.removesuffix('.jsonl')}.csv"
+            runs.append((out, ["score", "--records", name, "--out", out]))
     # tables written to stdout: the run's stdout is its output file
     runs.append(("score_stdout.csv", ["score", "--records", "nn_unfocused.jsonl",
                                       "--weight-quantile", "0.9", "--shuffle-seed", "1"]))
