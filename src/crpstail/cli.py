@@ -36,6 +36,7 @@ from .io import _CHUNK_ROWS, _ColumnRows, _opened, read_records, write_records, 
 from .simulation import FORECASTERS, MODELS, simulate, simulate_forecasters
 from .tail_analysis import ambiguity_region, expected_crps_pareto
 from .verification import (
+    _check_shuffle_seed,
     dm_matrix,
     index_curve,
     ks_two_sample_critical,
@@ -136,6 +137,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.shuffle_seed is not None:
+        _check_shuffle_seed(args.shuffle_seed)  # before any record is read
     batch = read_records(args.records)
     header = ["t", "y", "crps"]
     s1 = score_series(batch)
@@ -275,7 +278,9 @@ def cmd_verify_dm(args) -> int:
 
 
 def cmd_verify_qqpp(args) -> int:
-    _require(args, ["shuffle-seed"])  # before any record is read or drawn
+    # before any record is read or drawn
+    _require(args, ["shuffle-seed"])
+    _check_shuffle_seed(args.shuffle_seed)
     if args.records is not None:
         batch = read_records(args.records)
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -68,14 +69,12 @@ class GpFitResult:
         return self.tail.gamma
 
 
-def _pwm_estimate(x: np.ndarray) -> tuple[float, float, dict]:
-    n = x.size
-    xs = np.sort(x)
+def _pwm_estimate(xs: np.ndarray) -> tuple[float, float, dict]:
+    n = xs.size
     b0 = xs.mean()
-    # unbiased first probability-weighted moment E[X (1 - F(X))]: each x_(i)
-    # times n - i, in place on the sorted copy
-    xs *= np.arange(n - 1.0, -1.0, -1.0)
-    b1 = float(np.sum(xs) / (n * (n - 1)))
+    # unbiased first probability-weighted moment E[X (1 - F(X))] of the
+    # sorted excesses: each x_(i) times n - i
+    b1 = float(np.sum(xs * np.arange(n - 1.0, -1.0, -1.0)) / (n * (n - 1)))
     denom = b0 - 2.0 * b1
     if denom <= 0.0:
         raise DegenerateDataError(
@@ -87,89 +86,105 @@ def _pwm_estimate(x: np.ndarray) -> tuple[float, float, dict]:
     return sigma, gamma, {"b0": float(b0), "b1": b1}
 
 
-def _gp_negloglik(params, x):
-    log_sigma, gamma = params
-    sigma = math.exp(log_sigma)
-    if gamma <= -0.5:
-        return np.inf
-    z = gamma * x / sigma
-    if np.any(z <= -1.0):
-        return np.inf
-    if abs(gamma) < 1e-10:
-        return x.size * log_sigma + float(np.sum(x)) / sigma
-    return x.size * log_sigma + (1.0 + 1.0 / gamma) * float(np.sum(np.log1p(z)))
+# w(a) = (log1p(a) - a/(1 + a))/a**2 = 1/2 - 2a/3 + 3a**2/4 - ...: for |a| below
+# _EDGE the first 17 terms reach double precision, where the closed form cancels
+_EDGE = 0.1
+_SERIES = [(-1) ** k * (k + 1) / (k + 2) for k in range(16, -1, -1)]
 
 
-def _mle_start(x, sigma, gamma):
-    """The likelihood search's start (log sigma, gamma) from the PWM estimate:
-    gamma clipped to [-0.45, 5] and, where that leaves the upper endpoint
-    -sigma/gamma at or below the largest excess (every simplex vertex would
-    then score inf), raised until the endpoint lies 1 % above it."""
-    gamma = float(np.clip(gamma, -0.45, 5.0))
-    top = float(np.max(x))
-    if gamma < 0.0 and -sigma / gamma <= top:
-        gamma = -sigma / (1.01 * top)
-    return np.array([math.log(sigma), gamma])
+def _profile(theta, y):
+    """(g, gamma, sigma) of the GP likelihood of the sorted excesses ``y``
+    (max y = 1) profiled at theta = gamma/sigma: gamma = mean log1p(theta y),
+    sigma = gamma/theta and g = (A - B)/(A + B), A = mean(y**2 w(theta y)),
+    B = sigma mean(y/(1 + theta y)). A - B is Grimshaw's
+    h = (1 + gamma) mean(1/(1 + theta y)) - 1 over theta**2, without h's
+    double zero at 0; g, in (-1, 1), keeps its sign: the profile negative
+    log-likelihood m (log sigma + 1 + gamma) falls in theta where g > 0."""
+    a = theta * y
+    log1p = np.log1p(a)
+    yr = y / (1.0 + a)
+    gamma = float(np.mean(log1p))
+    sigma = gamma / theta if theta else float(np.mean(y))
+    # w takes its series where |theta y| < _EDGE, on a prefix of y
+    k = y.size if abs(theta) < _EDGE else int(np.searchsorted(y, _EDGE / abs(theta)))
+    w = np.zeros(k)
+    for c in _SERIES:
+        w = w * a[:k] + c
+    if k == y.size:
+        a_term, b_term = float(np.mean(y * y * w)), sigma * float(np.mean(yr))
+    else:
+        # A and B times theta**2, so that neither underflows at a large theta
+        big = float(np.sum(log1p[k:])) - theta * float(np.sum(yr[k:]))
+        a_term = (float(np.sum(a[:k] * a[:k] * w)) + big) / y.size
+        b_term = gamma * (theta * float(np.mean(yr)))
+    return (a_term - b_term) / (a_term + b_term), gamma, sigma
 
 
-def _sorted(sim, fsim):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-
-def _nelder_mead(f, x0, xatol, fatol, maxiter):
-    """Minimize f from x0 by Nelder & Mead's simplex (1965, Comput. J. 7, 308)
-    as scipy 1.17 runs it without bounds or adaptive steps, operation for
-    operation, so both take the same iterates; returns (x, f(x), converged),
-    converged meaning it stopped before maxiter iterations, counted from 1.
-    """
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    # sorted twice, as scipy does: argsort need not keep tied vertices in place
-    sim, fsim = _sorted(*_sorted(sim, fsim))
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+def _root(f, a, b, fa):
+    """A zero of f between a and b (f(b) and ``fa`` = f(a), maybe infinite,
+    differ in sign) by the Illinois regula falsi, bisecting where the secant
+    leaves the bracket; None if 100 steps leave it wider than 4 ulp of max(|b|, 1)."""
+    fb = f(b)
+    for _ in range(100):
+        if fb == 0.0 or abs(b - a) <= 4.0 * np.finfo(float).eps * max(abs(b), 1.0):
+            return b
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+        fc = f(c)
+        if (fc > 0.0) != (fb > 0.0):
+            a, fa = b, fb
         else:
-            # contract outside the worst vertex, or inside when xr is no better
-            outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = f(xc)
-            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = _sorted(sim, fsim)
-    return sim[0], np.min(fsim), iterations < maxiter
+            fa *= 0.5
+        b, fb = c, fc
+    return None
+
+
+def _mle(y, theta):
+    """(sigma, gamma, negloglik) of the GP likelihood's maximum over
+    gamma >= -1/2 for the sorted excesses ``y`` (max y = 1), or None: a walk
+    downhill from ``theta`` > -1 in s = log1p(theta), 2**k / 16 from the start
+    within [-36, 709] (where expm1(s) is a float above -1), to a sign change
+    of g, then its root. A root at gamma <= -1/2, or a walk down past that
+    line, gives the maximum on it, where sigma > 1/2 solves
+    mean(y/(2 sigma - y)) = 1."""
+    profile = cache(lambda s: _profile(math.expm1(s), y))
+    s = math.log1p(theta)
+    up = profile(s)[0] > 0.0
+    sign = 1.0 if up else -1.0
+    walk = [s] + [min(max(s + sign * 2.0 ** k / 16.0, -36.0), 709.0) for k in range(14)]
+    for a, b in zip(walk, walk[1:]):
+        if not up and profile(a)[1] <= -0.5:
+            break
+        if (profile(b)[0] > 0.0) != up:
+            root = _root(lambda s: profile(s)[0], a, b, profile(a)[0])
+            if root is None:
+                return None
+            _, gamma, sigma = profile(root)
+            if gamma > -0.5:
+                return sigma, gamma, y.size * (math.log(sigma) + 1.0 + gamma)
+            break
+    else:
+        if up:
+            return None
+    # at hi, mean(y/(2 sigma - y)) <= mean(y)/(2 hi - 1) = 1
+    hi = 0.5 * (1.0 + float(np.mean(y)))
+    sigma = _root(lambda s: float(np.mean(y / (2.0 * s - y))) - 1.0, 0.5, hi, np.inf)
+    if sigma is None:
+        return None
+    return sigma, -0.5, y.size * math.log(sigma) - float(np.sum(np.log1p(-0.5 * y / sigma)))
 
 
 def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult:
     """Fit a GP tail to positive threshold excesses.
 
     method "pwm": probability-weighted moments, closed form, the default.
-    method "mle": Nelder-Mead over (log sigma, gamma) restricted to
-    gamma > -0.5, started at the PWM estimate (its shape raised, if need be,
-    until the upper endpoint lies above every excess); falls back to PWM (with
-    ``diagnostics["fallback"] = "pwm"``) if the optimizer fails. The simplex
-    is the package's own, which follows scipy's Nelder-Mead iterate for
-    iterate, so the fit loads no part of scipy.
+    method "mle": maximum likelihood over gamma >= -1/2: the root of one
+    equation in theta = gamma/sigma (Grimshaw 1993, Technometrics 35, 185),
+    searched from the PWM estimate (its endpoint raised, if need be, above
+    every excess), or the maximum on gamma = -1/2 where that root lies past
+    it; a failed search falls back to PWM (``diagnostics["fallback"] =
+    "pwm"``). It loads no part of scipy.
 
     ``threshold`` only anchors the returned tail (threshold_ref); the
     excesses themselves must already be relative to it and strictly positive.
@@ -186,37 +201,21 @@ def fit_gp(excesses, method: str = "pwm", threshold: float = 0.0) -> GpFitResult
     if float(np.ptp(x)) == 0.0:
         raise DegenerateDataError("all excesses identical; no tail to fit")
 
-    sigma_pwm, gamma_pwm, diag = _pwm_estimate(x)
-    if method == "pwm":
-        return GpFitResult(
-            tail=GpTail(sigma_pwm, gamma_pwm, threshold),
-            method="pwm",
-            n_excesses=x.size,
-            diagnostics=diag,
-        )
-    if method != "mle":
+    xs = np.sort(x)
+    sigma, gamma, diag = _pwm_estimate(xs)
+    if method == "mle":
+        # in units of the largest excess, from the PWM theta, raised if need
+        # be until the upper endpoint -1/theta lies 1 % above every excess
+        top = float(xs[-1])
+        fit = _mle(xs / top, max(gamma / sigma * top, -1.0 / 1.01))
+        if fit is None:
+            diag = {**diag, "converged": False, "fallback": "pwm"}
+        else:
+            sigma, gamma = fit[0] * top, fit[1]
+            diag = {**diag, "negloglik": fit[2] + x.size * math.log(top), "converged": True}
+    elif method != "pwm":
         raise ParameterError(f"unknown fit method {method!r} (expected pwm or mle)")
-
-    start = _mle_start(x, sigma_pwm, gamma_pwm)
-    xopt, fun, converged = _nelder_mead(
-        lambda p: _gp_negloglik(p, x), start, xatol=1e-10, fatol=1e-10, maxiter=2000
-    )
-    if converged and np.all(np.isfinite(xopt)):
-        sigma, gamma = math.exp(xopt[0]), float(xopt[1])
-        diag = {**diag, "negloglik": float(fun), "converged": True}
-        return GpFitResult(
-            tail=GpTail(sigma, gamma, threshold),
-            method="mle",
-            n_excesses=x.size,
-            diagnostics=diag,
-        )
-    diag = {**diag, "converged": False, "fallback": "pwm"}
-    return GpFitResult(
-        tail=GpTail(sigma_pwm, gamma_pwm, threshold),
-        method="mle",
-        n_excesses=x.size,
-        diagnostics=diag,
-    )
+    return GpFitResult(GpTail(sigma, gamma, threshold), method, x.size, diag)
 
 
 def shift_scale(fit: GpFitResult | GpTail, w: float) -> GpTail:

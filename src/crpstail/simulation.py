@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .distributions import _blocks
 from .errors import DomainError, ParameterError
@@ -63,6 +62,9 @@ def _uniforms(t: int, seed: int, t0: int):
     record's worth of draws — so advancing by t0 lands on record t0, and
     successive draws continue the stream where the last block stopped.
     """
+    # numpy.random loads only where a stream is drawn
+    from numpy.random import Generator, Philox
+
     gen = Generator(Philox(key=seed))
     if t0:
         gen.bit_generator.advance(t0)

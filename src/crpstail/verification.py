@@ -114,6 +114,11 @@ def score_series(batch: RecordBatch, weight_threshold: float | None = None) -> S
     return ScoreSeries(values=vals, pairing="paired", obs=obs)
 
 
+def _check_shuffle_seed(shuffle_seed: int) -> None:
+    if shuffle_seed < 0:
+        raise ParameterError(f"shuffle seed must be non-negative, got {shuffle_seed}")
+
+
 def shuffled_score_series(
     batch: RecordBatch, shuffle_seed: int, weight_threshold: float | None = None
 ) -> ScoreSeries:
@@ -123,8 +128,7 @@ def shuffled_score_series(
     the reference point for how much of the score distribution is pairing
     (information) rather than climatology.
     """
-    if shuffle_seed < 0:
-        raise ParameterError(f"shuffle seed must be non-negative, got {shuffle_seed}")
+    _check_shuffle_seed(shuffle_seed)
     perm = np.random.default_rng(shuffle_seed).permutation(len(batch))
     y = batch.y[perm]
     vals = _score_batch(batch, y, weight_threshold)

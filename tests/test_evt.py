@@ -1,8 +1,11 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crpstail import (
@@ -122,9 +125,9 @@ class TestMleFit:
 
     def test_fallback_flag_when_optimizer_fails(self, monkeypatch):
         def failed(*args, **kwargs):
-            return np.array([np.nan, np.nan]), np.inf, False
+            return None
 
-        monkeypatch.setattr(evt, "_nelder_mead", failed)
+        monkeypatch.setattr(evt, "_root", failed)
         x = np.arange(1.0, 31.0)
         res = fit_gp(x, method="mle")
         assert res.method == "mle"
@@ -134,69 +137,211 @@ class TestMleFit:
         assert_allclose(res.sigma, pwm.sigma, rtol=1e-15)
         assert_allclose(res.gamma, pwm.gamma, rtol=1e-15)
 
-
-def _simplex_and_scipy(x, maxiter):
-    """(x, f(x), converged) of the package's Nelder-Mead and of scipy's, the
-    oracle, on the GP likelihood of x from the start that fit_gp takes."""
-    from scipy.optimize import minimize
-
-    sigma, gamma, _ = evt._pwm_estimate(x)
-    start = evt._mle_start(x, sigma, gamma)
-    got = evt._nelder_mead(lambda p: evt._gp_negloglik(p, x), start, 1e-10, 1e-10, maxiter)
-    ref = minimize(evt._gp_negloglik, start, args=(x,), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": maxiter})
-    return got, (ref.x, ref.fun, ref.success)
-
-
-class TestNelderMead:
-    def test_matches_scipy_bit_for_bit(self):
-        converged = 0
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(10, 5001))
-            law = GeneralizedPareto(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-0.45, 1.5))
-            x = law.sample(n, rng)
-            (x_got, f_got, ok_got), (x_ref, f_ref, ok_ref) = _simplex_and_scipy(x, 2000)
-            assert x_got.tobytes() == x_ref.tobytes(), (seed, x_got, x_ref)
-            assert np.float64(f_got).tobytes() == np.float64(f_ref).tobytes(), seed
-            assert ok_got == ok_ref, seed
-            converged += ok_got
-        assert converged >= 190
-
-    def test_start_inside_support(self):
-        # seed 152 of the comparison above: the PWM shape, -0.403, puts the
-        # endpoint at 0.2835, below the largest excess 0.2900; started there,
-        # every vertex scored inf and the fit fell back to PWM after 2,000
-        # shrinks, warning on each inf - inf of the stop test
+    def test_start_inside_support(self, monkeypatch):
+        # the PWM shape, -0.403, puts the endpoint at 0.2835, below the
+        # largest excess 0.2900; a search started there would score every
+        # point outside the support
         rng = np.random.default_rng(152)
         n = int(rng.integers(10, 5001))
         law = GeneralizedPareto(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-0.45, 1.5))
         x = law.sample(n, rng)
-        sigma, gamma, _ = evt._pwm_estimate(x)
+        sigma, gamma, _ = evt._pwm_estimate(np.sort(x))
         assert gamma < 0.0 and -sigma / gamma < x.max()
-        log_sigma, start_gamma = evt._mle_start(x, sigma, gamma)
-        assert -0.45 <= start_gamma < 0.0
-        assert -math.exp(log_sigma) / start_gamma > x.max()
+        starts = []
+        search = evt._mle
+        monkeypatch.setattr(evt, "_mle", lambda y, theta: starts.append(theta) or search(y, theta))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fit_gp(x, method="mle")
+        # the start in units of the largest excess: its shape at the PWM scale
+        log_sigma, start_gamma = math.log(sigma), sigma * starts[0] / x.max()
+        assert -0.45 <= start_gamma < 0.0
+        assert -math.exp(log_sigma) / start_gamma > x.max()
         assert res.diagnostics["converged"] is True
         assert -res.sigma / res.gamma > x.max()
         assert abs(res.gamma - law.shape) < 0.05
 
-    def test_start_inside_support_keeps_its_bits(self):
-        x = GeneralizedPareto(1.0, -0.3).sample(1000, np.random.default_rng(5))
-        sigma, gamma, _ = evt._pwm_estimate(x)
-        assert -0.45 < gamma < 0.0 and -sigma / gamma > x.max()
-        start = np.array([math.log(sigma), np.clip(gamma, -0.45, 5.0)])
-        assert evt._mle_start(x, sigma, gamma).tobytes() == start.tobytes()
 
-    def test_both_fail_when_iterations_run_out(self):
-        x = GeneralizedPareto(2.0, 0.3).sample(1000, np.random.default_rng(5))
-        (x_got, f_got, ok_got), (x_ref, f_ref, ok_ref) = _simplex_and_scipy(x, 10)
-        assert ok_got is False and not ok_ref
-        assert x_got.tobytes() == x_ref.tobytes()
-        assert f_got == f_ref
+def _negloglik(x, sigma, gamma):
+    """The GP negative log-likelihood of x at (sigma, gamma) and the sum of
+    the magnitudes of its terms, which bounds its rounding."""
+    z = x / sigma if gamma == 0.0 else np.log1p(gamma * x / sigma)
+    weight = 1.0 if gamma == 0.0 else 1.0 + 1.0 / gamma
+    log_sigma = x.size * math.log(sigma)
+    return log_sigma + weight * float(np.sum(z)), abs(log_sigma) + abs(weight) * float(np.sum(np.abs(z)))
+
+
+def _mp_root(f, guess, width):
+    """The root of f in (guess - width, guess + width)."""
+    return mp.findroot(f, (guess - width, guess + width), solver="anderson")
+
+
+def _mp_profile_root(x, theta, width):
+    """sigma and gamma at the root of Grimshaw's h(theta)/theta**2 within
+    ``width`` of ``theta``, at 40 digits: gamma = mean log1p(theta x) and
+    sigma = gamma/theta."""
+    with mp.workdps(40):
+        xs = [mp.mpf(float(v)) for v in x]
+
+        def gamma_of(t):
+            return mp.fsum(mp.log1p(t * v) for v in xs) / len(xs)
+
+        def g(t):
+            u = mp.fsum(1 / (1 + t * v) for v in xs) / len(xs)
+            return ((1 + gamma_of(t)) * u - 1) / t**2
+
+        t = _mp_root(g, mp.mpf(theta), mp.mpf(width))
+        return float(gamma_of(t) / t), float(gamma_of(t))
+
+
+def _mp_boundary(x, sigma):
+    """The root of m = sum x/(2 sigma - x) next to ``sigma``, and the slope
+    in gamma of the negative log-likelihood there, at 40 digits."""
+    with mp.workdps(40):
+        xs = [mp.mpf(float(v)) for v in x]
+        s0 = mp.mpf(sigma)
+        root = _mp_root(lambda s: mp.fsum(v / (2 * s - v) for v in xs) - len(xs),
+                        s0, s0 * mp.mpf("1e-9"))
+
+        def negloglik(gamma):
+            return len(xs) * mp.log(root) + (1 + 1 / gamma) * mp.fsum(
+                mp.log1p(gamma * v / root) for v in xs)
+
+        return float(root), float(mp.diff(negloglik, mp.mpf(-0.5)))
+
+
+class TestProfileMle:
+    """The MLE is the root of Grimshaw's one-dimensional likelihood equation."""
+
+    @pytest.mark.parametrize("m", [30, 1000])
+    @pytest.mark.parametrize("shape", [-0.3, 0.0, 0.2, 0.5, 1.0])
+    def test_matches_mpmath(self, shape, m):
+        # each fit against the equations it solves: the profile's root, or
+        # (the GP(1, -0.3) sample of 30) the maximum on gamma = -1/2
+        x = GeneralizedPareto(1.0, shape).sample(m, np.random.default_rng(26))
+        res = fit_gp(x, method="mle")
+        assert res.diagnostics["converged"] is True
+        if res.gamma == -0.5:
+            sigma, slope = _mp_boundary(x, res.sigma)
+            gamma = -0.5
+            assert slope > 0.0
+        else:
+            theta = res.gamma / res.sigma
+            sigma, gamma = _mp_profile_root(x, theta, 1e-9 * abs(theta))
+        assert_allclose(res.sigma, sigma, rtol=1e-12, atol=0.0)
+        assert_allclose(res.gamma, gamma, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [30, 1000])
+    def test_boundary_matches_mpmath(self, m):
+        # the likelihood of a GP(1, -0.8) sample rises towards gamma = -1/2
+        # (its slope in gamma is positive there), so the fit is the maximum
+        # on that line
+        x = GeneralizedPareto(1.0, -0.8).sample(m, np.random.default_rng(26))
+        res = fit_gp(x, method="mle")
+        assert res.diagnostics["converged"] is True
+        assert res.gamma == -0.5
+        sigma, slope = _mp_boundary(x, res.sigma)
+        assert slope > 0.0
+        assert_allclose(res.sigma, sigma, rtol=1e-12, atol=0.0)
+        assert res.diagnostics["negloglik"] == pytest.approx(_negloglik(x, res.sigma, -0.5)[0],
+                                                             rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["shape 20", "outlier 1e160"])
+    def test_extreme_tails(self, case):
+        # the PWM theta lies orders of magnitude from the root: the walk in
+        # log1p(theta) still brackets it, and g's bounded scale lets the
+        # regula falsi take it
+        rng = np.random.default_rng(5)
+        if case == "shape 20":
+            x = GeneralizedPareto(1.0, 20.0).sample(25, rng)
+        else:
+            x = rng.exponential(size=25)
+            x[0] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_gp(x, method="mle")
+        assert res.diagnostics["converged"] is True
+        theta = res.gamma / res.sigma
+        sigma, gamma = _mp_profile_root(x, theta, 1e-9 * abs(theta))
+        assert_allclose(res.sigma, sigma, rtol=1e-12, atol=0.0)
+        assert_allclose(res.gamma, gamma, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exponential_root_near_zero(self, seed):
+        # the largest excess of an exponential sample is moved until
+        # mean(x**2) = 2 mean(x)**2, so the root lies within rounding of
+        # theta = 0, where Grimshaw's h is O(theta**2) and only its series
+        # resolves the root
+        x = np.random.default_rng(seed).exponential(size=200)
+        x.sort()
+        rest, m = x[:-1], x.size
+        # m * (rest2 + t**2) = 2 * (rest1 + t)**2 for the largest excess t
+        a, b, c = m - 2.0, -4.0 * rest.sum(), m * (rest**2).sum() - 2.0 * rest.sum() ** 2
+        x[-1] = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        assert abs(np.mean(x**2) / (2.0 * np.mean(x) ** 2) - 1.0) < 1e-14
+        res = fit_gp(x, method="mle")
+        assert res.diagnostics["converged"] is True
+        assert abs(res.gamma) < 1e-12
+        assert_allclose(res.sigma, np.mean(x), rtol=1e-12)
+        sigma, gamma = _mp_profile_root(x, 0.0, 1e-10)
+        assert_allclose(res.sigma, sigma, rtol=1e-12, atol=0.0)
+        assert_allclose(res.gamma, gamma, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.03, -0.03,
+                                       0.0999, -0.0999, 0.1001, -0.1001, 0.5, -0.5, 4.0,
+                                       1e200, math.expm1(709.0)])
+    def test_profile_through_zero(self, theta):
+        # g = (A - B)/(A + B), where A - B = h/theta**2, against 60-digit
+        # mpmath on both sides of the series' edge, up to the walk's largest
+        # theta, and next to theta = 0 against its limit, A = mean(y**2)/2
+        # and B = mean(y)**2
+        y = np.sort(np.random.default_rng(4).exponential(size=50))
+        y /= y[-1]
+        g, gamma, _ = evt._profile(theta, y)
+        with mp.workdps(60):
+            ys = [mp.mpf(float(v)) for v in y]
+            t = mp.mpf(theta)
+
+            def mean(terms):
+                return mp.fsum(terms) / len(ys)
+
+            if abs(theta) < 1e-20:
+                want_gamma, a, b = 0, mean(v**2 for v in ys) / 2, mean(ys) ** 2
+            else:
+                want_gamma = mean(mp.log1p(t * v) for v in ys)
+                a = mean((mp.log1p(t * v) - t * v / (1 + t * v)) / t**2 for v in ys)
+                b = want_gamma / t * mean(v / (1 + t * v) for v in ys)
+                h = (1 + want_gamma) * mean(1 / (1 + t * v) for v in ys) - 1
+                assert abs(h / t**2 - (a - b)) <= mp.mpf("1e-25") * (a + b)
+            want_g = (a - b) / (a + b)
+        assert abs(g - float(want_g)) <= 1e-14
+        assert abs(gamma - float(want_gamma)) <= 1e-15 * max(1.0, abs(float(want_gamma)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_never_below_the_pwm_likelihood(self, data):
+        # whenever the PWM estimate lies in the fit's domain (gamma >= -1/2,
+        # upper endpoint above every excess), the fit's likelihood is at
+        # least the PWM estimate's, and its reported negloglik is its own
+        if data.draw(st.booleans()):
+            x = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=10, max_size=60)))
+        else:
+            law = GeneralizedPareto(10.0 ** data.draw(st.floats(-3.0, 3.0)),
+                                    data.draw(st.floats(-0.49, 2.0)))
+            x = law.sample(data.draw(st.integers(10, 400)),
+                           np.random.default_rng(data.draw(st.integers(0, 2**32))))
+        assume(np.ptp(x) > 0.0)
+        try:
+            sigma, gamma, _ = evt._pwm_estimate(np.sort(x))
+        except DegenerateDataError:
+            assume(False)
+        assume(gamma >= -0.5 and (gamma >= 0.0 or -sigma / gamma > x.max()))
+        res = fit_gp(x, method="mle")
+        assert res.diagnostics["converged"] is True
+        fitted, rounding = _negloglik(x, res.sigma, res.gamma)
+        pwm, pwm_rounding = _negloglik(x, sigma, gamma)
+        assert fitted <= pwm + 1e-13 * pwm_rounding
+        assert abs(res.diagnostics["negloglik"] - fitted) <= 1e-12 * rounding
 
 
 class TestFitValidation:

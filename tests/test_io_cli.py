@@ -1095,6 +1095,18 @@ class TestCliSeedRange:
         assert "crpstail: usage error: shuffle seed must be non-negative" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["score"], ["verify", "qqpp"]])
+    def test_shuffle_seed_before_any_record(self, command, capsys, tmp_path):
+        # the seed is rejected before the record file is opened: a missing
+        # file is then no data error
+        out = tmp_path / "out"
+        argv = command + ["--records", str(tmp_path / "missing.jsonl"), "--shuffle-seed", "-1",
+                          "--out", str(out)]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert "crpstail: usage error: shuffle seed must be non-negative, got -1" in err
+        assert not out.exists()
+
 
 class TestCliScore:
     @pytest.fixture()
@@ -1460,6 +1472,20 @@ class TestInstalledEntryPoint:
         )
         code = f"import sys, crpstail; a = {loaded}; import crpstail.cli; print(a, {loaded})"
         assert python_stdout(code) == "[] []"
+
+    def test_random_streams_load_where_drawn(self, tmp_path, python_stdout):
+        # numpy.random loads with the first simulated stream, not with the
+        # command line, nor for the cup
+        out = str(tmp_path / "out.csv")
+        cup = ["verify", "cup", "--gamma", "0.25", "--grid", "3", "--out", out]
+        sim = ["simulate", "--model", "ge", "--forecaster", "ideal", "--t", "5", "--seed", "1",
+               "--out", out]
+        code = (
+            "import sys; import crpstail.cli as cli; a = 'numpy.random' in sys.modules; "
+            f"b = cli.main({cup!r}), 'numpy.random' in sys.modules; "
+            f"print(a, *b, cli.main({sim!r}), 'numpy.random' in sys.modules)"
+        )
+        assert python_stdout(code) == "False 0 False 0 True"
 
     def test_special_functions_load_on_first_use(self, tmp_path, python_stdout):
         # exponential records are scored, shuffled and compared without a special

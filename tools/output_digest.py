@@ -248,6 +248,10 @@ def commands(t: int) -> list[tuple[str, list[str]]]:
         out = f"fit_{method}.json"
         runs.append((out, ["fit-gp", "--records", "ge_ideal.jsonl", "--method", method,
                            "--format", "json", "--out", out]))
+    # the fewest excesses a fit takes: 10 at the default --t
+    runs.append(("fit_mle_fewest.json", ["fit-gp", "--records", "ge_ideal.jsonl", "--method",
+                                        "mle", "--threshold-order", "0.9995", "--format",
+                                        "json", "--out", "fit_mle_fewest.json"]))
     runs.append((NONCANONICAL, write_noncanonical))
     for fmt in ("csv", "json"):
         out = f"score_noncanonical.{fmt}"
