@@ -18,7 +18,7 @@ Spliced(base, replacement, splice_point)         base below u, rescaled tail abo
 The record families (the first five, and raw ensemble members) are described
 once, in the family table at the end of this module: their parameter rule and
 the vectorized kernels that both the batch paths and the classes' point-wise
-``cdf`` and ``survival`` (on a one-row batch) run on.
+``cdf``, ``survival`` and ``quantile`` (on a one-row batch) run on.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-# scipy.optimize, scipy.special and the package's own quadrature are imported
-# where they are used, so a command that never optimizes, calls a special
-# function or integrates does not pay to load them.
+# scipy.special and the package's own quadrature are imported where they are
+# used, so a command that never calls a special function or integrates does
+# not pay to load them.
 from .errors import (
     ConditioningError,
     DivergenceError,
@@ -233,7 +233,8 @@ class Distribution(ABC):
 
 class _TableFamily(Distribution):
     """A record family: a dataclass whose fields are its family-table columns.
-    ``cdf`` and ``survival`` are the table's kernels on a one-row batch."""
+    ``cdf``, ``survival`` and ``quantile`` are the table's kernels on a
+    one-row batch."""
 
     def __post_init__(self):
         # the parameter rule the record batches are checked against, on the
@@ -263,6 +264,9 @@ class _TableFamily(Distribution):
     def survival(self, x):
         return self._one_row(_FAMILIES[self.family].survival, x)
 
+    def quantile(self, p):
+        return self._one_row(_FAMILIES[self.family].quantile, _check_prob(p)[0])
+
 
 # ---------------------------------------------------------------------------
 # Normal and two-component normal mixture
@@ -275,12 +279,6 @@ class Normal(_TableFamily):
     std: float
 
     family: ClassVar[str] = "normal"
-
-    def quantile(self, p):
-        from scipy.special import ndtri
-
-        p, scalar = _check_prob(p)
-        return _finish(self.mean_ + self.std * ndtri(p), scalar)
 
     def support(self):
         return (-math.inf, math.inf)
@@ -300,34 +298,6 @@ class NormalMixture2(_TableFamily):
     std2: float
 
     family: ClassVar[str] = "normal_mixture2"
-
-    def _components(self):
-        return (
-            (self.w, self.mean1, self.std1),
-            (1.0 - self.w, self.mean2, self.std2),
-        )
-
-    def quantile(self, p):
-        from scipy.optimize import brentq
-        from scipy.special import ndtri
-
-        p, scalar = _check_prob(p)
-        flat = np.atleast_1d(p)
-        out = np.empty_like(flat)
-        for i, pi in enumerate(flat):
-            # component quantiles bracket the mixture quantile; a component of
-            # weight 0 (or nearly) leaves it on a bracket end, where rounding
-            # can put the sign change just outside
-            qs = [m + s * ndtri(pi) for _, m, s in self._components()]
-            lo, hi = min(qs), max(qs)
-            try:
-                out[i] = lo if hi - lo < 1e-14 else brentq(
-                    lambda x: self.cdf(x) - pi, lo, hi, xtol=1e-12, rtol=1e-14
-                )
-            except ValueError:
-                out[i] = min(qs, key=lambda x: abs(self.cdf(x) - pi))
-        out = out.reshape(np.shape(p))
-        return _finish(out, scalar)
 
     def sample(self, n, rng):
         """All ``n`` component picks, then ``n`` uniforms, from ``rng``, as
@@ -367,10 +337,6 @@ class Exponential(_TableFamily):
 
     family: ClassVar[str] = "exponential"
 
-    def quantile(self, p):
-        p, scalar = _check_prob(p)
-        return _finish(-np.log1p(-p) / self.rate, scalar)
-
     def support(self):
         return (0.0, math.inf)
 
@@ -391,12 +357,6 @@ class Gamma(_TableFamily):
     rate: float
 
     family: ClassVar[str] = "gamma"
-
-    def quantile(self, p):
-        from scipy.special import gammaincinv
-
-        p, scalar = _check_prob(p)
-        return _finish(gammaincinv(self.shape, p) / self.rate, scalar)
 
     def support(self):
         return (0.0, math.inf)
@@ -422,22 +382,6 @@ class GeneralizedPareto(_TableFamily):
     shape: float
 
     family: ClassVar[str] = "generalized_pareto"
-
-    def quantile(self, p):
-        p, scalar = _check_prob(p)
-        flat = np.atleast_1d(p)
-        t = -self.shape * np.log1p(-flat)
-        # the survival's rule on t = -shape log S: the shape-0 form where
-        # |t| < 1e-16, as at a zero or subnormal shape, where scale / shape
-        # is not finite
-        small = np.abs(t) < 1e-16
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.expm1(t) * (np.float64(self.scale) / self.shape)
-            # scale / shape alone can overflow where the quantile is finite
-            big = ~np.isfinite(out)
-            out[big] = np.expm1(t[big]) / self.shape * self.scale
-        out[small] = -self.scale * np.log1p(-flat[small])
-        return _finish(out.reshape(np.shape(p)), scalar)
 
     def support(self):
         if self.shape < 0.0:
@@ -552,8 +496,6 @@ class Spliced(Distribution):
         if u >= self.splice_point:
             return self.replacement.mean_excess(u - self.splice_point)
         return super().mean_excess(u)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +735,51 @@ def _gp_survival(params, x):
     return np.where(x <= 0.0, 1.0, np.exp(log_s))
 
 
+def _normal_quantile(params, p):
+    from scipy.special import ndtri
+
+    return params[:, 0] + params[:, 1] * ndtri(p)
+
+
+def _mixture2_quantile(params, p):
+    """Bisection between the component quantiles, which bracket the mixture's,
+    on F(x) < p up to p = 1/2 and above on S(x) > 1 - p, which is exact there
+    and keeps the upper tail's digits; 100 halvings leave 2^-100 of the bracket."""
+    q1, q2 = _normal_quantile(params[:, 1:3], p), _normal_quantile(params[:, 3:], p)
+    lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
+    upper = p > 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = np.where(
+            upper, _mixture2_survival(params, mid) > 1.0 - p, _mixture2_cdf(params, mid) < p
+        )
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
+
+
+def _gamma_quantile(params, p):
+    from scipy.special import gammaincinv
+
+    return gammaincinv(params[:, 0], p) / params[:, 1]
+
+
+def _gp_quantile(params, p):
+    scale, shape = params.T
+    t = -shape * np.log1p(-p)
+    # the survival's rule on t = -shape log S: the shape-0 form where
+    # |t| < 1e-16, as at a zero or subnormal shape, where scale / shape
+    # is not finite
+    small = np.abs(t) < 1e-16
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.expm1(t) * (scale / shape)
+        # scale / shape alone can overflow where the quantile is finite
+        big = ~np.isfinite(out)
+        scale, shape, p = (np.broadcast_to(a, t.shape) for a in (scale, shape, p))
+        out[big] = np.expm1(t[big]) / shape[big] * scale[big]
+    out[small] = -scale[small] * np.log1p(-p[small])
+    return out
+
+
 def _ensemble_cdf(members, x):
     """Mid-rank PIT surrogate: (# members below + half # equal) / m."""
     below = (members < x[:, None]).sum(axis=1)
@@ -814,13 +801,14 @@ class Family(NamedTuple):
     valid: Callable  # params -> bool per row
     cdf: Callable  # (params, x) -> F(x)
     survival: Callable | None  # (params, x) -> 1 - F(x) to relative precision
+    quantile: Callable | None  # (params, p) -> F^-1(p), p in (0, 1)
     crps: Callable  # (params, y) -> CRPS(F, y)
     tail: Callable | None = None  # (params, q) -> int_q^inf (1 - F)^2, q scalar
     wcrps: Callable | None = None  # (params, y, q) -> weighted CRPS, w = 1{x >= q}
 
 
 # the fields that map rows to values: ``valid``, which gives booleans, is not one
-_KERNELS = ("cdf", "survival", "crps", "tail", "wcrps")
+_KERNELS = ("cdf", "survival", "quantile", "crps", "tail", "wcrps")
 
 
 _FAMILIES = {
@@ -829,6 +817,7 @@ _FAMILIES = {
         valid=lambda p: p[:, 1] > 0.0,
         cdf=_normal_cdf,
         survival=_normal_survival,
+        quantile=_normal_quantile,
         crps=_columns(_crps_normal_kernel),
         tail=lambda p, q: p[:, 1] * _normal_tail_sq((q - p[:, 0]) / p[:, 1]),
     ),
@@ -837,6 +826,7 @@ _FAMILIES = {
         valid=lambda p: (p[:, 0] >= 0.0) & (p[:, 0] <= 1.0) & (p[:, 2] > 0.0) & (p[:, 4] > 0.0),
         cdf=_mixture2_cdf,
         survival=_mixture2_survival,
+        quantile=_mixture2_quantile,
         crps=_columns(_crps_mixture2_kernel),
         tail=_mixture2_tail_sq,
     ),
@@ -845,6 +835,7 @@ _FAMILIES = {
         valid=lambda p: p[:, 0] > 0.0,
         cdf=lambda p, x: np.where(x <= 0.0, 0.0, -np.expm1(-p[:, 0] * np.maximum(x, 0.0))),
         survival=lambda p, x: np.where(x <= 0.0, 1.0, np.exp(-p[:, 0] * np.maximum(x, 0.0))),
+        quantile=lambda p, q: -np.log1p(-q) / p[:, 0],
         crps=_columns(_crps_exponential_kernel),
         tail=lambda p, q: np.exp(-2.0 * p[:, 0] * max(q, 0.0)) / (2.0 * p[:, 0]) + max(-q, 0.0),
     ),
@@ -853,6 +844,7 @@ _FAMILIES = {
         valid=lambda p: (p[:, 0] > 0.0) & (p[:, 1] > 0.0),
         cdf=_gamma_cdf,
         survival=_gamma_survival,
+        quantile=_gamma_quantile,
         crps=_columns(_crps_gamma_kernel),
         tail=lambda p, q: _gamma_tail_sq_kernel(p[:, 0], p[:, 1], q),
     ),
@@ -861,6 +853,7 @@ _FAMILIES = {
         valid=lambda p: p[:, 0] > 0.0,
         cdf=_gp_cdf,
         survival=_gp_survival,
+        quantile=_gp_quantile,
         crps=_columns(_crps_gp_kernel),
         tail=lambda p, q: _gp_tail_sq_kernel(p[:, 0], p[:, 1], max(q, 0.0)) + max(-q, 0.0),
     ),
@@ -869,6 +862,7 @@ _FAMILIES = {
         valid=lambda p: np.full(len(p), p.shape[1] > 0),
         cdf=_ensemble_cdf,
         survival=None,
+        quantile=None,
         crps=_crps_ensemble_kernel,
         # chaining function v(z) = max(z, q) (Allen, Ginsbourger & Ziegel 2023)
         wcrps=lambda p, y, q: _crps_ensemble_kernel(np.maximum(p, q), np.maximum(y, q)),

@@ -71,6 +71,10 @@ class GpFitResult:
 
 def _pwm_estimate(xs: np.ndarray) -> tuple[float, float, dict]:
     n = xs.size
+    # in units of 2**e, the largest excess in [1/2, 1): sigma's product
+    # overflows from excesses of about 1e154 on, and powers of two keep the bits
+    e = math.frexp(xs[-1])[1]
+    xs = np.ldexp(xs, -e)
     b0 = xs.mean()
     # unbiased first probability-weighted moment E[X (1 - F(X))] of the
     # sorted excesses: each x_(i) times n - i
@@ -83,7 +87,7 @@ def _pwm_estimate(xs: np.ndarray) -> tuple[float, float, dict]:
         )
     gamma = 2.0 - b0 / denom
     sigma = 2.0 * b0 * b1 / denom
-    return sigma, gamma, {"b0": float(b0), "b1": b1}
+    return np.ldexp(sigma, e), gamma, {"b0": math.ldexp(b0, e), "b1": math.ldexp(b1, e)}
 
 
 # w(a) = (log1p(a) - a/(1 + a))/a**2 = 1/2 - 2a/3 + 3a**2/4 - ...: for |a| below

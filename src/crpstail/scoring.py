@@ -196,7 +196,8 @@ def _pdf_knots(dist: Distribution) -> list[float]:
         return _pdf_knots(dist.base) + [dist.splice_point]
     if isinstance(dist, NormalMixture2):
         # a narrow component's step would hide between the nodes of a wide one
-        return [m + k * s for _, m, s in dist._components() for k in (-8.0, 0.0, 8.0)]
+        components = ((dist.mean1, dist.std1), (dist.mean2, dist.std2))
+        return [m + k * s for m, s in components for k in (-8.0, 0.0, 8.0)]
     return []
 
 

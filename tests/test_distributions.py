@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 import crpstail
 from crpstail import (
+    DomainError,
     Exponential,
     Gamma,
     GeneralizedPareto,
@@ -354,8 +355,8 @@ class TestFamilyRegistry:
     @pytest.mark.parametrize("family", ["normal", "normal_mixture2", "exponential", "gamma",
                                         "generalized_pareto"])
     def test_point_wise_calls_reuse_one_row(self, family):
-        # each instance builds its (1, k) parameter row once; cdf and survival
-        # run the family kernels on it without reading ``params`` again
+        # each instance builds its (1, k) parameter row once; cdf, survival and
+        # quantile run the family kernels on it without reading ``params`` again
         d = from_family(family, {"normal": [0.5, 1.5], "normal_mixture2": [0.5, 0, 1, 2, 1],
                                  "exponential": [0.7], "gamma": [4.0, 4.0],
                                  "generalized_pareto": [1.0, 0.25]}[family])
@@ -363,12 +364,22 @@ class TestFamilyRegistry:
         assert_array_equal(d._row, row)
         assert not d._row.flags.writeable
         x = np.array([-0.5, 0.3, 1.3, 4.0])
+        p = np.array([1e-9, 0.3, 0.5, 1.0 - 1e-9])
         with mock.patch.object(type(d), "params", new_callable=mock.PropertyMock,
                                side_effect=AssertionError):
-            got = [[d.cdf(v), d.survival(v)] for v in x]
+            got = [[d.cdf(v), d.survival(v), d.quantile(q)] for v, q in zip(x, p)]
         kernels = crpstail.distributions.family_entry(family)
-        want = np.stack([kernels.cdf(row, x), kernels.survival(row, x)], axis=1)
+        want = np.stack([kernels.cdf(row, x), kernels.survival(row, x),
+                         kernels.quantile(row, p)], axis=1)
         assert_array_equal(got, want)
+
+    def test_every_quantile_is_a_table_kernel(self):
+        # the classes keep one quantile, _TableFamily's one-row batch
+        for family, fam in distributions._FAMILIES.items():
+            assert (fam.quantile is None) == (fam.cls is None), family
+            if fam.cls is not None:
+                assert "quantile" not in vars(fam.cls), family
+                assert fam.cls.quantile is distributions._TableFamily.quantile
 
 
 class TestSharedInvariants:
@@ -393,9 +404,18 @@ class TestSharedInvariants:
         """A scalar gives a Python float; an array keeps its shape."""
         for x in (0.7, np.float64(0.7), np.array(0.7)):
             assert type(dist.cdf(x)) is float and type(dist.survival(x)) is float
+            assert type(dist.quantile(x)) is float
         for shape in ((0,), (1,), (5,), (1, 1), (3, 4)):
             x = np.linspace(-1.0, 6.0, math.prod(shape)).reshape(shape)
             assert dist.cdf(x).shape == shape and dist.survival(x).shape == shape
+            p = np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape)
+            assert dist.quantile(p).shape == shape
+
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+    def test_quantile_takes_levels_inside_zero_one_only(self, dist):
+        for p in (0.0, 1.0, -0.5, 1.5, np.nan, np.inf, [0.5, 1.0]):
+            with pytest.raises(DomainError):
+                dist.quantile(p)
 
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
     def test_quantile_cdf_roundtrip(self, dist):
@@ -487,11 +507,14 @@ def _family_rows(family, n, seed):
 
 def _kernel_calls(family, params, x):
     """(name, values) of every kernel of the family's table entry, on the
-    rows ``params`` at ``x``; ``tail`` takes one threshold for all rows."""
+    rows ``params`` at ``x``; ``quantile`` takes seeded uniforms as many as
+    ``x``, and ``tail`` one threshold for all rows."""
     fam = distributions.family_entry(family)
+    p = np.random.default_rng(len(x)).random(len(x))
     calls = {
         "cdf": lambda: fam.cdf(params, x),
         "survival": lambda: fam.survival(params, x),
+        "quantile": lambda: fam.quantile(params, p),
         "crps": lambda: fam.crps(params, x),
         "tail": lambda: fam.tail(params, 0.7),
         "wcrps": lambda: fam.wcrps(params, x, 0.7),

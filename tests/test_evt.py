@@ -72,6 +72,16 @@ class TestPwmFit:
         want = float(np.sum(xs * (n - np.arange(1, n + 1))) / (n * (n - 1)))
         assert fit_gp(x).diagnostics["b1"] == want
 
+    def test_excesses_past_1e154_do_not_overflow(self):
+        # 2 b0 b1 / (b0 - 2 b1) overflowed here, and the fit raised; scaled by
+        # a power of two, the excesses give the same fit scaled, bit for bit
+        x = np.array([1e155, 2e155, 3e155, 5e155, 1e156, 2e156, 3e156, 4e156, 6e156, 9e156])
+        res = fit_gp(x)
+        small = fit_gp(x * 2.0**-520)
+        assert res.sigma == small.sigma * 2.0**520 and res.gamma == small.gamma
+        assert res.diagnostics == {k: v * 2.0**520 for k, v in small.diagnostics.items()}
+        assert_allclose([res.sigma, res.gamma], [1.5409e156, 0.4096], rtol=1e-4)
+
     def test_order_invariance(self):
         rng = np.random.default_rng(11)
         x = GeneralizedPareto(1.0, 0.2).sample(500, rng)

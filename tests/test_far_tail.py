@@ -1,6 +1,6 @@
 """Accuracy against mpmath, far beyond the forecast's bulk as well as inside
-it: of the closed-form tails int_q^inf S(x)^2 dx, and of the survival and the
-CRPS of the generalized Pareto and the Gamma."""
+it: of the closed-form tails int_q^inf S(x)^2 dx, of the mixture's quantile,
+and of the survival and the CRPS of the generalized Pareto and the Gamma."""
 
 import mpmath
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 from crpstail import Gamma, GeneralizedPareto, NormalMixture2, crps_closed, simulate
 from crpstail.distributions import _FAMILIES, _normal_tail_sq
-from crpstail.scoring import survival_sq_tail
+from crpstail.scoring import _LEVELS, survival_sq_tail
 
 
 def _mixture_tail_mp(row, q):
@@ -90,6 +90,44 @@ def test_mixture_tail_rows_do_not_depend_on_the_batch():
     whole = tail(params, 1.5)
     for rows in (slice(0, 3), slice(65_534, 65_539), slice(-3, None)):
         assert whole[rows].tobytes() == tail(params[rows], 1.5).tobytes()
+
+
+def _mixture_tail_prob_mp(law, x, upper):
+    """40-digit mpmath S(x) if ``upper``, else F(x), of a mixture."""
+    with mpmath.workdps(40):
+        w, m1, s1, m2, s2 = (mpmath.mpf(float(v)) for v in law.params)
+        sign = -1 if upper else 1
+        x = mpmath.mpf(float(x))
+        return w * mpmath.ncdf(sign * (x - m1) / s1) + (1 - w) * mpmath.ncdf(sign * (x - m2) / s2)
+
+
+@pytest.mark.parametrize("weight", ["0", "1e-6", "uniform", "1-1e-6", "1"])
+def test_mixture_quantile_holds_its_tail_probability(weight):
+    """At Q(p), F (p <= 1/2) or S (p > 1/2) lies within 1e-11 relative of
+    min(p, 1 - p), or the root lies between Q(p) and a neighbouring float
+    (a narrow component far from 0). Root finding on F - p left 9.5e-5 here."""
+    g = np.random.default_rng(["0", "1e-6", "uniform", "1-1e-6", "1"].index(weight))
+    for u in g.random((24, 5)):
+        w = {"0": 0.0, "1e-6": 1e-6, "uniform": u[0], "1-1e-6": 1.0 - 1e-6, "1": 1.0}[weight]
+        law = NormalMixture2(w, 20 * u[1] - 10, 10 ** (4 * u[2] - 2), 20 * u[3] - 10,
+                             10 ** (4 * u[4] - 2))
+        for p, x in zip(_LEVELS, law.quantile(_LEVELS)):
+            upper = p > 0.5
+            with mpmath.workdps(40):
+                target = mpmath.mpf(1.0 - p if upper else p)  # 1 - p is exact
+                miss = _mixture_tail_prob_mp(law, x, upper) - target
+                if abs(miss) <= 1e-11 * target:
+                    continue
+                across = [_mixture_tail_prob_mp(law, np.nextafter(x, end), upper) - target
+                          for end in (-np.inf, np.inf)]
+            assert any(m * miss <= 0 for m in across), (law, p, x, float(miss / target))
+
+
+def test_mixture_quantile_far_out():
+    # 40-digit mpmath root of S(x) = 1 - p at the float p = 1 - 1e-12;
+    # root finding on F - p gave 8.962915068416965
+    got = NormalMixture2(0.4, 0.0, 1.0, 2.0, 1.0).quantile(1.0 - 1e-12)
+    assert got == pytest.approx(8.962905284201429, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -1559,8 +1559,9 @@ class TestInstalledEntryPoint:
         assert python_stdout(code) == "True True 0 []"
 
     def test_fit_gp_loads_no_scipy(self, tmp_path, python_stdout):
-        # the MLE runs the package's own Nelder-Mead, so neither fit imports
-        # scipy, and the MLE converges with scipy.optimize blocked
+        # the MLE is the root of one equation, taken by the package's own root
+        # finder, so neither fit imports scipy, and the MLE converges with
+        # scipy.optimize blocked
         rec = tmp_path / "r.jsonl"
         write_records(simulate("ge", "ideal", 4000, seed=0), str(rec))
         runs = [["fit-gp", "--records", str(rec), "--threshold-order", "0.9", "--method", m,

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ class TestAmbiguousCounterpart:
             "ambiguous_counterpart(0.5, 0.1); print('scipy.optimize' in sys.modules)"
         )
         assert python_stdout(code) == "False"
+
+    def test_mixture_paths_load_no_scipy_optimize(self, python_stdout):
+        # the mixture quantile, where its quadrature breaks and where a splice
+        # over it lays its grid, is the package's own bisection
+        code = (
+            "import sys; from crpstail import *\n"
+            "base = NormalMixture2(0.3, -1.0, 0.5, 2.0, 1.5); u = base.quantile(0.99)\n"
+            "spliced = splice_tail(base, Exponential(10.0), u)\n"
+            "crps = crps_quadrature(base, 1.0)\n"
+            "gap, _ = spliced_gap_mc(base, spliced, n=1000, rng=1)\n"
+            "print(u > 0, crps > 0, gap > 0, [m for m in sys.modules if 'scipy.optimize' in m])"
+        )
+        assert python_stdout(code) == "True True True []"
+
+    def test_no_module_names_scipy_optimize(self):
+        package = Path(distributions.__file__).parent
+        texts = [p.read_text(encoding="utf-8") for p in package.glob("*.py")]
+        assert len(texts) > 5
+        assert not any("scipy.optimize" in t or "from scipy import optimize" in t for t in texts)
 
     def test_outside_cup_rejected(self):
         with pytest.raises(DomainError):

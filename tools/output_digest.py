@@ -23,11 +23,13 @@ bytes; ``SAMPLE_N`` spans several sampling blocks and ends inside one) and
 the ``repr`` of ``tail_analysis.spliced_gap_mc`` at 2e5 draws, unweighted and
 indicator-weighted, and, for every record family, ``batch_cdf``,
 ``crps_closed_batch`` and ``wcrps_quantile_batch`` on ``SAMPLE_N`` seeded rows
-(the raw float64 bytes; the rows span several kernel blocks too), and the
-``.hex()`` of ``cvm_log_pvalue`` and ``cvm_pvalue`` on a fixed grid of
-statistics from 0 to 1e4 (at the default ``--t`` every index row lies above 10),
-and ``table_to_string`` of a seeded table of mixed cells (see ``MIXED_TABLE``),
-as CSV and JSON. They do not depend on ``--t``.
+(the raw float64 bytes; the rows span several kernel blocks too), each
+parametric family's ``quantile`` at ``scoring._LEVELS`` for each of
+``QUANTILE_N`` seeded rows, called through the row's class (the raw float64
+bytes), and the ``.hex()`` of ``cvm_log_pvalue`` and ``cvm_pvalue`` on a
+fixed grid of statistics from 0 to 1e4 (at the default ``--t`` every index
+row lies above 10), and ``table_to_string`` of a seeded table of mixed cells
+(see ``MIXED_TABLE``), as CSV and JSON. They do not depend on ``--t``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -97,6 +99,13 @@ KERNEL_CALLS = {
     "crps_closed_batch": "crps_closed_batch(family, p, y)",
     "wcrps_quantile_batch": "wcrps_quantile_batch(family, p, y, 1.5)",
 }
+# the quantile runs' rows per family, each law built as its class and
+# inverted at every level of the quadrature's break points
+QUANTILE_N = 64
+QUANTILES = ("from crpstail.distributions import from_family\n"
+             "from crpstail.scoring import _LEVELS\n"
+             "for row in p:\n"
+             "    sys.stdout.buffer.write(from_family(family, row).quantile(_LEVELS).tobytes())\n")
 # the Cramer-von Mises law on both sides of its t = 2 seam, one line per statistic
 CVM_LAW = ("import numpy as np\nfrom crpstail import cvm_log_pvalue, cvm_pvalue\n"
            "t = np.concatenate([np.linspace(0.0, 2.0, 801), np.geomspace(2.0, 1e4, 201)[1:]])\n"
@@ -138,6 +147,11 @@ def library_runs() -> list[tuple[str, list[str]]]:
         for kernel, call in KERNEL_CALLS.items():
             code = f"sys.stdout.buffer.write(({call}).tobytes())\n"
             runs.append((f"{kernel}_{family}.f64", ["-c", "import sys\n" + setup + code]))
+    for seed, (family, rows) in enumerate(FAMILY_ROWS.items(), start=1):
+        if family != "ensemble":
+            setup = ROWS.format(seed=seed, n=QUANTILE_N) + f"family = {family!r}\n"
+            setup += f"p = {rows.format(n=QUANTILE_N)}\n"
+            runs.append((f"quantile_{family}.f64", ["-c", "import sys\n" + setup + QUANTILES]))
     runs.append(("cvm_law.txt", ["-c", CVM_LAW]))
     runs.append(("table_mixed.txt", ["-c", MIXED_TABLE]))
     return runs
