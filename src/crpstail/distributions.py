@@ -747,13 +747,20 @@ def _mixture2_quantile(params, p):
     and keeps the upper tail's digits; 100 halvings leave 2^-100 of the bracket."""
     q1, q2 = _normal_quantile(params[:, 1:3], p), _normal_quantile(params[:, 3:], p)
     lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
+    # each element's level and parameter row, to be selected with it
+    p, params = np.broadcast_to(p, lo.shape), np.broadcast_to(params, lo.shape + (5,))
     upper = p > 0.5
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = np.where(
-            upper, _mixture2_survival(params, mid) > 1.0 - p, _mixture2_cdf(params, mid) < p
-        )
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    for side, law, below, target in (
+        (~upper, _mixture2_cdf, np.less, p),
+        (upper, _mixture2_survival, np.greater, 1.0 - p),
+    ):
+        if side.any():  # each element evaluates its own side's kernel only
+            rows, lo_s, hi_s, target = params[side], lo[side], hi[side], target[side]
+            for _ in range(100):
+                mid = 0.5 * (lo_s + hi_s)
+                b = below(law(rows, mid), target)
+                lo_s, hi_s = np.where(b, mid, lo_s), np.where(b, hi_s, mid)
+            hi[side] = hi_s
     return hi
 
 

@@ -288,7 +288,8 @@ def read_records(path_or_file) -> RecordBatch:
             if column is not None:
                 # no view of the column exists yet: resize trims it in place
                 column.resize((rows,) + column.shape[1:], refcheck=False)
-        return RecordBatch(family=family, **columns)
+        # each chunk's rows were checked as it was read
+        return RecordBatch._of_checked(family=family, **columns)
 
 
 def write_records(batch: RecordBatch, path_or_file) -> None:

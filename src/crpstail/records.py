@@ -11,7 +11,7 @@ members rather than distribution parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,22 @@ class RecordBatch:
     hidden: np.ndarray | None = None
 
     def __post_init__(self):
+        self._conform()
+        check_params(self.family, self.params)
+
+    @classmethod
+    def _of_checked(cls, **columns) -> "RecordBatch":
+        """The batch of ``columns`` whose parameter rows have been checked
+        already, as the record reader checks each chunk it reads: the rows
+        are not checked a second time."""
+        batch = object.__new__(cls)
+        for field in fields(cls):
+            object.__setattr__(batch, field.name, columns.get(field.name, field.default))
+        batch._conform()
+        return batch
+
+    def _conform(self):
+        """Columns as arrays of their dtypes, of one length."""
         t = np.asarray(self.t, dtype=np.int64)
         y = np.asarray(self.y, dtype=float)
         params = np.atleast_2d(np.asarray(self.params, dtype=float))
@@ -49,7 +65,6 @@ class RecordBatch:
             raise ParameterError("record batch columns must share a common length")
         if self.hidden is not None and self.hidden.size != n:
             raise ParameterError("hidden column length mismatch")
-        check_params(self.family, params)
 
     def __len__(self):
         return self.y.size

@@ -22,12 +22,19 @@ Every record consumes exactly one Philox counter block (four uniforms:
 hidden state, observation, two for the focus multiplier), so streams are
 reproducible from (seed, t): simulating [0, T) and then any window [t0, t1)
 with the same seed yields bit-identical records.
+
+Each stream inverts its uniforms: "nn" through the normal quantile
+(``scipy.special.ndtri``), "ge" through the Gamma(4, 1) quantile, which this
+module inverts in numpy (Halley steps on the cdf's series up to the median
+and on the closed-form survival above it, within 3 ulp), so a "ge" stream
+loads no part of scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -156,10 +163,64 @@ def _nn_forecast(forecaster, delta, tau):
 
 
 def _ge_stream(u):
-    from scipy.special import gammaincinv
-
-    delta = gammaincinv(4.0, u[:, 0]) / 4.0
+    delta = _gamma4_quantile(u[:, 0]) / 4.0
     return delta, -np.log1p(-u[:, 1]) / delta
+
+
+# 1/(k+4)! for k = 26, ..., 0: the series e^x x^-4 P(4, x) = sum_k x^k/(k+4)!,
+# highest power first; the terms it drops are below 2^-56 of the sum for x <= 4
+_GAMMA4_SERIES = [1.0 / math.factorial(k + 4) for k in range(26, -1, -1)]
+
+
+def _gamma4_cdf(x):
+    """P(4, x), the Gamma(4, 1) cdf, by its series: no cancellation at small x."""
+    s = np.full_like(x, _GAMMA4_SERIES[0])
+    for c in _GAMMA4_SERIES[1:]:
+        s *= x
+        s += c
+    return np.exp(-x) * x**4 * s
+
+
+def _gamma4_survival(x):
+    """Q(4, x), the Gamma(4, 1) survival, in closed form."""
+    return np.exp(-x) * (1.0 + x * (1.0 + x * (0.5 + x / 6.0)))
+
+
+@cache
+def _gamma4_sides():
+    """The inverse's two sides, below and above the median: (F, the sign of
+    F', sign * log F on a grid of x, log x), where F is P up to past the
+    median and Q from below it; sign * log F increases, as np.interp needs.
+    Built on the first inversion: importing the module computes nothing."""
+    return tuple(
+        (law, sign, sign * np.log(law(grid)), np.log(grid))
+        for law, sign, grid in (
+            (_gamma4_cdf, 1.0, np.geomspace(1e-5, 4.0, 64)),
+            (_gamma4_survival, -1.0, np.geomspace(3.0, 60.0, 64)),
+        )
+    )
+
+
+def _gamma4_quantile(u):
+    """x with P(4, x) = u, the Gamma(4, 1) quantile, for u in [1e-17, 1 - 1e-16].
+
+    Up to u = 1/2 the root is taken on P against u; above, on Q against
+    1 - u, which is exact there. Each starts from the law's tabulated log
+    (within 1 %) and takes two Halley steps, the same for every element,
+    so that no value depends on its neighbours.
+    """
+    x = np.empty_like(u)
+    upper = u > 0.5
+    for side, (law, sign, log_f, log_x) in zip((~upper, upper), _gamma4_sides()):
+        f = u[side] if sign > 0 else 1.0 - u[side]
+        y = np.exp(np.interp(sign * np.log(f), log_f, log_x))
+        for _ in range(2):
+            # Newton's step (F(y) - f) / F'(y), where |F'(y)| = e^-y y^3 / 6,
+            # and Halley's correction by F''/F' = 3/y - 1
+            d = sign * 6.0 * (law(y) - f) / (np.exp(-y) * y**3)
+            y -= d / (1.0 - 0.5 * d * (3.0 / y - 1.0))
+        x[side] = y
+    return x
 
 
 def _ge_focus(u):

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import crpstail
 import crpstail.io as crpstail_io
+import crpstail.records
 
 from crpstail import (
     DataFormatError,
@@ -28,6 +29,7 @@ from crpstail import (
     write_records,
 )
 from crpstail.cli import main
+from crpstail.distributions import check_params
 from crpstail.io import _ColumnRows, format_float, table_to_string, write_table
 
 
@@ -705,6 +707,22 @@ class TestReaderMemory:
         returned = sum(a.nbytes for a in (batch.t, batch.y, batch.hidden, batch.params))
         # with every chunk's arrays kept until the join, the peak was 2.09x
         assert peak <= 1.5 * returned, peak / returned
+
+
+class TestReaderChecksOnce:
+    @pytest.mark.parametrize("model,forecaster", [
+        ("ge", "ideal"), ("ge", "climatological"), ("nn", "unfocused"),
+    ])
+    def test_read_batch_passes_the_parameter_check(self, tmp_path, model, forecaster):
+        # the reader checks each chunk's rows as it reads them, and the whole
+        # batch is not checked again: what it returns holds the family's rule
+        path = tmp_path / "r.jsonl"
+        write_records(simulate(model, forecaster, 5000, seed=3), str(path))
+        with mock.patch.object(crpstail.records, "check_params") as whole_batch:
+            batch = read_records(str(path))
+        whole_batch.assert_not_called()
+        check_params(batch.family, batch.params)
+        assert len(batch) == 5000
 
 
 def _read_outcome(text_or_file):
@@ -1580,6 +1598,23 @@ class TestInstalledEntryPoint:
         assert python_stdout(blocked) == "0"
         meta = json.loads((tmp_path / "mle.json").read_text())["meta"]
         assert meta["diagnostics"]["converged"] is True
+
+    def test_ge_stream_loads_no_scipy(self, tmp_path, python_stdout):
+        # the ge stream's Gamma(4, 4) hidden rate is inverted in numpy:
+        # python -m crpstail simulate --model ge, and every forecaster's batch
+        # of a stream over several blocks, leave scipy unloaded
+        argv = ["simulate", "--model", "ge", "--forecaster", "ideal", "--t", "20000",
+                "--seed", "1", "--out", str(tmp_path / "ge.jsonl")]
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            "try: runpy.run_module('crpstail', run_name='__main__')\n"
+            "except SystemExit as exc: code = exc.code\n"
+            "from crpstail import FORECASTERS, simulate_forecasters\n"
+            "batches = simulate_forecasters('ge', FORECASTERS, 20000, seed=2)\n"
+            "print(code, len(batches), [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        assert python_stdout(code) == "0 4 []"
 
     def test_console_script_is_the_entry_point(self):
         tomllib = pytest.importorskip("tomllib")

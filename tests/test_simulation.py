@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from crpstail import (
     simulate_forecasters,
     wcrps_ranking_curve,
 )
+from crpstail.simulation import _gamma4_quantile
 
 
 class TestStreamContract:
@@ -320,3 +322,38 @@ class TestRankingCurve:
             "nn", 1_000, [0.5], seed=2, forecasters=("ideal", "climatological")
         )
         assert set(curve.means) == {"ideal", "climatological"}
+
+
+def _gamma4_ulps(u, x):
+    """Distance of ``x`` from the 40-digit root of P(4, x) = u (of
+    Q(4, x) = 1 - u above u = 1/2), in units of the root's last place."""
+    with mpmath.workdps(40):
+        u, x = mpmath.mpf(float(u)), mpmath.mpf(float(x))
+        if u <= 0.5:
+            root = mpmath.findroot(lambda r: mpmath.gammainc(4, 0, r, regularized=True) - u, x)
+        else:
+            root = mpmath.findroot(
+                lambda r: mpmath.gammainc(4, r, mpmath.inf, regularized=True) - (1 - u), x)
+        return float(abs(x - root)) / np.spacing(float(root))
+
+
+class TestHiddenRateInverse:
+    """The ge stream's Gamma(4, 1) quantile, inverted in numpy."""
+
+    EPS = np.finfo(float).eps
+    # both tails at the clipped uniforms' ends, and the two floats beside 1/2
+    GRID = [1e-17, 1e-12, 1e-6, 0.5 - EPS / 4, 0.5, 0.5 + EPS / 2, 1 - 1e-10, 1 - 1e-16]
+
+    def test_within_three_ulp_of_the_root(self):
+        u = np.concatenate([self.GRID, np.random.default_rng(28).random(300)])
+        x = _gamma4_quantile(u)
+        ulps = [_gamma4_ulps(ui, xi) for ui, xi in zip(u, x)]
+        assert max(ulps) <= 3.0, (max(ulps), u[int(np.argmax(ulps))])
+
+    def test_increasing_in_u(self):
+        u = np.sort(np.clip(np.random.default_rng(29).random(100_000), 1e-17, 1 - 1e-16))
+        x = _gamma4_quantile(u)
+        assert np.all(np.diff(x) > 0)
+        # the roots at 1/2 and the next float lie 1.2 ulp apart: no order is
+        # lost, though the two values may be one float
+        assert np.all(np.diff(_gamma4_quantile(np.array(self.GRID))) >= 0)

@@ -26,10 +26,13 @@ indicator-weighted, and, for every record family, ``batch_cdf``,
 (the raw float64 bytes; the rows span several kernel blocks too), each
 parametric family's ``quantile`` at ``scoring._LEVELS`` for each of
 ``QUANTILE_N`` seeded rows, called through the row's class (the raw float64
-bytes), and the ``.hex()`` of ``cvm_log_pvalue`` and ``cvm_pvalue`` on a
-fixed grid of statistics from 0 to 1e4 (at the default ``--t`` every index
-row lies above 10), and ``table_to_string`` of a seeded table of mixed cells
-(see ``MIXED_TABLE``), as CSV and JSON. They do not depend on ``--t``.
+bytes), the ``ge`` stream's Gamma(4, 1) hidden-state inverse
+``simulation._gamma4_quantile`` at the levels of its accuracy test (the raw
+float64 bytes, see ``GAMMA4_INVERSE``), and the ``.hex()`` of
+``cvm_log_pvalue`` and ``cvm_pvalue`` on a fixed grid of statistics from 0 to
+1e4 (at the default ``--t`` every index row lies above 10), and
+``table_to_string`` of a seeded table of mixed cells (see ``MIXED_TABLE``), as
+CSV and JSON. They do not depend on ``--t``.
 
 Run:  python3 tools/output_digest.py [--src DIR] [--t N] > digests.txt
 
@@ -106,6 +109,15 @@ QUANTILES = ("from crpstail.distributions import from_family\n"
              "from crpstail.scoring import _LEVELS\n"
              "for row in p:\n"
              "    sys.stdout.buffer.write(from_family(family, row).quantile(_LEVELS).tobytes())\n")
+# the ge stream's hidden-state inverse at the levels of
+# tests/test_simulation.py::TestHiddenRateInverse: both tails at the clipped
+# uniforms' ends, the floats beside 1/2 and 300 seeded levels
+GAMMA4_INVERSE = ("import sys\nimport numpy as np\n"
+                  "from crpstail.simulation import _gamma4_quantile\n"
+                  "eps = np.finfo(float).eps\n"
+                  "u = np.concatenate([[1e-17, 1e-12, 1e-6, 0.5 - eps / 4, 0.5, 0.5 + eps / 2,\n"
+                  "                     1 - 1e-10, 1 - 1e-16], np.random.default_rng(28).random(300)])\n"
+                  "sys.stdout.buffer.write(_gamma4_quantile(u).tobytes())\n")
 # the Cramer-von Mises law on both sides of its t = 2 seam, one line per statistic
 CVM_LAW = ("import numpy as np\nfrom crpstail import cvm_log_pvalue, cvm_pvalue\n"
            "t = np.concatenate([np.linspace(0.0, 2.0, 801), np.geomspace(2.0, 1e4, 201)[1:]])\n"
@@ -152,6 +164,7 @@ def library_runs() -> list[tuple[str, list[str]]]:
             setup = ROWS.format(seed=seed, n=QUANTILE_N) + f"family = {family!r}\n"
             setup += f"p = {rows.format(n=QUANTILE_N)}\n"
             runs.append((f"quantile_{family}.f64", ["-c", "import sys\n" + setup + QUANTILES]))
+    runs.append(("gamma4_inverse.f64", ["-c", GAMMA4_INVERSE]))
     runs.append(("cvm_law.txt", ["-c", CVM_LAW]))
     runs.append(("table_mixed.txt", ["-c", MIXED_TABLE]))
     return runs
