@@ -22,6 +22,8 @@ import sys
 import warnings
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import IntegrationWarning
 
 # d1mach(4), d1mach(1) and d1mach(2)
@@ -32,7 +34,7 @@ _OFLOW = sys.float_info.max
 # the positive 21-point Kronrod abscissae, outermost first, and their
 # weights; every second one, from the second on, is a 10-point Gauss
 # abscissa, of weight _WG
-_XGK = (
+_XGK = np.array([
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
     0.930157491355708226001207180059508,
@@ -43,7 +45,7 @@ _XGK = (
     0.433395394129247190799265943165784,
     0.294392862701460198131126603103866,
     0.148874338981631210884826001129720,
-)
+])
 _WGK = (
     0.011694638867371874278064396062192,
     0.032558162307964727478818972459390,
@@ -64,8 +66,8 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-_GAUSS = tuple((j, _XGK[j], _WGK[j], _WG[j // 2]) for j in range(1, 10, 2))
-_KRONROD = tuple((j, _XGK[j], _WGK[j]) for j in range(0, 10, 2))
+_GAUSS = tuple((j, _WGK[j], _WG[j // 2]) for j in range(1, 10, 2))
+_KRONROD = tuple((j, _WGK[j]) for j in range(0, 10, 2))
 
 # scipy's message for each ier that returns a value
 _MESSAGES = {
@@ -114,7 +116,10 @@ _INVALID = Quadrature(0.0, 0.0, 6, 0, 0, [], [], [], [], [])
 def quad(f, a, b, tol, limit) -> Quadrature:
     """int_a^b f over a finite range a <= b to the absolute and relative
     tolerance ``tol`` in at most ``limit`` subintervals, by DQAGSE as scipy's
-    ``quad`` integrates it without break points. Warns
+    ``quad`` integrates it without break points. ``f`` maps a float64 array
+    of abscissae to one value per abscissa and is called once per 21-point
+    rule, ``neval // 21`` times; the run repeats scipy's bits when each value
+    is the one scipy's scalar integrand returns at that abscissa. Warns
     :class:`~crpstail.errors.IntegrationWarning` with scipy's message where
     ``ier`` is 1 to 5, and raises ``ValueError`` on invalid input (``ier`` 6)."""
     a, b, tol = float(a), float(b), float(tol)
@@ -130,31 +135,28 @@ def quad(f, a, b, tol, limit) -> Quadrature:
 
 def _qk21(f, a, b):
     """DQK21: (result, abserr, resabs, resasc) of the 21-point Kronrod rule
-    on [a, b], with the 10-point Gauss rule for the error estimate."""
+    on [a, b], with the 10-point Gauss rule for the error estimate. ``f`` is
+    called once, on the rule's 21 abscissae: the centre, then centr - hlgth x_j
+    and centr + hlgth x_j for the positive abscissae x_j, outermost first."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
+    absc = hlgth * _XGK
+    x = np.concatenate(([centr], centr - absc, centr + absc))
+    fx = f(x).tolist()
+    fc, fv1, fv2 = fx[0], fx[1:11], fx[11:]
     resg = 0.0
-    fc = float(f(centr))
     resk = _WGK_CENTRE * fc
     resabs = abs(resk)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
-    for j, x, wk, wg in _GAUSS:
-        absc = hlgth * x
-        fval1 = fv1[j] = float(f(centr - absc))
-        fval2 = fv2[j] = float(f(centr + absc))
-        fsum = fval1 + fval2
+    for j, wk, wg in _GAUSS:
+        fsum = fv1[j] + fv2[j]
         resg = resg + wg * fsum
         resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    for j, x, wk in _KRONROD:
-        absc = hlgth * x
-        fval1 = fv1[j] = float(f(centr - absc))
-        fval2 = fv2[j] = float(f(centr + absc))
-        fsum = fval1 + fval2
+        resabs = resabs + wk * (abs(fv1[j]) + abs(fv2[j]))
+    for j, wk in _KRONROD:
+        fsum = fv1[j] + fv2[j]
         resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+        resabs = resabs + wk * (abs(fv1[j]) + abs(fv2[j]))
     reskh = resk * 0.5
     resasc = _WGK_CENTRE * abs(fc - reskh)
     for wk, fval1, fval2 in zip(_WGK, fv1, fv2):

@@ -145,7 +145,9 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     """int_a^b f by adaptive QUADPACK quadrature (DQAGSE in
     :mod:`crpstail._quadpack`, which returns scipy's ``quad`` bits); the
     package's only integration path. The defaults are scipy's; ``tol`` and
-    ``limit`` apply to each piece.
+    ``limit`` apply to each piece. ``f`` maps a float64 array of abscissae to
+    one value per abscissa, as every family kernel does; it is called once
+    per 21-point rule.
 
     Break points outside (a, b), or within 1e-12 (relative, and at least
     1e-292) of the node before them or of b, are dropped: QUADPACK bisects its
@@ -228,7 +230,7 @@ class Distribution(ABC):
         s_u = float(self.survival(u))
         if s_u <= 0.0:
             raise ConditioningError(f"survival({u}) = 0; conditional mean undefined")
-        return _quad(lambda x: float(self.survival(x)), u, self.support()[1], limit=200) / s_u
+        return _quad(self.survival, u, self.support()[1], limit=200) / s_u
 
 
 class _TableFamily(Distribution):
@@ -238,7 +240,7 @@ class _TableFamily(Distribution):
 
     def __post_init__(self):
         # the parameter rule the record batches are checked against, on the
-        # one-row batch that every point-wise call (each quadrature node among
+        # one-row batch that every point-wise call (each quadrature rule among
         # them) runs the kernels on, built once
         row = np.array([self.params], dtype=float)
         row.flags.writeable = False
@@ -445,21 +447,15 @@ class Spliced(Distribution):
 
     def cdf(self, x):
         x, scalar = _prepare(x)
-        below = np.asarray(self.base.cdf(x), dtype=float)
-        above = 1.0 - self._tail_mass() * np.asarray(
-            self.replacement.survival(np.maximum(x - self.splice_point, 0.0)),
-            dtype=float,
-        )
-        return _finish(np.where(x <= self.splice_point, below, above), scalar)
+        u = self.splice_point
+        above = 1.0 - self._tail_mass() * self.replacement.survival(np.maximum(x - u, 0.0))
+        return _finish(np.where(x <= u, self.base.cdf(x), above), scalar)
 
     def survival(self, x):
         x, scalar = _prepare(x)
-        below = np.asarray(self.base.survival(x), dtype=float)
-        above = self._tail_mass() * np.asarray(
-            self.replacement.survival(np.maximum(x - self.splice_point, 0.0)),
-            dtype=float,
-        )
-        return _finish(np.where(x <= self.splice_point, below, above), scalar)
+        u = self.splice_point
+        above = self._tail_mass() * self.replacement.survival(np.maximum(x - u, 0.0))
+        return _finish(np.where(x <= u, self.base.survival(x), above), scalar)
 
     def quantile(self, p):
         p, scalar = _check_prob(p)
@@ -744,7 +740,8 @@ def _normal_quantile(params, p):
 def _mixture2_quantile(params, p):
     """Bisection between the component quantiles, which bracket the mixture's,
     on F(x) < p up to p = 1/2 and above on S(x) > 1 - p, which is exact there
-    and keeps the upper tail's digits; 100 halvings leave 2^-100 of the bracket."""
+    and keeps the upper tail's digits; 100 halvings leave 2^-100 of the bracket,
+    and a halving that moves no end of any bracket ends it early."""
     q1, q2 = _normal_quantile(params[:, 1:3], p), _normal_quantile(params[:, 3:], p)
     lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
     # each element's level and parameter row, to be selected with it
@@ -759,6 +756,10 @@ def _mixture2_quantile(params, p):
             for _ in range(100):
                 mid = 0.5 * (lo_s + hi_s)
                 b = below(law(rows, mid), target)
+                # no end moves (the one to be replaced is mid, bit for bit), so
+                # every later halving would repeat this one
+                if np.where(b, lo_s, hi_s).tobytes() == mid.tobytes():
+                    break
                 lo_s, hi_s = np.where(b, mid, lo_s), np.where(b, hi_s, mid)
             hi[side] = hi_s
     return hi

@@ -227,7 +227,7 @@ def _sq_integral(dist, a, b, weight: WeightFunction = UNIT, survival=False) -> f
     points = [*weight.knots(), *_pdf_knots(dist), *dist.support(), *quantiles]
     spread = float(quantiles[_Q90] - quantiles[_Q10])
     s = math.ldexp(1.0, max(-512, min(0, math.frexp(spread)[1] - 1))) if spread > 0.0 else 1.0
-    return s * _quad(lambda x: float(sq(x)) ** 2 * float(weight.w(x)) / s, a, b, points, 1e-12, 400)
+    return s * _quad(lambda x: sq(x) ** 2 * weight.w(x) / s, a, b, points, 1e-12, 400)
 
 
 def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> float:

@@ -244,10 +244,7 @@ def _conditional_weight_excess(
             return 0.0
         return dist.mean_excess(q) * s_q / s_u
     hi = dist.support()[1]
-    excess = _quad(
-        lambda x: float(weight.w(x)) * float(dist.survival(x)), u, hi, weight.knots(), limit=200
-    )
-    return excess / s_u
+    return _quad(lambda x: weight.w(x) * dist.survival(x), u, hi, weight.knots(), limit=200) / s_u
 
 
 def wcrps_gap_bound(
@@ -272,12 +269,8 @@ def wcrps_gap_exact(
     squared cdf distance above the splice point; always >= 0, so a dominated
     tail replacement can only cost expected score, never gain.
     """
-
-    def dbar(t):
-        return float(base.survival(t)) - float(spliced.survival(t))
-
     return _quad(
-        lambda t: dbar(t) ** 2 * float(weight.w(t)),
+        lambda t: (base.survival(t) - spliced.survival(t)) ** 2 * weight.w(t),
         spliced.splice_point,
         base.support()[1],
         weight.knots(),

@@ -87,6 +87,28 @@ class TestNormalMixture2:
             got = NormalMixture2(w, 0.0, 0.5, 0.0, 1.0).quantile(p)
             assert_allclose(got, ref.quantile(p), rtol=1e-12)
 
+    def test_bisection_stops_once_no_bracket_end_moves(self):
+        # each side's bisection ends well inside its 100 halvings, with the
+        # float below the quantile still on the bracket's lower side: F < p
+        # there up to p = 1/2, S > 1 - p above
+        u = np.random.default_rng(29).random(5)
+        d = NormalMixture2(u[0], 4 * u[1] - 2, 0.2 + 2 * u[2], 4 * u[3] - 2, 0.2 + 2 * u[4])
+        for name, p in (("_mixture2_cdf", 0.3), ("_mixture2_survival", 0.99)):
+            real, calls = getattr(distributions, name), []
+
+            def counted(params, x):
+                calls.append(x.size)
+                return real(params, x)
+
+            with mock.patch.object(distributions, name, counted):
+                q = d.quantile(p)
+            assert 0 < len(calls) < 100, name
+            below = np.nextafter(q, -np.inf)
+            if p < 0.5:
+                assert d.cdf(below) < p <= d.cdf(q)
+            else:
+                assert d.survival(q) <= 1.0 - p < d.survival(below)
+
     def test_mean(self):
         d = NormalMixture2(0.25, -2.0, 1.0, 4.0, 3.0)
         assert_allclose(d.mean(), 0.25 * -2.0 + 0.75 * 4.0, rtol=1e-14)
@@ -235,6 +257,11 @@ class TestSpliced:
         assert_allclose(self.d.mean(), want, rtol=1e-8)
 
 
+def _nodewise(f):
+    """The array form of the scalar integrand ``f``, node by node."""
+    return lambda x: np.array([f(t) for t in x.tolist()])
+
+
 class TestQuadratureHelper:
     def test_empty_and_reversed_ranges_are_zero(self):
         assert _quad(math.exp, 1.0, 1.0) == 0.0
@@ -246,7 +273,9 @@ class TestQuadratureHelper:
             return abs(x - 1.0) * math.exp(-x) + (x >= 3.0) * math.exp(-x)
 
         want = 2.0 / math.e + math.exp(-3.0)
-        got = _quad(f, 0.0, math.inf, points=[3.0, -1.0, 0.0, 1.0], tol=1e-13, limit=200)
+        got = _quad(
+            _nodewise(f), 0.0, math.inf, points=[3.0, -1.0, 0.0, 1.0], tol=1e-13, limit=200
+        )
         assert_allclose(got, want, rtol=1e-12)
 
     def test_minus_infinite_range_with_break_points(self):
@@ -255,7 +284,9 @@ class TestQuadratureHelper:
             return abs(x + 1.0) * math.exp(x) + (x <= -3.0) * math.exp(x)
 
         want = 2.0 / math.e + math.exp(-3.0)
-        got = _quad(f, -math.inf, 0.0, points=[-3.0, 1.0, 0.0, -1.0], tol=1e-13, limit=200)
+        got = _quad(
+            _nodewise(f), -math.inf, 0.0, points=[-3.0, 1.0, 0.0, -1.0], tol=1e-13, limit=200
+        )
         assert_allclose(got, want, rtol=1e-12)
 
     def test_algebraic_tail_cut_far_out(self):
@@ -266,7 +297,8 @@ class TestQuadratureHelper:
         d = GeneralizedPareto(1.0, 1.95)
         q11, q12 = d.quantile(1.0 - 1e-11), d.quantile(1.0 - 1e-12)
         got = _quad(
-            lambda x: float(d.survival(x)) ** 2 * (x >= q12), q11, math.inf, points=[q12], tol=1e-9
+            _nodewise(lambda x: float(d.survival(x)) ** 2 * (x >= q12)),
+            q11, math.inf, points=[q12], tol=1e-9,
         )
         assert_allclose(got, 5.023767306235897, rtol=1e-9)
 

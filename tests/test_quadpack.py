@@ -26,15 +26,22 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def assert_same(f, a, b, tol=1.49e-8, limit=50):
-    """Run scipy and the port on one integral, compare every field and the
-    warning, and return the port's run."""
+def nodewise(f):
+    """The array form of the scalar integrand ``f``: ``f`` at each abscissa,
+    node by node."""
+    return lambda x: np.array([f(t) for t in x.tolist()])
+
+
+def assert_same(f, a, b, tol=1.49e-8, limit=50, array=None):
+    """Run scipy on the scalar integrand ``f`` and the port on its array form
+    (``array``, by default ``f`` node by node) over one integral, compare
+    every field and the warning, and return the port's run."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         want = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _quadpack.quad(f, a, b, tol, limit)
+        got = _quadpack.quad(array or nodewise(f), a, b, tol, limit)
     # scipy returns a message, not ier, when ier is 1 to 5
     message = want[3] if len(want) > 3 else None
     assert [(w.category, str(w.message)) for w in caught] == (
@@ -172,7 +179,8 @@ def _recorded(run):
 def test_package_integrals(name):
     calls = _recorded(PACKAGE_RUNS[name])
     assert calls
-    runs = [assert_same(*call) for call in calls]
+    # scipy calls the package's integrand at one abscissa at a time
+    runs = [assert_same(f, *rest, array=f) for f, *rest in calls]
     if name == "heavy_pareto":
         assert 4 in [q.ier for q in runs]
 
@@ -208,15 +216,30 @@ def test_invalid_input_raises(limit, tol):
     with pytest.raises(ValueError):
         integrate.quad(math.exp, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=limit)
     with pytest.raises(ValueError, match="The input is invalid"):
-        _quadpack.quad(math.exp, 0.0, 1.0, tol, limit)
+        _quadpack.quad(nodewise(math.exp), 0.0, 1.0, tol, limit)
 
 
 def test_empty_range():
-    got = _quadpack.quad(math.exp, 1.0, 1.0, 1e-8, 50)
+    got = _quadpack.quad(nodewise(math.exp), 1.0, 1.0, 1e-8, 50)
     assert (got.result, got.abserr, got.ier, got.neval, got.last) == (0.0, 0.0, 0, 0, 0)
 
 
 def test_results_are_python_floats():
     # numpy scalar ends must not turn the arithmetic into numpy's
-    got = _quadpack.quad(math.exp, np.float64(0.0), np.float64(1.0), 1e-8, 50)
+    got = _quadpack.quad(nodewise(math.exp), np.float64(0.0), np.float64(1.0), 1e-8, 50)
     assert type(got.result) is float and type(got.abserr) is float
+
+
+@pytest.mark.parametrize("case", SMOOTH[:5] + SINGULAR[:5])
+def test_one_call_per_rule(case):
+    # the integrand sees each 21-point rule's abscissae at once, as one float64 array
+    f, a, b, tol, limit = case
+    seen = []
+
+    def counted(x):
+        seen.append((type(x), x.dtype, x.shape))
+        return nodewise(f)(x)
+
+    got = _quadpack.quad(counted, a, b, tol, limit)
+    assert len(seen) == got.neval // 21 == 2 * got.last - 1
+    assert set(seen) == {(np.ndarray, np.dtype(np.float64), (21,))}

@@ -26,9 +26,13 @@ indicator-weighted, and, for every record family, ``batch_cdf``,
 (the raw float64 bytes; the rows span several kernel blocks too), each
 parametric family's ``quantile`` at ``scoring._LEVELS`` for each of
 ``QUANTILE_N`` seeded rows, called through the row's class (the raw float64
-bytes), the ``ge`` stream's Gamma(4, 1) hidden-state inverse
-``simulation._gamma4_quantile`` at the levels of its accuracy test (the raw
-float64 bytes, see ``GAMMA4_INVERSE``), and the ``.hex()`` of
+bytes), the 248 integrals of ``QUADRATURE`` on public calls (the raw float64
+bytes): each sampled law's ``crps_quadrature`` under three weights,
+``crps_shift_constant`` and ``mean_excess``, the splice's
+``survival_sq_tail``, ``wcrps_gap_exact`` and ``wcrps_gap_bound`` under three
+weights and the cup area of small shapes, the ``ge`` stream's Gamma(4, 1)
+hidden-state inverse ``simulation._gamma4_quantile`` at the levels of its
+accuracy test (the raw float64 bytes, see ``GAMMA4_INVERSE``), and the ``.hex()`` of
 ``cvm_log_pvalue`` and ``cvm_pvalue`` on a fixed grid of statistics from 0 to
 1e4 (at the default ``--t`` every index row lies above 10), and
 ``table_to_string`` of a seeded table of mixed cells (see ``MIXED_TABLE``), as
@@ -118,6 +122,29 @@ GAMMA4_INVERSE = ("import sys\nimport numpy as np\n"
                   "u = np.concatenate([[1e-17, 1e-12, 1e-6, 0.5 - eps / 4, 0.5, 0.5 + eps / 2,\n"
                   "                     1 - 1e-10, 1 - 1e-16], np.random.default_rng(28).random(300)])\n"
                   "sys.stdout.buffer.write(_gamma4_quantile(u).tobytes())\n")
+# the integrals the package takes by quadrature, on public calls only: every
+# law's weighted CRPS at seeded observations under a unit, an indicator and a
+# tabulated weight, its shift constant at seeded thresholds and its mean
+# excess, the splice's survival-squared tail, the splice gap and its bound
+# under three weights, and the cup area of small shapes
+QUADRATURE = (
+    "import numpy as np\n"
+    "g = np.random.default_rng(29)\n"
+    "tab = TabulatedWeight([-1.0, 0.5, 2.0, 4.0], [0.0, 1.0, 0.6, 0.2])\n"
+    "out = []\n"
+    "for d in laws:\n"
+    "    weights = (UnitWeight(), QuantileIndicatorWeight(float(d.quantile(0.9))), tab)\n"
+    "    for y in 4.0 * g.standard_normal(8):\n"
+    "        out += [crps_quadrature(d, y, w) for w in weights]\n"
+    "    out += [crps_shift_constant(d, q) for q in 4.0 * g.standard_normal(6)]\n"
+    "    out += [d.mean_excess(x) for x in d.quantile([0.5, 0.9, 0.99])]\n"
+    "out += [survival_sq_tail(spliced, q) for q in spliced.quantile(g.random(8))]\n"
+    "gap_tab = TabulatedWeight([u, u + 5.0, u + 20.0], [0.0, 1.0, 0.5])\n"
+    "for w in (UnitWeight(), QuantileIndicatorWeight(u + 1.0), gap_tab):\n"
+    "    out += [wcrps_gap_exact(base, spliced, w), wcrps_gap_bound(base, u, w)]\n"
+    "out += [ambiguity_region(gamma).area for gamma in (0.0, 1e-4, 5e-4)]\n"
+    "sys.stdout.buffer.write(np.array(out).tobytes())\n"
+)
 # the Cramer-von Mises law on both sides of its t = 2 seam, one line per statistic
 CVM_LAW = ("import numpy as np\nfrom crpstail import cvm_log_pvalue, cvm_pvalue\n"
            "t = np.concatenate([np.linspace(0.0, 2.0, 801), np.geomspace(2.0, 1e4, 201)[1:]])\n"
@@ -164,6 +191,8 @@ def library_runs() -> list[tuple[str, list[str]]]:
             setup = ROWS.format(seed=seed, n=QUANTILE_N) + f"family = {family!r}\n"
             setup += f"p = {rows.format(n=QUANTILE_N)}\n"
             runs.append((f"quantile_{family}.f64", ["-c", "import sys\n" + setup + QUANTILES]))
+    laws = "laws = [" + ", ".join(law for _, law in LAWS.values()) + "]\n"
+    runs.append(("quadrature.f64", ["-c", PREAMBLE + laws + QUADRATURE]))
     runs.append(("gamma4_inverse.f64", ["-c", GAMMA4_INVERSE]))
     runs.append(("cvm_law.txt", ["-c", CVM_LAW]))
     runs.append(("table_mixed.txt", ["-c", MIXED_TABLE]))
