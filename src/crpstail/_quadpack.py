@@ -299,16 +299,7 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     """DQAGSE: global adaptive bisection of [a, b] with epsilon extrapolation."""
     if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
         return _INVALID
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
     ier = 0
-    alist[1] = a
-    blist[1] = b
 
     # first approximation to the integral
     ierro = 0
@@ -316,18 +307,21 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     # test on accuracy
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
-    last = 1
-    rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
     if limit == 1:
         ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return _out(result, abserr, ier, 21, last, alist, blist, rlist, elist, iord)
+        return Quadrature(result, abserr, ier, 21, 1, [a], [b], [result], [abserr], [0])
 
-    # initialization
+    # initialization: the lists, only for a run that bisects
+    alist = [0.0, a] + [0.0] * (limit - 1)
+    blist = [0.0, b] + [0.0] * (limit - 1)
+    rlist = [0.0, result] + [0.0] * (limit - 1)
+    elist = [0.0, abserr] + [0.0] * (limit - 1)
+    iord = [0, 1] + [0] * (limit - 1)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
     rlist2[1] = result
     errmax = abserr
     maxerr = 1

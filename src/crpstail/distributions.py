@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -182,6 +183,19 @@ def _quad(f, a, b, points=(), tol=1.49e-8, limit=50):
     return total
 
 
+# levels of the law's own quantiles: break points that give the bulk and each decade
+# of tail mass subintervals of their own, and map an infinite end on its last decade
+_LEVELS = np.concatenate([10.0 ** -np.arange(12, 0, -1), [0.5], 1.0 - 10.0 ** -np.arange(1, 13)])
+
+
+def _law_quad(dist, f, a, b, knots=()) -> float:
+    """int_a^b f over the law ``dist``, f scaled to order one: ``_quad`` to 1e-12
+    in at most 400 subintervals on each piece between ``knots``, the law's kinks
+    and steps, the finite ends of its support and its quantiles at ``_LEVELS``."""
+    points = [*knots, *dist._kinks(), *dist.support(), *dist._level_quantiles]
+    return _quad(f, a, b, points, 1e-12, 400)
+
+
 class Distribution(ABC):
     """Abstract base for all forecast distribution families."""
 
@@ -206,6 +220,17 @@ class Distribution(ABC):
 
     # -- derived ------------------------------------------------------------
 
+    def _kinks(self) -> list[float]:
+        """Kinks and steps of the density that its quantiles may miss."""
+        return []
+
+    @cached_property
+    def _level_quantiles(self) -> np.ndarray:
+        """The law's quantiles at ``_LEVELS``, computed once per law (read-only)."""
+        q = self.quantile(_LEVELS)
+        q.flags.writeable = False
+        return q
+
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` values by inverse-cdf from caller-owned RNG state.
 
@@ -222,7 +247,7 @@ class Distribution(ABC):
         return out
 
     def mean_excess(self, u: float) -> float:
-        """E(X - u | X > u), by quadrature of the survival function.
+        """E(X - u | X > u), by quadrature of the survival function over S(u).
 
         Families with a closed form (generalized Pareto, exponential)
         override this.
@@ -230,7 +255,7 @@ class Distribution(ABC):
         s_u = float(self.survival(u))
         if s_u <= 0.0:
             raise ConditioningError(f"survival({u}) = 0; conditional mean undefined")
-        return _quad(self.survival, u, self.support()[1], limit=200) / s_u
+        return _law_quad(self, lambda x: self.survival(x) / s_u, u, self.support()[1])
 
 
 class _TableFamily(Distribution):
@@ -326,6 +351,11 @@ class NormalMixture2(_TableFamily):
 
     def mean(self):
         return self.w * self.mean1 + (1.0 - self.w) * self.mean2
+
+    def _kinks(self):
+        # a narrow component's step would hide between the nodes of a wide one
+        components = ((self.mean1, self.std1), (self.mean2, self.std2))
+        return [m + k * s for m, s in components for k in (-8.0, 0.0, 8.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +522,9 @@ class Spliced(Distribution):
         if u >= self.splice_point:
             return self.replacement.mean_excess(u - self.splice_point)
         return super().mean_excess(u)
+
+    def _kinks(self):
+        return [*self.base._kinks(), self.splice_point]
 
 
 # ---------------------------------------------------------------------------

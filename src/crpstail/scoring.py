@@ -30,11 +30,10 @@ import numpy as np
 
 from .distributions import (
     _FAMILIES,
+    _LEVELS,
     Distribution,
-    NormalMixture2,
-    Spliced,
     _blocks,
-    _quad,
+    _law_quad,
     family_entry,
 )
 from .errors import (
@@ -191,26 +190,13 @@ def crps_closed_batch(family: str, params: np.ndarray, y: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _pdf_knots(dist: Distribution) -> list[float]:
-    if isinstance(dist, Spliced):
-        return _pdf_knots(dist.base) + [dist.splice_point]
-    if isinstance(dist, NormalMixture2):
-        # a narrow component's step would hide between the nodes of a wide one
-        components = ((dist.mean1, dist.std1), (dist.mean2, dist.std2))
-        return [m + k * s for m, s in components for k in (-8.0, 0.0, 8.0)]
-    return []
-
-
-# levels of the law's own quantiles: break points that give the bulk and each decade
-# of tail mass subintervals of their own, and map an infinite end on its last decade
-_LEVELS = np.concatenate([10.0 ** -np.arange(12, 0, -1), [0.5], 1.0 - 10.0 ** -np.arange(1, 13)])
 _Q10, _Q90 = np.searchsorted(_LEVELS, [0.1, 0.9])  # where 0.1 and 0.9 lie in _LEVELS
 
 
 def _sq_integral(dist, a, b, weight: WeightFunction = UNIT, survival=False) -> float:
     """int_a^b F(x)^2 w(x) dx, or (1 - F(x))^2 w(x) dx with ``survival``, in x
-    space, each piece between break points to 1e-12 relative and 1e-12 s
-    absolute in at most 400 subintervals.
+    space by :func:`~crpstail.distributions._law_quad`, broken also at the
+    weight's knots: each piece to 1e-12 relative and 1e-12 s absolute.
 
     s is the largest power of two, at most 1, not above the law's spread
     Q(0.9) - Q(0.1). The unit-weight score is at least 0.01 of that spread
@@ -218,16 +204,12 @@ def _sq_integral(dist, a, b, weight: WeightFunction = UNIT, survival=False) -> f
     piece's absolute floor stays below 1e-10 of the score however narrow the
     law. The integrand is divided by s and the sum multiplied back, both
     exact, so a law of spread >= 1 integrates as with s = 1.
-
-    Break points: the weight's knots, the law's kinks and steps, the finite
-    ends of its support and its quantiles at ``_LEVELS``.
     """
     sq = dist.survival if survival else dist.cdf
-    quantiles = dist.quantile(_LEVELS)
-    points = [*weight.knots(), *_pdf_knots(dist), *dist.support(), *quantiles]
+    quantiles = dist._level_quantiles
     spread = float(quantiles[_Q90] - quantiles[_Q10])
     s = math.ldexp(1.0, max(-512, min(0, math.frexp(spread)[1] - 1))) if spread > 0.0 else 1.0
-    return s * _quad(lambda x: sq(x) ** 2 * weight.w(x) / s, a, b, points, 1e-12, 400)
+    return s * _law_quad(dist, lambda x: sq(x) ** 2 * weight.w(x) / s, a, b, weight.knots())
 
 
 def crps_quadrature(dist: Distribution, y, weight: WeightFunction = UNIT) -> float:

@@ -37,6 +37,7 @@ from .distributions import (
     _as_generator,
     _blocks,
     _draw_count,
+    _law_quad,
     _quad,
 )
 from .errors import (
@@ -244,7 +245,7 @@ def _conditional_weight_excess(
             return 0.0
         return dist.mean_excess(q) * s_q / s_u
     hi = dist.support()[1]
-    return _quad(lambda x: weight.w(x) * dist.survival(x), u, hi, weight.knots(), limit=200) / s_u
+    return _law_quad(dist, lambda x: weight.w(x) * dist.survival(x) / s_u, u, hi, weight.knots())
 
 
 def wcrps_gap_bound(
@@ -267,14 +268,14 @@ def wcrps_gap_exact(
 
     ``E_{X~F}[wCRPS(G, X)] - E_{X~F}[wCRPS(F, X)]`` reduces to the weighted
     squared cdf distance above the splice point; always >= 0, so a dominated
-    tail replacement can only cost expected score, never gain.
+    tail replacement can only cost expected score, never gain. Integrated
+    over the splice, its integrand scaled by Fbar(u)^2.
     """
-    return _quad(
-        lambda t: (base.survival(t) - spliced.survival(t)) ** 2 * weight.w(t),
-        spliced.splice_point,
-        base.support()[1],
-        weight.knots(),
-        limit=400,
+    s2 = float(base.survival(spliced.splice_point)) ** 2
+    return s2 * _law_quad(
+        spliced,
+        lambda t: (base.survival(t) - spliced.survival(t)) ** 2 * weight.w(t) / s2,
+        spliced.splice_point, base.support()[1], weight.knots(),
     )
 
 

@@ -1,12 +1,21 @@
 """Accuracy against mpmath, far beyond the forecast's bulk as well as inside
 it: of the closed-form tails int_q^inf S(x)^2 dx, of the mixture's quantile,
-and of the survival and the CRPS of the generalized Pareto and the Gamma."""
+of the survival and the CRPS of the generalized Pareto and the Gamma, and of
+the mean excess by quadrature."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from crpstail import Gamma, GeneralizedPareto, NormalMixture2, crps_closed, simulate
+from crpstail import (
+    Gamma,
+    GeneralizedPareto,
+    Normal,
+    NormalMixture2,
+    Spliced,
+    crps_closed,
+    simulate,
+)
 from crpstail.distributions import _FAMILIES, _normal_tail_sq
 from crpstail.scoring import _LEVELS, survival_sq_tail
 
@@ -171,3 +180,58 @@ def test_gamma_survival_far_out(x):
     with mpmath.workdps(40):
         want = float(mpmath.gammainc(4, 4 * mpmath.mpf(x), mpmath.inf, regularized=True))
     assert Gamma(4.0, 4.0).survival(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _gamma_mean_excess_mp(k, r, u):
+    """(k Q(k + 1, ru) / Q(k, ru) - ru) / r, Q the regularized upper incomplete
+    gamma function, at 50 digits: the difference cancels ru to about 1."""
+    with mpmath.workdps(50):
+        k, r, x = mpmath.mpf(k), mpmath.mpf(r), mpmath.mpf(r) * u
+
+        def q(a):
+            return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+        return float((k * q(k + 1) / q(k) - x) / r)
+
+
+def _mixture_mean_excess_mp(components, u):
+    """sum w_i s_i (phi(z_i) - z_i Sb(z_i)) / sum w_i Sb(z_i), z_i = (u - m_i) / s_i,
+    Sb the standard normal survival, at 50 digits; one component is the normal's
+    Mills ratio phi(u) / Sb(u) - u."""
+    with mpmath.workdps(50):
+        u = mpmath.mpf(u)
+        parts = [
+            (w, s * (mpmath.npdf(z) - z * mpmath.ncdf(-z)), mpmath.ncdf(-z))
+            for w, m, s in components
+            for z in [(u - m) / s]
+        ]
+        return float(sum(w * e for w, e, _ in parts) / sum(w * p for w, _, p in parts))
+
+
+MIXTURE = NormalMixture2(0.3, -1.0, 0.5, 2.0, 1.5)
+MEAN_EXCESS_CASES = [
+    *((Gamma(k, r), u, _gamma_mean_excess_mp(k, r, u)) for k, r, u in
+      ((2.0, 1.0, 30.0), (0.3, 1.0, 200.0), (8.0, 1.0, 100.0))),
+    *((Normal(0.0, 1.0), u, _mixture_mean_excess_mp([(1, 0, 1)], u)) for u in (20.0, 35.0)),
+    *((MIXTURE, u, _mixture_mean_excess_mp([(0.3, -1, 0.5), (0.7, 2, 1.5)], u))
+      for u in (9.0, 30.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "law, u, want", MEAN_EXCESS_CASES, ids=[f"{law.family}-{u:g}" for law, u, _ in MEAN_EXCESS_CASES]
+)
+def test_mean_excess_far_out(law, u, want):
+    # S(u) is as small as 1e-88 (Gamma at 200) or 1e-268 (normal at 35): the
+    # integrand is held to a relative tolerance only once scaled by it
+    assert law.mean_excess(u) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_spliced_mean_excess_from_the_lower_end_is_the_mean():
+    # GP(1, 1/2) with the lighter GP(1 + 0.3 u, 0.3) above u = Q(0.9): from the
+    # support's lower end the mean excess integrates the whole survival,
+    # across the splice point, where mean() adds the tails' closed forms
+    base = GeneralizedPareto(1.0, 0.5)
+    u = float(base.quantile(0.9))
+    law = Spliced(base, GeneralizedPareto(1.0 + 0.3 * u, 0.3), u)
+    assert law.mean_excess(0.0) == pytest.approx(law.mean(), rel=1e-12, abs=0.0)

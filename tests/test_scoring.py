@@ -181,6 +181,37 @@ class TestQuadratureFarBeyondTheBulk:
         assert_allclose(got, 50.192777937396116, rtol=1e-12)
 
 
+class TestBreakPointQuantiles:
+    """A law's quantiles at the break-point levels are computed once, however
+    many integrals over it are taken."""
+
+    @staticmethod
+    def _count_quantile_calls(monkeypatch, cls):
+        calls = []
+        real = cls.quantile
+
+        def quantile(self, p):
+            calls.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(cls, "quantile", quantile)
+        return calls
+
+    def test_once_per_weighted_score(self, monkeypatch):
+        # an integral below y and one above it, each broken at the quantiles
+        calls = self._count_quantile_calls(monkeypatch, NormalMixture2)
+        crps_quadrature(NormalMixture2(0.3, -1.0, 0.5, 2.0, 1.5), 0.7)
+        assert len(calls) == 1
+
+    def test_once_per_law_in_the_per_observation_fallback(self, monkeypatch):
+        # no closed-form CRPS at shape 1.5: two integrals per observation
+        calls = self._count_quantile_calls(monkeypatch, GeneralizedPareto)
+        law = GeneralizedPareto(1.0, 1.5)
+        wcrps_quantile(law, [0.5, 2.0, 3.0, 8.0], 1.0)
+        wcrps_quantile(law, 4.0, 1.0)
+        assert len(calls) == 1
+
+
 class TestWeights:
     def test_quantile_indicator(self):
         w = QuantileIndicatorWeight(2.0)

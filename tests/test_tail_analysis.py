@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,6 +13,7 @@ from crpstail import (
     DomainError,
     ParameterError,
     Exponential,
+    Gamma,
     GeneralizedPareto,
     Normal,
     QuantileIndicatorWeight,
@@ -299,6 +301,41 @@ class TestExpectedScoreGap:
         s_u = float(self.base.survival(self.u))
         want = 2.0 * s_u**2 * self.base.mean_excess(self.u)
         assert_allclose(wcrps_gap_bound(self.base, self.u, UnitWeight()), want, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "law, u, q",
+        [
+            (GeneralizedPareto(1.0, 0.25), 2.0, 7.0),
+            (GeneralizedPareto(1.0, -0.5), 0.5, 1.5),
+            (Exponential(1.6), 0.3, 4.0),
+            (Gamma(2.5, 1.3), 1.0, 3.0),
+            (Gamma(2.0, 1.0), 10.0, 30.0),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_bound_indicator_above_threshold_closed_form(self, law, u, q):
+        """For q > u, E[W(X) - W(u) | X > u] = int_q^inf S / S(u), so the
+        bound is 2 S(u) int_q^inf S, each tail integral in closed form."""
+        if isinstance(law, Gamma):
+            # (k / r) Q(k + 1, rq) - q Q(k, rq), Q the regularized upper incomplete gamma
+            with mp.workdps(50):
+                k, r = mp.mpf(law.shape), mp.mpf(law.rate)
+                tail = float(
+                    k / r * mp.gammainc(k + 1, r * q, mp.inf, regularized=True)
+                    - q * mp.gammainc(k, r * q, mp.inf, regularized=True)
+                )
+        elif isinstance(law, Exponential):
+            tail = math.exp(-law.rate * q) / law.rate
+        else:
+            tail = float(law.survival(q)) * (law.scale + law.shape * q) / (1.0 - law.shape)
+        want = 2.0 * float(law.survival(u)) * tail
+        got = wcrps_gap_bound(law, u, QuantileIndicatorWeight(q))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_bound_indicator_beyond_the_upper_endpoint_is_zero(self, q):
+        # GP(1, -1/2) ends at 2: no weight falls on its support
+        assert wcrps_gap_bound(GeneralizedPareto(1.0, -0.5), 0.5, QuantileIndicatorWeight(q)) == 0.0
 
     def test_mc_agrees_with_exact(self):
         weight = QuantileIndicatorWeight(self.u)
